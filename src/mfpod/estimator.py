@@ -56,7 +56,9 @@ class VarianceProfile:
             raise ValueError("need sigma2 for levels 0..L and cov0 for levels 1..L")
         if (s2 < 0).any():
             raise ValueError("variances must be nonnegative")
-        bound = np.sqrt(s2[0] * s2[1:]) + 1e-9
+        # Relative slack: sample moments satisfy Cauchy-Schwarz only up to
+        # roundoff proportional to their own size, whatever the units.
+        bound = np.sqrt(s2[0] * s2[1:]) * (1.0 + 1e-9)
         if (np.abs(c0) > bound).any():
             raise ValueError("covariances violate the Cauchy-Schwarz bound")
 

@@ -32,7 +32,7 @@ import scipy.linalg
 from .adaptive import mfpod_adaptive
 from .core import Basis, Metric, SnapshotSet, _as_matrix
 from .estimator import estimate_profile, optimal_alpha
-from .mfpod import MfBasis, mfpod_fixed
+from .mfpod import mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -50,7 +50,6 @@ __all__ = [
     "MfpFileError",
     "allocate_budget",
     "captured_energy",
-    "select_dim",
     "build_reference",
     "run_study",
     "write_study",
@@ -164,20 +163,6 @@ def captured_energy(basis: Basis, reference_snapshots, metric: Metric) -> float:
     return 100.0 * float(np.sum(coeff * coeff)) / denom
 
 
-def select_dim(eigvals, kappa: float) -> int:
-    """Smallest r whose leading eigenvalues reach the kappa energy fraction."""
-    if not 0 < kappa <= 1:
-        raise ValueError("kappa must lie in (0, 1]")
-    vals = np.asarray(eigvals, dtype=float)
-    if (vals < 0).any():
-        raise ValueError("eigenvalues must be nonnegative")
-    cum = np.cumsum(vals)
-    total = cum[-1] if len(cum) else 0.0
-    if total <= 0:
-        return 0
-    return int(np.searchsorted(cum, kappa * total) + 1)
-
-
 @dataclass(frozen=True)
 class Reference:
     """Fixed snapshot set every study repeat is scored against."""
@@ -234,17 +219,10 @@ def _repeat_seed(master_seed: int, rep: int) -> int:
 
 
 def _draw_sets(model: AdvDiffConfig, costs: ModelCosts, m0: int, m1: int, seed: int):
-    thetas = sample_parameters(max(m0, m1), seed, model.theta_range)
-    ids = tuple(range(len(thetas)))
-    hf = np.column_stack([snapshot(t, "high", model) for t in thetas[:m0]]) if m0 else None
-    lf = np.column_stack([snapshot(t, "low", model) for t in thetas[:m1]]) if m1 else None
-    if m0 and m1:
-        sets = (
-            SnapshotSet(0, hf, np.zeros((hf.shape[0], 0)), ids[:m0], costs.high),
-            SnapshotSet(1, lf[:, :m0], lf[:, m0:], ids[:m1], costs.low),
-        )
-        return thetas, sets
-    return thetas, (hf if m0 else lf,)
+    thetas = sample_parameters(m1, seed, model.theta_range)
+    hf = np.column_stack([snapshot(t, "high", model) for t in thetas[:m0]])
+    lf = np.column_stack([snapshot(t, "low", model) for t in thetas])
+    return SnapshotSet.two_level(hf, lf, costs.high, costs.low)
 
 
 def _pilot_alpha(sets, metric: Metric) -> float:
@@ -382,7 +360,7 @@ def _run_repeat(rep, seed, model, costs, metric, m0, m1, pipeline,
     dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
     if pipeline == "mfpod":
-        _, sets = _draw_sets(model, costs, m0, m1, seed)
+        sets = _draw_sets(model, costs, m0, m1, seed)
         if weight_kind == "adaptive":
             mf, trace = mfpod_adaptive(sets, config.kappa, metric)
             record["alphas"] = list(trace.alphas)
@@ -395,7 +373,6 @@ def _run_repeat(rep, seed, model, costs, metric, m0, m1, pipeline,
             "mode_count": mf.mode_count,
             "selected_r": mf.selected_dim,
             "correction_count": mf.correction_count,
-            "perp_zero_count": mf.perp_zero_count,
             "energy_fraction": mf.energy_fraction,
             "eigvals": _pad(mf.corrected_eigvals, dims),
             "raw_eigvals": _pad(mf.raw_eigvals, dims),
@@ -445,18 +422,18 @@ def write_snapshots(path, matrix) -> None:
 def read_snapshots(path) -> np.ndarray:
     """Read an MFP1 snapshot file back into an (n, m) array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24 or blob[:4] != _MAGIC:
-        raise MfpFileError(f"{path}: not a snapshot file (bad magic or truncated header)")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != _VERSION:
-        raise MfpFileError(f"{path}: unsupported version {version}")
-    n, m = struct.unpack("<QQ", blob[8:24])
-    expected = 24 + 8 * n * m
-    if len(blob) != expected:
-        raise MfpFileError(f"{path}: payload has {len(blob) - 24} bytes, expected {8 * n * m}")
-    data = np.frombuffer(blob, dtype="<f8", offset=24)
-    return data.reshape((n, m), order="F").astype(float)
+        header = fh.read(24)
+        if len(header) < 24 or header[:4] != _MAGIC:
+            raise MfpFileError(f"{path}: not a snapshot file (bad magic or truncated header)")
+        (version,) = struct.unpack("<I", header[4:8])
+        if version != _VERSION:
+            raise MfpFileError(f"{path}: unsupported version {version}")
+        n, m = struct.unpack("<QQ", header[8:24])
+        payload = os.fstat(fh.fileno()).st_size - 24
+        if payload != 8 * n * m:
+            raise MfpFileError(f"{path}: payload has {payload} bytes, expected {8 * n * m}")
+        data = np.fromfile(fh, dtype="<f8", count=n * m)
+    return data.reshape((n, m), order="F").astype(float, copy=False)
 
 
 def _atomic_write(path, data: bytes) -> None:

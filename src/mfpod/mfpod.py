@@ -21,19 +21,47 @@ from functools import cached_property
 import numpy as np
 
 from .core import Basis, Metric, _as_matrix, orthonormalize, validate_levels
-from .solver import LinearAction, lowrank_eig
+from .solver import _fix_signs, lowrank_eig
 
 __all__ = [
     "MfOperator",
     "MfBasis",
+    "SnapshotSpan",
     "build_operator",
-    "correct_eigenvalue",
     "mfpod_fixed",
     "jmf_plus",
+    "select_dim",
 ]
 
 # Corrected eigenvalues below this fraction of the largest are truncated.
 _PLUS_FLOOR = 1e-10
+
+
+def _check_sets(sets, metric: Metric) -> tuple:
+    sets = tuple(sets)
+    validate_levels(sets)
+    if sets[0].dim != metric.n:
+        raise ValueError("snapshot dimension does not match the metric")
+    return sets
+
+
+def _snapshot_blocks(sets) -> tuple[np.ndarray, ...]:
+    """S_0, S_1,shared, S_1,extra, S_2,shared, ... in operator order."""
+    return (sets[0].shared,) + tuple(b for s in sets[1:] for b in (s.shared, s.extra))
+
+
+def _coefficients(counts, alphas) -> tuple[float, ...]:
+    """Weights c so that C_mf = sum c S S^T W over the snapshot blocks."""
+    alphas = tuple(float(a) for a in alphas)
+    if len(alphas) != len(counts) - 1:
+        raise ValueError("need one weight per lower-fidelity level")
+    if not all(np.isfinite(alphas)):
+        raise ValueError("weights must be finite")
+    out = [1.0 / counts[0]]
+    for ell in range(1, len(counts)):
+        a, m_prev, m = alphas[ell - 1], counts[ell - 1], counts[ell]
+        out += [a * (1.0 / m - 1.0 / m_prev), a / m]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -45,86 +73,27 @@ class MfOperator:
     metric: Metric
 
     def __post_init__(self):
-        sets = tuple(self.sets)
-        alphas = tuple(float(a) for a in self.alphas)
+        sets = _check_sets(self.sets, self.metric)
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "alphas", alphas)
-        validate_levels(sets)
-        if len(alphas) != len(sets) - 1:
-            raise ValueError("need one weight per lower-fidelity level")
-        if not all(np.isfinite(alphas)):
-            raise ValueError("weights must be finite")
-        if sets[0].dim != self.metric.n:
-            raise ValueError("snapshot dimension does not match the metric")
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        _coefficients([s.count for s in sets], self.alphas)
 
     @cached_property
     def blocks(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """(coefficient, columns) pairs so that C_mf = sum c S S^T W."""
-        out = [(1.0 / self.sets[0].count, self.sets[0].shared)]
-        for ell in range(1, len(self.sets)):
-            a = self.alphas[ell - 1]
-            m_prev = self.sets[ell - 1].count
-            m = self.sets[ell].count
-            out.append((a * (1.0 / m - 1.0 / m_prev), self.sets[ell].shared))
-            out.append((a / m, self.sets[ell].extra))
-        return tuple(out)
-
-    @cached_property
-    def _transformed_blocks(self) -> tuple[tuple[float, np.ndarray], ...]:
-        return tuple((c, self.metric.to_coords(s)) for c, s in self.blocks)
+        """(coefficient, columns in metric coordinates) with C = sum c T T^T."""
+        coeffs = _coefficients([s.count for s in self.sets], self.alphas)
+        return tuple(zip(coeffs, (self.metric.to_coords(s) for s in _snapshot_blocks(self.sets))))
 
     @property
     def dim(self) -> int:
         return self.metric.n
-
-    @property
-    def rank_bound(self) -> int:
-        cols = sum(s.shape[1] for _, s in self.blocks)
-        return min(self.dim, cols)
-
-    def apply(self, x) -> np.ndarray:
-        """C_mf x in original coordinates, for a vector or matrix."""
-        wx = self.metric.apply(np.asarray(x, dtype=float))
-        out = np.zeros_like(wx)
-        for c, s in self.blocks:
-            out += c * (s @ (s.T @ wx))
-        return out
-
-    def action(self) -> LinearAction:
-        """The operator in metric coordinates, where it is plainly symmetric."""
-        blocks = self._transformed_blocks
-
-        def apply_block(x):
-            out = np.zeros_like(x)
-            for c, t in blocks:
-                out += c * (t @ (t.T @ x))
-            return out
-
-        def apply(x):
-            return apply_block(x[:, None])[:, 0]
-
-        return LinearAction(self.dim, apply, self.rank_bound, apply_block=apply_block)
-
-    def stacked(self, transformed: bool = True) -> np.ndarray:
-        """All snapshot columns side by side; spans the operator range."""
-        blocks = self._transformed_blocks if transformed else self.blocks
-        return np.hstack([s for _, s in blocks])
-
-    def assemble(self, cap: int = 4096) -> np.ndarray:
-        """Dense sum c S S^T (apply the weight on the right for the full operator)."""
-        if self.dim > cap:
-            raise ValueError(f"dimension {self.dim} exceeds the dense cap {cap}")
-        out = np.zeros((self.dim, self.dim))
-        for c, s in self.blocks:
-            out += c * (s @ s.T)
-        return out
 
     def assemble_transformed(self, cap: int = 4096) -> np.ndarray:
         """Dense symmetric operator matrix in metric coordinates."""
         if self.dim > cap:
             raise ValueError(f"dimension {self.dim} exceeds the dense cap {cap}")
         out = np.zeros((self.dim, self.dim))
-        for c, t in self._transformed_blocks:
+        for c, t in self.blocks:
             out += c * (t @ t.T)
         return out
 
@@ -135,11 +104,57 @@ def build_operator(sets, alphas, metric: Metric) -> MfOperator:
 
 
 @dataclass(frozen=True)
+class SnapshotSpan:
+    """The snapshot span, on which every multifidelity eigenproblem lives.
+
+    ``basis`` is an orthonormal basis Q of the span of all snapshot blocks
+    in metric coordinates, and ``projections`` holds Q^T T for each block
+    in operator order, so that the operator restricted to the span is the
+    small symmetric matrix sum c (Q^T T)(Q^T T)^T for any weights.
+    """
+
+    basis: np.ndarray
+    projections: tuple[np.ndarray, ...]
+    counts: tuple[int, ...]
+    metric: Metric
+
+    @classmethod
+    def from_sets(cls, sets, metric: Metric) -> "SnapshotSpan":
+        sets = _check_sets(sets, metric)
+        coords = [metric.to_coords(s) for s in _snapshot_blocks(sets)]
+        q = orthonormalize(np.hstack(coords), Metric.euclidean(metric.n)).vectors
+        return cls(q, tuple(q.T @ t for t in coords), tuple(s.count for s in sets), metric)
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    def operator(self, alphas) -> np.ndarray:
+        """k x k matrix Q^T C_mf Q of the operator with the given weights."""
+        b = np.zeros((self.rank, self.rank))
+        for c, p in zip(_coefficients(self.counts, alphas), self.projections):
+            b += c * (p @ p.T)
+        return (b + b.T) * 0.5
+
+    def repair(self, lam: float, y: np.ndarray) -> float:
+        """Corrected eigenvalue of the mode Q y: lam if positive, else the
+        Monte Carlo energy (1/m_0) sum_i (u_0,i, v)^2 of the mode."""
+        if lam > 0:
+            return lam
+        p = self.projections[0].T @ y
+        return float(p @ p) / self.counts[0]
+
+
+@dataclass(frozen=True)
 class MfBasis:
     """Multifidelity POD modes with raw and corrected eigenvalues.
 
-    Modes are ordered by corrected eigenvalue; ``selected_dim`` is the
-    smallest r whose cumulative corrected energy reaches ``kappa``.
+    Modes are ordered by corrected eigenvalue, each with its
+    largest-magnitude entry in metric coordinates positive;
+    ``selected_dim`` is the smallest r whose cumulative corrected energy
+    reaches ``kappa``.
+    ``correction_count`` counts the nonpositive raw eigenvalues that were
+    replaced by their Monte Carlo energy.
     """
 
     raw_eigvals: np.ndarray
@@ -149,7 +164,6 @@ class MfBasis:
     selected_dim: int
     kappa: float
     correction_count: int
-    perp_zero_count: int
     energy_fraction: float
     diagnostic: str | None = None
 
@@ -187,82 +201,57 @@ class MfBasis:
         return float(self.corrected_eigvals[max(0, r):].sum())
 
 
-def correct_eigenvalue(lam, v, s0, s_all, metric: Metric, tol: float = 1e-8,
-                       span_basis: Basis | None = None) -> float:
-    """Repaired eigenvalue: lam if positive, else 0 when v is orthogonal to
-    every snapshot, else the Monte Carlo estimate (1/m_0) sum (u_0,i, v)^2.
-
-    ``span_basis`` may carry a precomputed orthonormal basis of the
-    snapshot span to skip the orthogonalization.
-    """
-    lam = float(lam)
-    if lam > 0:
-        return lam
-    v = np.asarray(v, dtype=float)
-    if span_basis is None:
-        span_basis = orthonormalize(_as_matrix(s_all), metric)
-    coeff = span_basis.vectors.T @ metric.apply(v)
-    if float(np.linalg.norm(coeff)) <= tol:
-        return 0.0
-    s0 = _as_matrix(s0)
-    proj0 = s0.T @ metric.apply(v)
-    return float(proj0 @ proj0) / s0.shape[1]
-
-
-def _correct_transformed(lam: float, y: np.ndarray, t0: np.ndarray,
-                         span_q: np.ndarray, tol: float) -> tuple[float, str]:
-    """Eigenvalue repair in metric coordinates; returns (value, branch)."""
-    if lam > 0:
-        return lam, "positive"
-    if float(np.linalg.norm(span_q.T @ y)) <= tol:
-        return 0.0, "orthogonal_zero"
-    p = t0.T @ y
-    return float(p @ p) / t0.shape[1], "mc_fallback"
-
-
-def _finalize_basis(raw, plus, branches, y_vectors, metric, kappa,
-                    diagnostic: str | None = None) -> MfBasis:
-    """Order by corrected value, truncate, apply the energy criterion."""
+def select_dim(eigvals, kappa: float) -> int:
+    """Smallest r whose leading eigenvalues reach the kappa energy fraction."""
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
+    vals = np.asarray(eigvals, dtype=float)
+    if (vals < 0).any():
+        raise ValueError("eigenvalues must be nonnegative")
+    cum = np.cumsum(vals)
+    total = cum[-1] if len(cum) else 0.0
+    if total <= 0:
+        return 0
+    return int(np.searchsorted(cum, kappa * total) + 1)
+
+
+def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
+                    diagnostic: str | None = None) -> MfBasis:
+    """Order modes Q y by corrected value, truncate, apply the energy criterion."""
+    if not 0 < kappa <= 1:
+        raise ValueError("kappa must lie in (0, 1]")
+    metric = span.metric
     raw = np.asarray(raw, dtype=float)
     plus = np.asarray(plus, dtype=float)
-    correction_count = sum(b != "positive" for b in branches)
-    perp_zero_count = sum(b == "orthogonal_zero" for b in branches)
+    correction_count = int((raw <= 0).sum())
 
     def empty(msg):
         return MfBasis(
             np.zeros(0), np.zeros(0), np.zeros((metric.n, 0)), metric,
             selected_dim=0, kappa=kappa, correction_count=correction_count,
-            perp_zero_count=perp_zero_count, energy_fraction=0.0, diagnostic=msg,
+            energy_fraction=0.0, diagnostic=msg,
         )
 
     if len(plus) == 0:
-        return empty(diagnostic or "operator has no eigenvalues above tolerance")
+        return empty(diagnostic or "operator is numerically zero")
     order = np.lexsort((-raw, -plus))
-    raw, plus = raw[order], plus[order]
-    y = y_vectors[:, order]
+    raw, plus, y = raw[order], plus[order], y[:, order]
     top = plus[0]
     if top <= 0:
         return empty(diagnostic or "all corrected eigenvalues are zero")
     keep = plus > _PLUS_FLOOR * top
     raw, plus, y = raw[keep], plus[keep], y[:, keep]
 
+    r = select_dim(plus, kappa)
     cum = np.cumsum(plus)
-    total = cum[-1]
-    r = int(np.searchsorted(cum, kappa * total) + 1)
-    r = min(r, len(plus))
-    vectors = metric.from_coords(y)
     return MfBasis(
-        raw, plus, vectors, metric,
+        raw, plus, metric.from_coords(_fix_signs(span.basis @ y)), metric,
         selected_dim=r, kappa=kappa, correction_count=correction_count,
-        perp_zero_count=perp_zero_count, energy_fraction=float(cum[r - 1] / total),
-        diagnostic=diagnostic,
+        energy_fraction=float(cum[r - 1] / cum[-1]), diagnostic=diagnostic,
     )
 
 
-def mfpod_fixed(sets, alphas, kappa: float, metric: Metric,
-                eig_tol: float = 1e-10, method: str = "project") -> MfBasis:
+def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     """Multifidelity POD basis for fixed control-variate weights.
 
     Solves the operator eigenproblem restricted to the snapshot span,
@@ -279,33 +268,11 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric,
         Energy fraction in (0, 1] for the dimension selection.
     metric : Metric
         Inner product of the ambient space.
-    eig_tol : float
-        Relative floor below which raw eigenvalues count as zero.
-    method : str
-        Eigensolver path, "project" (exact) or "lanczos".
     """
-    op = build_operator(sets, alphas, metric)
-    stacked = op.stacked(transformed=True)
-    pairs = lowrank_eig(op.action(), stacked, want=op.rank_bound, tol=eig_tol, method=method)
-    if pairs.count == 0:
-        return _finalize_basis(
-            np.zeros(0), np.zeros(0), [], np.zeros((metric.n, 0)), metric, kappa,
-            diagnostic="operator is numerically zero",
-        )
-    t0 = op._transformed_blocks[0][1]
-    span_q = None
-    raw = pairs.values
-    plus = np.empty_like(raw)
-    branches = []
-    for j, lam in enumerate(raw):
-        if lam > 0:
-            plus[j], branch = float(lam), "positive"
-        else:
-            if span_q is None:
-                span_q = orthonormalize(stacked, Metric.euclidean(metric.n)).vectors
-            plus[j], branch = _correct_transformed(float(lam), pairs.vectors[:, j], t0, span_q, 1e-8)
-        branches.append(branch)
-    return _finalize_basis(raw, plus, branches, pairs.vectors, metric, kappa)
+    span = SnapshotSpan.from_sets(sets, metric)
+    pairs = lowrank_eig(span.operator(alphas))
+    plus = [span.repair(float(lam), pairs.vectors[:, j]) for j, lam in enumerate(pairs.values)]
+    return _finalize_basis(span, pairs.values, plus, pairs.vectors, kappa)
 
 
 def jmf_plus(mf: MfBasis, candidate: Basis) -> float:

@@ -42,8 +42,8 @@ def hs_error(op: MfOperator, reference: np.ndarray, metric: Metric) -> float:
     """Frobenius distance between the operator and a reference, in metric
     coordinates.
 
-    ``reference`` is a second-moment matrix in original coordinates (the
-    same sum-of-outer-products convention as ``MfOperator.assemble``).
+    ``reference`` is a second-moment matrix sum c S S^T in original
+    coordinates, without the metric weight.
     """
     if metric.n > _DENSE_CAP:
         raise ValueError(f"dimension {metric.n} exceeds the dense cap {_DENSE_CAP}")
@@ -91,15 +91,10 @@ def _study_seed(seed: int, m0: int, rep: int) -> int:
 
 
 def _draw_operator(pair: ModelPair, m0: int, q1: int, alpha: float, draw_seed: int) -> MfOperator:
-    m1 = q1 * m0
-    thetas = pair.sampler(m1, draw_seed)
+    thetas = pair.sampler(q1 * m0, draw_seed)
     hf = np.column_stack([pair.high(t) for t in thetas[:m0]])
     lf = np.column_stack([pair.low(t) for t in thetas])
-    ids = tuple(range(m1))
-    sets = (
-        SnapshotSet(0, hf, np.zeros((hf.shape[0], 0)), ids[:m0], pair.costs.high),
-        SnapshotSet(1, lf[:, :m0], lf[:, m0:], ids, pair.costs.low),
-    )
+    sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
     return build_operator(sets, (alpha,), pair.metric)
 
 

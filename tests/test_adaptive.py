@@ -112,7 +112,7 @@ def test_final_span_contains_hf_snapshots():
     rng = np.random.default_rng(5)
     metric = random_spd_metric(rng, 15)
     sets = random_instance(rng, 15, 3, 7, metric)
-    mf, trace = mfpod_adaptive(sets, kappa=0.999, metric=metric, residual_tol=1e-10)
+    mf, trace = mfpod_adaptive(sets, kappa=0.999, metric=metric)
     if trace.termination == "residual":
         v = mf.full_basis.vectors
         s0 = sets[0].shared

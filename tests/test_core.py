@@ -166,3 +166,9 @@ def test_from_columns_constructor():
     s = SnapshotSet.from_columns(1, cols, 2, (0, 1, 2, 3), 0.5)
     np.testing.assert_array_equal(s.columns, cols)
     assert s.shared.shape == (5, 2) and s.extra.shape == (5, 2)
+    hf = rng.standard_normal((5, 2))
+    s0, s1 = SnapshotSet.two_level(hf, cols, 1.0, 0.5)
+    validate_levels((s0, s1))
+    np.testing.assert_array_equal(s0.columns, hf)
+    np.testing.assert_array_equal(s1.columns, cols)
+    assert s1.shared.shape == (5, 2) and s1.sample_ids == (0, 1, 2, 3)

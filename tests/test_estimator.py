@@ -176,6 +176,22 @@ def test_estimate_profile_single_shared_sample_gives_zeros():
     assert optimal_alpha(prof) == (0.0,)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_estimate_profile_near_identical_levels_at_any_scale(scale):
+    # Levels equal to relative 1e-13: the sample covariance meets the
+    # Cauchy-Schwarz bound up to roundoff, whose size follows the data's units.
+    n, m0, m1 = 20, 6, 12
+    empty = Basis.empty(Metric.euclidean(n))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, m1)) * scale
+        lf = u * (1 + 1e-13 * rng.standard_normal((1, m1)))
+        ids = tuple(range(m1))
+        sets = (SnapshotSet(0, u[:, :m0], np.zeros((n, 0)), ids[:m0], 1.0),
+                SnapshotSet(1, lf[:, :m0], lf[:, m0:], ids, 0.25))
+        assert optimal_alpha(estimate_profile(empty, sets))[0] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_profile_and_allocation_validation():
     with pytest.raises(ValueError):
         VarianceProfile((-1.0, 1.0), (0.0,), 3)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from mfpod import (
     Metric,
     SnapshotSet,
     build_operator,
-    correct_eigenvalue,
     inner,
     j_mf,
     jmf_plus,
+    mfpod_adaptive,
     mfpod_fixed,
-    norm,
     orthonormalize,
     pod,
     subspace_alignment,
 )
+from mfpod.mfpod import SnapshotSpan
 
 from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric
 
@@ -24,6 +26,12 @@ from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, rando
 def _alloc(sets, alpha):
     return Allocation((sets[0].count, sets[1].count), (alpha,),
                       (sets[0].cost_per_sample, sets[1].cost_per_sample))
+
+
+def _action(op, x):
+    """C_mf x through the metric-coordinate matrix: F^-T A F^T x."""
+    metric = op.metric
+    return metric.from_coords(op.assemble_transformed() @ metric.to_coords(x))
 
 
 def test_operator_action_matches_explicit_matrix():
@@ -36,8 +44,15 @@ def test_operator_action_matches_explicit_matrix():
         explicit = assemble_mf_matrix(sets, alpha) @ np.asarray(w)
         for _ in range(50):
             x = rng.standard_normal(12)
-            np.testing.assert_allclose(op.apply(x), explicit @ x,
+            np.testing.assert_allclose(_action(op, x), explicit @ x,
                                        atol=1e-12 * np.abs(explicit).max())
+        # the span operator is the same matrix restricted to the snapshot span
+        span = SnapshotSpan.from_sets(sets, metric)
+        a = op.assemble_transformed()
+        q = span.basis
+        np.testing.assert_allclose(span.operator((alpha,)), q.T @ a @ q,
+                                   atol=1e-12 * np.abs(a).max())
+        np.testing.assert_allclose(q @ (q.T @ a @ q) @ q.T, a, atol=1e-12 * np.abs(a).max())
 
 
 def test_operator_self_adjoint_under_metric():
@@ -47,8 +62,8 @@ def test_operator_self_adjoint_under_metric():
     op = build_operator(sets, (0.6,), metric)
     for _ in range(20):
         u, v = rng.standard_normal(10), rng.standard_normal(10)
-        lhs = inner(op.apply(u), v, metric)
-        rhs = inner(u, op.apply(v), metric)
+        lhs = inner(_action(op, u), v, metric)
+        rhs = inner(u, _action(op, v), metric)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -58,9 +73,8 @@ def test_operator_reductions():
     sets = random_instance(rng, 9, 2, 6, metric)
     s0 = sets[0].shared
     zero_alpha = build_operator(sets, (0.0,), metric)
-    x = rng.standard_normal(9)
-    np.testing.assert_allclose(zero_alpha.apply(x), s0 @ (s0.T @ x) / 2, atol=1e-13)
-    # identical levels with alpha=1 telescope to the m_1-sample Gramian action
+    np.testing.assert_allclose(zero_alpha.assemble_transformed(), s0 @ s0.T / 2, atol=1e-13)
+    # identical levels with alpha=1 telescope to the m_1-sample Gramian
     u = rng.standard_normal((9, 6))
     ids = tuple(range(6))
     same = (
@@ -68,7 +82,7 @@ def test_operator_reductions():
         SnapshotSet(1, u[:, :2], u[:, 2:], ids, 0.25),
     )
     op = build_operator(same, (1.0,), metric)
-    np.testing.assert_allclose(op.apply(x), u @ (u.T @ x) / 6, atol=1e-13)
+    np.testing.assert_allclose(op.assemble_transformed(), u @ u.T / 6, atol=1e-13)
 
 
 def test_mfpod_fixed_matches_dense_pipeline_oracle():
@@ -89,24 +103,22 @@ def test_mfpod_fixed_matches_dense_pipeline_oracle():
 
 
 def test_correct_eigenvalue_branches():
-    rng = np.random.default_rng(4)
-    metric = random_spd_metric(rng, 8)
-    sets = random_instance(rng, 8, 2, 5, metric)
-    s0, s_all = sets[0].shared, np.column_stack([sets[0].shared, sets[1].columns])
-    v = rng.standard_normal(8)
-    v = v / norm(v, metric)
-    assert correct_eigenvalue(2.0, v, s0, s_all, metric) == 2.0
-    # orthogonal complement of the snapshot span maps to zero
-    q = orthonormalize(s_all, metric)
-    w = rng.standard_normal(8)
-    w = w - q.vectors @ (q.vectors.T @ metric.apply(w))
-    w = w / norm(w, metric)
-    assert correct_eigenvalue(-0.1, w, s0, s_all, metric) == 0.0
-    # in-span negative value falls back to the Monte Carlo energy
-    u = s0[:, 0] / norm(s0[:, 0], metric)
-    got = correct_eigenvalue(-0.1, u, s0, s_all, metric)
-    expected = np.mean([inner(s0[:, i], u, metric) ** 2 for i in range(s0.shape[1])])
-    assert got == pytest.approx(expected, rel=1e-10)
+    # alpha=5 makes the correction term dominate, so some raw values are negative
+    rng = np.random.default_rng(10)
+    for metric in (Metric.euclidean(12), random_spd_metric(rng, 12)):
+        sets = random_instance(rng, 12, 2, 6, metric)
+        mf = mfpod_fixed(sets, (5.0,), kappa=0.99, metric=metric)
+        repaired = mf.raw_eigvals <= 0
+        assert repaired.any()
+        assert mf.correction_count == int(repaired.sum())
+        s0 = sets[0].shared
+        for j in range(mf.mode_count):
+            if repaired[j]:
+                v = mf.vectors[:, j]
+                energy = np.mean([inner(s0[:, i], v, metric) ** 2 for i in range(s0.shape[1])])
+                assert mf.corrected_eigvals[j] == pytest.approx(energy, rel=1e-10)
+            else:
+                assert mf.corrected_eigvals[j] == mf.raw_eigvals[j]
 
 
 def test_alpha_zero_reduces_to_hf_pod():
@@ -201,3 +213,31 @@ def test_correction_counters_on_negative_spectrum():
     assert (mf.raw_eigvals < 0).any()
     assert mf.correction_count >= 1
     assert (mf.corrected_eigvals >= 0).all()
+
+
+def test_one_span_orthonormalization_and_one_transform_per_block(monkeypatch):
+    calls = {"orthonormalize": 0, "to_coords": 0}
+    original_orth, original_coords = orthonormalize, Metric.to_coords
+
+    def counted_orth(*args, **kwargs):
+        calls["orthonormalize"] += 1
+        return original_orth(*args, **kwargs)
+
+    def counted_coords(self, x):
+        calls["to_coords"] += 1
+        return original_coords(self, x)
+
+    for name in ("core", "solver", "mfpod", "adaptive", "pod"):
+        monkeypatch.setattr(importlib.import_module(f"mfpod.{name}"), "orthonormalize", counted_orth)
+    monkeypatch.setattr(Metric, "to_coords", counted_coords)
+
+    rng = np.random.default_rng(10)
+    metric = random_spd_metric(rng, 12)
+    sets = random_instance(rng, 12, 2, 6, metric)
+    mf = mfpod_fixed(sets, (5.0,), kappa=0.99, metric=metric)
+    assert mf.correction_count >= 1  # the repair path ran
+    assert calls == {"orthonormalize": 1, "to_coords": 3}
+
+    calls.update(orthonormalize=0, to_coords=0)
+    mfpod_adaptive(sets, kappa=0.99, metric=metric)
+    assert calls == {"orthonormalize": 1, "to_coords": 3}
