@@ -25,7 +25,6 @@ from .experiment import (
     StudyReport,
     allocate_budget,
     build_reference,
-    captured_energy,
     generate_snapshot_files,
     read_snapshots,
     run_study,
@@ -84,7 +83,6 @@ __all__ = [
     "allocate_budget",
     "build_operator",
     "build_reference",
-    "captured_energy",
     "convergence_study",
     "eigenvalue_sum_mse",
     "equispaced_parameters",

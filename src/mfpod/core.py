@@ -366,3 +366,24 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
             q[:, kept] = w / nw
             kept += 1
     return Basis(q[:, :kept].copy(), metric).check(1e-9)
+
+
+# Snapshot columns per chunk of a streamed second moment, so that at most an
+# n x _CHUNK block of snapshots is held at once.
+_CHUNK = 2500
+
+
+def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
+    """S = (1/N) sum_i t_i t_i^T with t_i = F^T solve(theta_i), the second
+    moment of N snapshots in metric coordinates, accumulated chunk by chunk."""
+    n, count = metric.n, len(thetas)
+    second = np.zeros((n, n))
+    for start in range(0, count, _CHUNK):
+        chunk = thetas[start:start + _CHUNK]
+        block = np.empty((n, len(chunk)))
+        for j, theta in enumerate(chunk):
+            block[:, j] = solve(theta)
+        t = metric.to_coords(block)
+        second += t @ t.T
+    second /= count
+    return second

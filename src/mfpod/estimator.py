@@ -152,7 +152,7 @@ def estimate_profile(basis: Basis, sets) -> VarianceProfile:
     m0 = sets[0].count
     xs = []
     for s in sets:
-        cols = s.columns[:, :m0]
+        cols = s.shared[:, :m0]
         e = _residual_energies(basis, cols)
         # residual energies at roundoff level are exact zeros in disguise;
         # without the clamp a fully captured level gets a garbage variance

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, _as_matrix
+from .core import Basis, Metric, SnapshotSet, _as_matrix, _second_moment
 from .estimator import estimate_profile, optimal_alpha
 from .mfpod import mfpod_fixed, select_dim
 from .models import (
@@ -49,7 +49,6 @@ __all__ = [
     "Reference",
     "MfpFileError",
     "allocate_budget",
-    "captured_energy",
     "build_reference",
     "run_study",
     "write_study",
@@ -61,7 +60,8 @@ __all__ = [
 _MAGIC = b"MFPS"
 _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
-_MFPOD_SPLITS = ("even_split", "fixed_m0")
+# Reference eigenvalues at or below this fraction of the trace are roundoff.
+_REFERENCE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -151,24 +151,17 @@ def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int,
     return m0, m1
 
 
-def captured_energy(basis: Basis, reference_snapshots, metric: Metric) -> float:
-    """Percentage of the reference snapshot energy inside the subspace."""
-    ref = _as_matrix(reference_snapshots)
-    denom = float(metric.norms_sq(ref).sum())
-    if denom <= 0.0:
-        raise ValueError("reference snapshots carry no energy")
-    if basis.dim == 0:
-        return 0.0
-    coeff = basis.vectors.T @ metric.apply(ref)
-    return 100.0 * float(np.sum(coeff * coeff)) / denom
-
-
 @dataclass(frozen=True)
 class Reference:
-    """Fixed snapshot set every study repeat is scored against."""
+    """Fixed snapshot set every study repeat is scored against.
 
-    weighted: np.ndarray  # W @ snapshots, the only form projections need
-    denom: float
+    The snapshots t_i = F^T u_i (metric coordinates) enter only through
+    their second moment S = (1/size) sum_i t_i t_i^T = Phi Lambda Phi^T,
+    kept as its eigenpairs above a roundoff floor.  A metric-orthonormal
+    mode v then captures ||weighted^T v||^2 / trace of the snapshot energy.
+    """
+
+    weighted: np.ndarray  # F Phi Lambda^(1/2), n x K
     eigvals: np.ndarray
     trace: float
     size: int
@@ -176,42 +169,37 @@ class Reference:
 
     def energy_curve(self, dims: int) -> list[float]:
         """Best possible captured energy per dimension, from the spectrum."""
-        cum = np.cumsum(self.eigvals)
-        return [
-            100.0 * float(cum[min(r, len(cum)) - 1] / self.trace) if len(cum) else 0.0
-            for r in range(1, dims + 1)
-        ]
+        return _percent_curve(self.eigvals, self.trace, dims)
 
 
 def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Reference:
-    """High-fidelity snapshots at equispaced parameters, plus their spectrum."""
+    """High-fidelity snapshots at equispaced parameters, kept as the eigen
+    factor of their second moment; ``eigvals`` holds the leading top_modes
+    eigenvalues, zero below the roundoff floor."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
-    u = np.column_stack([snapshot(t, "high", model) for t in thetas])
-    weighted = metric.apply(u)
-    denom = float(np.einsum("ij,ij->", u, weighted))
-    t = metric.to_coords(u)
-    n = t.shape[0]
-    k = max(1, min(top_modes, n, size))
-    if size >= n:
-        second = (t @ t.T) / size
-        trace = float(np.trace(second))
-        vals = scipy.linalg.eigh(second, eigvals_only=True, subset_by_index=[n - k, n - 1])
-    else:
-        gram = (t.T @ t) / size
-        trace = float(np.trace(gram))
-        vals = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=[size - k, size - 1])
-    eigvals = np.maximum(vals[::-1], 0.0)
-    return Reference(weighted, denom, eigvals, trace, size, metric)
+    second = _second_moment(lambda t: snapshot(t, "high", model), thetas, metric)
+    trace = float(np.trace(second))
+    if not trace > 0.0:
+        raise ValueError("reference snapshots carry no energy")
+    vals, vecs = scipy.linalg.eigh(
+        second, subset_by_value=(_REFERENCE_FLOOR * trace, np.inf), overwrite_a=True
+    )
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    weighted = metric.apply(metric.from_coords(vecs)) * np.sqrt(vals)
+    eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
+    return Reference(weighted, eigvals, trace, size, metric)
 
 
 def _energy_curve(vectors: np.ndarray, reference: Reference, dims: int) -> list[float]:
-    if vectors.shape[1] == 0:
-        return [0.0] * dims
     coeff = vectors.T @ reference.weighted
-    per_mode = np.einsum("ij,ij->i", coeff, coeff)
-    cum = np.cumsum(per_mode)
-    return [100.0 * float(cum[min(r, len(cum)) - 1] / reference.denom) for r in range(1, dims + 1)]
+    return _percent_curve(np.einsum("ij,ij->i", coeff, coeff), reference.trace, dims)
+
+
+def _percent_curve(energies: np.ndarray, trace: float, dims: int) -> list[float]:
+    """Percent of trace in the first r energies for r = 1..dims (all of them past the end)."""
+    cum = np.concatenate(([0.0], np.cumsum(energies)))
+    return [100.0 * float(cum[min(r, len(cum) - 1)] / trace) for r in range(1, dims + 1)]
 
 
 def _repeat_seed(master_seed: int, rep: int) -> int:
@@ -295,9 +283,10 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     """Run the configured study and aggregate its repeats.
 
     A precomputed ``reference`` (from build_reference on the same model)
-    can be shared across studies; otherwise one is built here.  Individual
-    repeat failures are recorded and skipped, but more than half failing
-    aborts the study.
+    can be shared across studies; otherwise one is built here.  A repeat
+    that fails numerically (ValueError, which includes LinAlgError, or
+    ArithmeticError) is recorded and skipped, but more than half failing
+    aborts the study; any other exception propagates.
     """
     model = config.model
     costs = ModelCosts.from_config(model)
@@ -318,35 +307,23 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
                 rep, seed, model, costs, metric, m0, m1, pipeline,
                 weight_kind, fixed_alpha, config, reference,
             ))
-        except Exception as exc:  # noqa: BLE001 - a repeat may fail without sinking the study
+        except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
     if len(failures) > config.repeats / 2:
         raise RuntimeError(f"{len(failures)} of {config.repeats} repeats failed; aborting study")
 
-    dims = config.report_dims
-    energy = np.array([rec["captured_energy"] for rec in records]) if records else np.zeros((0, dims))
-    eig = np.array([rec["eigvals"] for rec in records]) if records else np.zeros((0, dims))
-    counts = np.array([rec["mode_count"] for rec in records]) if records else np.zeros(0)
-    selected = np.array([rec["selected_r"] for rec in records]) if records else np.zeros(0)
-    aggregates = {
-        "captured_energy": _percentile_rows(energy) if len(records) else {},
-        "eigvals": _percentile_rows(eig) if len(records) else {},
-        "mode_count": {
-            "min": int(counts.min()) if len(counts) else 0,
-            "median": float(np.median(counts)) if len(counts) else float("nan"),
-            "max": int(counts.max()) if len(counts) else 0,
-        },
-        "selected_r": {
-            "min": int(selected.min()) if len(selected) else 0,
-            "median": float(np.median(selected)) if len(selected) else float("nan"),
-            "max": int(selected.max()) if len(selected) else 0,
-        },
-    }
+    # past the abort above, at least one repeat succeeded
+    aggregates = {key: _percentile_rows(np.array([rec[key] for rec in records]))
+                  for key in ("captured_energy", "eigvals")}
+    for key in ("mode_count", "selected_r"):
+        values = np.array([rec[key] for rec in records])
+        aggregates[key] = {"min": int(values.min()), "median": float(np.median(values)),
+                           "max": int(values.max())}
     reference_info = {
         "size": reference.size,
         "eigvals": reference.eigvals,
-        "energy_curve": reference.energy_curve(dims),
+        "energy_curve": reference.energy_curve(config.report_dims),
     }
     return StudyReport(
         config=config, pipeline=pipeline, m0=m0, m1=m1, repeats=records,

@@ -20,6 +20,9 @@ from .core import Basis, Metric, _as_matrix, orthonormalize, project
 
 __all__ = ["PodResult", "pod", "pod_projection_error"]
 
+# Modes with eigenvalue <= _EIG_FLOOR * lambda_1 are discarded.
+_EIG_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class PodResult:
@@ -43,7 +46,7 @@ class PodResult:
         return float(self.eigvals[max(0, r):].sum())
 
 
-def pod(snapshots, metric: Metric, eig_floor: float = 1e-10) -> PodResult:
+def pod(snapshots, metric: Metric) -> PodResult:
     """POD of the snapshot columns in the given metric.
 
     Parameters
@@ -52,14 +55,12 @@ def pod(snapshots, metric: Metric, eig_floor: float = 1e-10) -> PodResult:
         Snapshot columns.  At least one column is required.
     metric : Metric
         Inner product for the Gramian and the returned basis.
-    eig_floor : float
-        Modes with eigenvalue <= eig_floor * lambda_1 are discarded.
 
     Returns
     -------
     PodResult
         Full clipped spectrum plus the metric-orthonormal retained modes
-        v_j = S w_j / sqrt(m lambda_j).
+        v_j = S w_j / sqrt(m lambda_j), for lambda_j above _EIG_FLOOR * lambda_1.
     """
     s = _as_matrix(snapshots)
     n, m = s.shape
@@ -78,7 +79,7 @@ def pod(snapshots, metric: Metric, eig_floor: float = 1e-10) -> PodResult:
         raise ValueError("Gramian is far from positive semidefinite; check the metric")
     vals = np.maximum(vals, 0.0)
 
-    keep = vals > eig_floor * top if top > 0 else np.zeros(m, dtype=bool)
+    keep = vals > _EIG_FLOOR * top if top > 0 else np.zeros(m, dtype=bool)
     kept = int(keep.sum())
     if kept == 0:
         return PodResult(vals, Basis.empty(metric), m)
@@ -94,7 +95,7 @@ def pod(snapshots, metric: Metric, eig_floor: float = 1e-10) -> PodResult:
         # spans.
         basis = orthonormalize(modes, metric)
         if basis.dim != kept:
-            raise ValueError("retained modes are numerically dependent; raise eig_floor")
+            raise ValueError("retained modes are numerically dependent")
     else:
         basis = Basis(modes, metric).check(1e-9)
     return PodResult(vals, basis, m)

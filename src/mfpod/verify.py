@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, SnapshotSet
+from .core import Basis, Metric, SnapshotSet, _second_moment
 from .mfpod import MfOperator, build_operator
 from .models import ModelPair
 
@@ -71,7 +71,8 @@ def subspace_alignment(v: Basis, vstar: Basis) -> float:
 def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
     """Surrogate-truth second-moment matrix in metric coordinates.
 
-    Averages size independent high-fidelity snapshots; the result is the
+    Averages size independent high-fidelity snapshots, streamed in chunks
+    through the same routine as the study reference; the result is the
     declared truth that study errors are measured against, so size should
     dwarf every study sample count.
     """
@@ -80,10 +81,7 @@ def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
     n = pair.metric.n
     if n > _DENSE_CAP:
         raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
-    thetas = pair.sampler(size, seed)
-    u = np.column_stack([pair.high(t) for t in thetas])
-    t = pair.metric.to_coords(u)
-    return (t @ t.T) / size
+    return _second_moment(pair.high, pair.sampler(size, seed), pair.metric)
 
 
 def _study_seed(seed: int, m0: int, rep: int) -> int:

@@ -7,19 +7,21 @@ import pytest
 import mfpod.experiment as experiment
 from mfpod import (
     AdvDiffConfig,
-    Basis,
-    Metric,
     MfpFileError,
     ModelCosts,
     StudyConfig,
     allocate_budget,
     build_reference,
-    captured_energy,
+    equispaced_parameters,
+    fine_metric,
     generate_snapshot_files,
+    orthonormalize,
     pod,
     read_snapshots,
     run_study,
+    sample_parameters,
     select_dim,
+    snapshot,
     write_snapshots,
     write_study,
 )
@@ -72,27 +74,78 @@ def test_allocation_cost_accounting_invariant():
             assert m0 * costs.high + m1 * costs.low <= budget + costs.low + 1e-9
 
 
-def test_captured_energy_trivial_cases():
-    rng = np.random.default_rng(1)
-    metric = Metric.euclidean(12)
-    snaps = rng.standard_normal((12, 6))
-    res = pod(snaps, metric)
-    assert captured_energy(res.basis, snaps, metric) == pytest.approx(100.0, abs=1e-8)
-    empty = Basis(np.zeros((12, 0)), metric)
-    assert captured_energy(empty, snaps, metric) == 0.0
-    with pytest.raises(ValueError):
-        captured_energy(res.basis, np.zeros((12, 3)), metric)
+def _reference_snapshots(size):
+    thetas = equispaced_parameters(size, _SMALL.theta_range)
+    return np.column_stack([snapshot(t, "high", _SMALL) for t in thetas])
+
+
+def _score(vectors, ref) -> float:
+    """Captured energy (percent) of the whole basis against the reference."""
+    return experiment._energy_curve(vectors, ref, max(vectors.shape[1], 1))[-1]
+
+
+def _test_bases(metric):
+    """POD bases of both fidelities and a random subspace, 8 modes at most."""
+    rng = np.random.default_rng(11)
+    thetas = sample_parameters(6, 11, _SMALL.theta_range)
+    out = [pod(np.column_stack([snapshot(t, fid, _SMALL) for t in thetas]), metric).basis.vectors
+           for fid in ("high", "low")]
+    out.append(orthonormalize(rng.standard_normal((metric.n, 8)), metric).vectors)
+    return out
+
+
+# Reference sizes below and above the dimension n = 129 of _SMALL.
+@pytest.mark.parametrize("size", [60, 300])
+def test_reference_scores_match_dense_snapshot_oracle(size):
+    ref = build_reference(_SMALL, size, 40)
+    metric = fine_metric(_SMALL)
+    u = _reference_snapshots(size)
+    weighted, denom = metric.apply(u), float(metric.norms_sq(u).sum())
+    for vectors in _test_bases(metric):
+        coeff = vectors.T @ weighted
+        dense = 100.0 * np.cumsum(np.einsum("ij,ij->i", coeff, coeff)) / denom
+        got = experiment._energy_curve(vectors, ref, vectors.shape[1])
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("size", [60, 300])
+def test_reference_leading_modes_reproduce_energy_curve(size):
+    ref = build_reference(_SMALL, size, 40)
+    metric = fine_metric(_SMALL)
+    # the reference is kept as a factor of its K eigenpairs above roundoff
+    k = ref.weighted.shape[1]
+    assert ref.weighted.shape == (metric.n, k) and 1 <= k < 40
+    assert (ref.eigvals[:k] > 0).all() and (ref.eigvals[k:] == 0).all()
+    t = metric.to_coords(_reference_snapshots(size))
+    _, phi = np.linalg.eigh(t @ t.T / size)
+    modes = metric.from_coords(phi[:, ::-1][:, :20])
+    got = experiment._energy_curve(modes, ref, 20)
+    np.testing.assert_allclose(got, ref.energy_curve(20), rtol=0, atol=1e-10)
+
+
+def test_captured_energy_trivial_cases(monkeypatch):
+    metric = fine_metric(_SMALL)
+    below, above = build_reference(_SMALL, 60, 40), build_reference(_SMALL, 300, 40)
+    empty = np.zeros((metric.n, 0))
+    assert experiment._energy_curve(empty, below, 5) == [0.0] * 5
+    # the span of the reference's own snapshots, and the whole space, hold everything
+    span = orthonormalize(_reference_snapshots(60), metric).vectors
+    assert _score(span, below) == pytest.approx(100.0, abs=1e-8)
+    whole = orthonormalize(np.eye(metric.n), metric).vectors
+    assert _score(whole, above) == pytest.approx(100.0, abs=1e-8)
+    monkeypatch.setattr(experiment, "snapshot", lambda theta, fidelity, model: np.zeros(model.n_hf))
+    with pytest.raises(ValueError, match="no energy"):
+        build_reference(_SMALL, 60, 40)
 
 
 def test_captured_energy_monotone_in_nested_bases():
-    rng = np.random.default_rng(2)
-    metric = Metric.euclidean(15)
-    snaps = rng.standard_normal((15, 8))
-    res = pod(snaps, metric)
-    vals = [captured_energy(Basis(res.basis.vectors[:, :r], metric), snaps, metric)
-            for r in range(res.basis.dim + 1)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert all(0.0 <= v <= 100.0 + 1e-9 for v in vals)
+    for size in (60, 300):
+        ref = build_reference(_SMALL, size, 40)
+        for vectors in _test_bases(fine_metric(_SMALL)):
+            vals = [_score(vectors[:, :r], ref) for r in range(vectors.shape[1] + 1)]
+            assert vals[0] == 0.0
+            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+            assert all(0.0 <= v <= 100.0 + 1e-9 for v in vals)
 
 
 def test_select_dim():
@@ -206,7 +259,7 @@ def test_run_study_records_partial_failures(monkeypatch):
 
     def flaky(rep, *args, **kwargs):
         if rep == 0:
-            raise RuntimeError("synthetic repeat failure")
+            raise ValueError("synthetic repeat failure")
         return original(rep, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "_run_repeat", flaky)
@@ -220,12 +273,27 @@ def test_run_study_records_partial_failures(monkeypatch):
 
 def test_run_study_aborts_on_majority_failure(monkeypatch):
     def broken(*args, **kwargs):
-        raise RuntimeError("synthetic repeat failure")
+        raise ValueError("synthetic repeat failure")
 
     monkeypatch.setattr(experiment, "_run_repeat", broken)
     config = StudyConfig(budget=5.0, split="hf_only", repeats=2, master_seed=3,
                          model=_SMALL, reference_size=40, report_dims=4)
     with pytest.raises(RuntimeError):
+        run_study(config)
+
+
+def test_run_study_propagates_programming_errors(monkeypatch):
+    original = experiment._run_repeat
+
+    def buggy(rep, *args, **kwargs):
+        if rep == 1:
+            raise TypeError("synthetic programming error")
+        return original(rep, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_run_repeat", buggy)
+    config = StudyConfig(budget=5.0, split="hf_only", repeats=3, master_seed=2,
+                         model=_SMALL, reference_size=40, report_dims=4)
+    with pytest.raises(TypeError, match="synthetic programming error"):
         run_study(config)
 
 

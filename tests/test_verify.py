@@ -18,6 +18,7 @@ from mfpod import (
     sample_parameters,
     subspace_alignment,
 )
+from mfpod.core import _CHUNK
 from mfpod.verify import _study_seed
 
 from conftest import assemble_mf_matrix, random_instance, random_spd_metric
@@ -185,3 +186,18 @@ def test_eigenvalue_sum_validation():
         eigenvalue_sum_mse(pair, 0, (2, 4), 30, 0, reference_size=50)
     with pytest.raises(ValueError):
         eigenvalue_sum_mse(pair, 3, (2, 4), 5, 0, reference_size=50)
+
+
+def test_reference_matrix_streams_chunks_exactly():
+    # several chunks of the streamed second moment, the last one partial
+    pair = _small_pair()
+    size = 2 * _CHUNK + 17
+    ref = reference_matrix(pair, size, 9)
+    t = pair.metric.to_coords(np.column_stack([pair.high(th) for th in pair.sampler(size, 9)]))
+    oneshot = t @ t.T / size
+    assert ref.shape == (65, 65)
+    assert np.linalg.norm(ref - oneshot) <= 1e-13 * np.linalg.norm(oneshot)
+    with pytest.raises(ValueError):
+        reference_matrix(pair, 0, 9)
+    with pytest.raises(ValueError):
+        reference_matrix(make_model_pair(AdvDiffConfig(n_hf=4097 + 4096, n_lf=33)), 1, 9)
