@@ -28,7 +28,7 @@ from .experiment import (
 from .mfpod import mfpod_fixed, select_dim
 from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
 from .pod import pod
-from .verify import convergence_study, eigenvalue_sum_mse
+from .verify import convergence_study, eigenvalue_sum_mse, reference_matrix
 
 _SPLITS = {"even": "even_split", "hf-only": "hf_only", "lf-only": "lf_only"}
 _MODELS = {"literal": "literal", "boundary-layer": "boundary_layer"}
@@ -232,8 +232,9 @@ def _cmd_verify(args) -> dict:
     grid = tuple(int(x) for x in args.m0_grid.split(","))
     pair = make_model_pair(_model_config(args))
     out: dict = {"m0_grid": list(grid), "q1": args.q1, "alpha": args.alpha}
-    conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed,
-                             alpha=args.alpha, reference_size=args.reference_size)
+    reference = reference_matrix(pair, args.reference_size, args.seed)
+    conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed, alpha=args.alpha,
+                             reference_size=args.reference_size, reference=reference)
     out["convergence"] = {
         "mean_sq_errors": [float(v) for v in conv.mean_sq_errors],
         "slope": float(conv.slope),
@@ -243,8 +244,7 @@ def _cmd_verify(args) -> dict:
     if args.check in ("eigsum", "both"):
         study = eigenvalue_sum_mse(pair, args.r, grid, args.repeats, args.seed,
                                    alpha=args.alpha, q1=args.q1,
-                                   reference_size=args.reference_size,
-                                   gamma_hat=conv.gamma_hat)
+                                   gamma_hat=conv.gamma_hat, reference=reference)
         out["eigsum"] = {
             "r": args.r,
             "mse": [float(v) for v in study.mse],

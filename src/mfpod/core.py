@@ -373,17 +373,22 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
 _CHUNK = 2500
 
 
-def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
-    """S = (1/N) sum_i t_i t_i^T with t_i = F^T solve(theta_i), the second
-    moment of N snapshots in metric coordinates, accumulated chunk by chunk."""
-    n, count = metric.n, len(thetas)
-    second = np.zeros((n, n))
-    for start in range(0, count, _CHUNK):
+def _snapshot_chunks(solve, thetas, metric: Metric):
+    """Yield t_i = F^T solve(theta_i), the snapshots in metric coordinates,
+    as blocks of at most _CHUNK columns in parameter order."""
+    for start in range(0, len(thetas), _CHUNK):
         chunk = thetas[start:start + _CHUNK]
-        block = np.empty((n, len(chunk)))
+        block = np.empty((metric.n, len(chunk)))
         for j, theta in enumerate(chunk):
             block[:, j] = solve(theta)
-        t = metric.to_coords(block)
+        yield metric.to_coords(block)
+
+
+def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
+    """S = (1/N) sum_i t_i t_i^T, the second moment of N snapshots in metric
+    coordinates, accumulated chunk by chunk."""
+    second = np.zeros((metric.n, metric.n))
+    for t in _snapshot_chunks(solve, thetas, metric):
         second += t @ t.T
-    second /= count
+    second /= len(thetas)
     return second

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, _as_matrix, _second_moment
+from .core import Basis, Metric, SnapshotSet, _as_matrix, _snapshot_chunks, orthonormalize
 from .estimator import estimate_profile, optimal_alpha
 from .mfpod import mfpod_fixed, select_dim
 from .models import (
@@ -62,6 +62,8 @@ _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
 # Reference eigenvalues at or below this fraction of the trace are roundoff.
 _REFERENCE_FLOOR = 1e-14
+# Snapshot columns per Gram-Schmidt block of the reference span build.
+_SPAN_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -175,18 +177,43 @@ class Reference:
 def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Reference:
     """High-fidelity snapshots at equispaced parameters, kept as the eigen
     factor of their second moment; ``eigvals`` holds the leading top_modes
-    eigenvalues, zero below the roundoff floor."""
+    eigenvalues, zero below the roundoff floor.
+
+    The n x n second moment S = (1/size) sum_i t_i t_i^T is never formed.
+    The snapshots stream through a block Gram-Schmidt that grows a
+    Euclidean-orthonormal basis Q of their span in metric coordinates and
+    accumulates M = Q^T S Q, so the eigenpairs of S are Q Y from one k x k
+    eigh of M, where k is the span dimension."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
-    second = _second_moment(lambda t: snapshot(t, "high", model), thetas, metric)
-    trace = float(np.trace(second))
+    euclid = Metric.euclidean(metric.n)
+    q, moment, energy, scale = np.zeros((metric.n, 0)), np.zeros((0, 0)), 0.0, 0.0
+    for chunk in _snapshot_chunks(lambda t: snapshot(t, "high", model), thetas, metric):
+        for start in range(0, chunk.shape[1], _SPAN_BLOCK):
+            t = chunk[:, start:start + _SPAN_BLOCK]
+            norms_sq = euclid.norms_sq(t)
+            energy += float(norms_sq.sum())
+            scale = max(scale, float(np.sqrt(norms_sq.max())))
+            coeff = q.T @ t
+            resid = t - q @ coeff
+            # orthonormalize's dependence rule, against the largest snapshot so far
+            norms = np.sqrt(euclid.norms_sq(resid))
+            kept = resid[:, norms > 1e-12 * scale]
+            if kept.shape[1]:
+                new = orthonormalize(kept, euclid, 1e-12 * scale / norms.max()).vectors
+                # Cancellation inside the block can leave the new vectors with
+                # Q-components up to eps / 1e-12; a second pass removes them.
+                new = orthonormalize(new - q @ (q.T @ new), euclid).vectors
+                # earlier snapshots lie in span(Q) up to the dependence rule
+                moment = np.pad(moment, (0, new.shape[1]))
+                q, coeff = np.hstack([q, new]), np.vstack([coeff, new.T @ t])
+            moment += coeff @ coeff.T
+    trace = energy / size
     if not trace > 0.0:
         raise ValueError("reference snapshots carry no energy")
-    vals, vecs = scipy.linalg.eigh(
-        second, subset_by_value=(_REFERENCE_FLOOR * trace, np.inf), overwrite_a=True
-    )
+    vals, vecs = scipy.linalg.eigh(moment / size, subset_by_value=(_REFERENCE_FLOOR * trace, np.inf))
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    weighted = metric.apply(metric.from_coords(vecs)) * np.sqrt(vals)
+    weighted = metric.apply(metric.from_coords(q @ vecs)) * np.sqrt(vals)
     eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
     return Reference(weighted, eigvals, trace, size, metric)
 

@@ -82,6 +82,27 @@ def test_verify_command(capsys, tmp_path):
     assert on_disk["convergence"]["slope"] == summary["convergence"]["slope"]
 
 
+def test_verify_builds_its_reference_once(capsys, monkeypatch):
+    import mfpod.cli as cli
+    import mfpod.verify as verify
+
+    calls = []
+    original = verify.reference_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    # the library's own lookups and the command's, whichever makes the call
+    monkeypatch.setattr(verify, "reference_matrix", counted)
+    monkeypatch.setattr(cli, "reference_matrix", counted, raising=False)
+    code, out, err = _run(capsys, "verify", "--check", "both", "--m0-grid", "2,4",
+                          "--repeats", "30", "--n-hf", "65", "--n-lf", "17",
+                          "--reference-size", "150", "--seed", "3")
+    assert code == 0, err
+    assert calls == [(150, 3)]
+
+
 def test_usage_errors_are_json(capsys):
     code, out, err = _run(capsys, "study", "--bogus-flag", "1")
     assert code == 2

@@ -1,8 +1,12 @@
 import json
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfpod.experiment as experiment
 from mfpod import (
@@ -25,8 +29,12 @@ from mfpod import (
     write_snapshots,
     write_study,
 )
+from mfpod.core import _CHUNK
 
 _SMALL = AdvDiffConfig(n_hf=129, n_lf=33)
+# Reference sizes below and above the dimension n = 129 of _SMALL, and one
+# that spans three snapshot chunks, the last one partial.
+_REFERENCE_SIZES = [60, 300, 2 * _CHUNK + 17]
 
 
 def test_allocate_budget_even_split_examples():
@@ -94,8 +102,7 @@ def _test_bases(metric):
     return out
 
 
-# Reference sizes below and above the dimension n = 129 of _SMALL.
-@pytest.mark.parametrize("size", [60, 300])
+@pytest.mark.parametrize("size", _REFERENCE_SIZES)
 def test_reference_scores_match_dense_snapshot_oracle(size):
     ref = build_reference(_SMALL, size, 40)
     metric = fine_metric(_SMALL)
@@ -108,7 +115,7 @@ def test_reference_scores_match_dense_snapshot_oracle(size):
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("size", [60, 300])
+@pytest.mark.parametrize("size", _REFERENCE_SIZES)
 def test_reference_leading_modes_reproduce_energy_curve(size):
     ref = build_reference(_SMALL, size, 40)
     metric = fine_metric(_SMALL)
@@ -117,10 +124,85 @@ def test_reference_leading_modes_reproduce_energy_curve(size):
     assert ref.weighted.shape == (metric.n, k) and 1 <= k < 40
     assert (ref.eigvals[:k] > 0).all() and (ref.eigvals[k:] == 0).all()
     t = metric.to_coords(_reference_snapshots(size))
-    _, phi = np.linalg.eigh(t @ t.T / size)
-    modes = metric.from_coords(phi[:, ::-1][:, :20])
+    vals, phi = np.linalg.eigh(t @ t.T / size)
+    vals, phi = vals[::-1], phi[:, ::-1]
+    # the same K and eigenvalues as the dense second moment
+    trace = float(np.sum(t * t)) / size
+    assert ref.trace == pytest.approx(trace, rel=1e-14)
+    assert int(np.sum(vals > experiment._REFERENCE_FLOOR * trace)) == k
+    np.testing.assert_allclose(ref.eigvals[:k], vals[:k], rtol=0, atol=1e-14 * trace)
+    modes = metric.from_coords(phi[:, :20])
     got = experiment._energy_curve(modes, ref, 20)
     np.testing.assert_allclose(got, ref.energy_curve(20), rtol=0, atol=1e-10)
+
+
+def test_reference_span_grows_across_chunks():
+    # directions still join the span in a later chunk, after earlier chunks
+    # have been accumulated, so the moment's zero padding is exercised
+    chunks, growth = [], []
+    stream, orthonormalize_ = experiment._snapshot_chunks, experiment.orthonormalize
+
+    def counted_chunks(*args):
+        for chunk in stream(*args):
+            chunks.append(chunk.shape[1])
+            yield chunk
+
+    def recorded(vectors, metric, tol=1e-12):
+        basis = orthonormalize_(vectors, metric, tol)
+        growth.append((len(chunks), basis.dim))
+        return basis
+
+    with mock.patch.object(experiment, "_snapshot_chunks", counted_chunks), \
+            mock.patch.object(experiment, "orthonormalize", recorded):
+        build_reference(_SMALL, 2 * _CHUNK + 17, 40)
+    assert chunks == [_CHUNK, _CHUNK, 17]
+    assert max(index for index, dim in growth if dim) >= 2
+
+
+def test_reference_build_holds_no_n_by_n_matrix():
+    model = AdvDiffConfig(n_hf=8193, n_lf=33)
+    tracemalloc.start()
+    try:
+        build_reference(model, 300, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n_hf ** 2 * 8 / 4
+
+
+def _scores(ref, bases) -> np.ndarray:
+    return np.concatenate([experiment._energy_curve(v, ref, v.shape[1]) for v in bases])
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(exponent=st.floats(-6.0, 6.0))
+def test_reference_is_invariant_to_snapshot_scale(exponent):
+    c = 10.0 ** exponent
+    bases = _test_bases(fine_metric(_SMALL))
+    base = build_reference(_SMALL, 300, 40)
+    with mock.patch.object(experiment, "snapshot",
+                           lambda theta, fidelity, model: c * snapshot(theta, fidelity, model)):
+        scaled = build_reference(_SMALL, 300, 40)
+    k = base.weighted.shape[1]
+    assert scaled.weighted.shape[1] == k
+    np.testing.assert_allclose(scaled.trace, c * c * base.trace, rtol=1e-12)
+    np.testing.assert_allclose(scaled.eigvals, c * c * base.eigvals, rtol=0,
+                               atol=1e-12 * c * c * base.trace)
+    np.testing.assert_allclose(_scores(scaled, bases), _scores(base, bases), rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(order=st.permutations(range(300)))
+def test_reference_is_invariant_to_snapshot_order(order):
+    bases = _test_bases(fine_metric(_SMALL))
+    base = build_reference(_SMALL, 300, 40)
+    equispaced = experiment.equispaced_parameters
+    with mock.patch.object(experiment, "equispaced_parameters",
+                           lambda count, theta_range: equispaced(count, theta_range)[order]):
+        shuffled = build_reference(_SMALL, 300, 40)
+    assert shuffled.weighted.shape[1] == base.weighted.shape[1]
+    np.testing.assert_allclose(shuffled.eigvals, base.eigvals, rtol=0, atol=1e-12 * base.trace)
+    np.testing.assert_allclose(_scores(shuffled, bases), _scores(base, bases), rtol=0, atol=1e-10)
 
 
 def test_captured_energy_trivial_cases(monkeypatch):
