@@ -159,7 +159,7 @@ def _cmd_pod(args) -> dict:
     modes_path = os.path.join(args.out, "modes.mfp1")
     write_snapshots(modes_path, result.basis.vectors)
     eig_path = os.path.join(args.out, "eigenvalues.csv")
-    rows = [f"{i},{v!r}\n" for i, v in enumerate(result.eigvals)]
+    rows = [f"{i},{float(v)!r}\n" for i, v in enumerate(result.eigvals)]
     _atomic_write(eig_path, ("index,eigval\n" + "".join(rows)).encode())
     return {
         "written": [modes_path, eig_path],
@@ -197,7 +197,7 @@ def _cmd_mfpod(args) -> dict:
     modes_path = os.path.join(args.out, "modes.mfp1")
     write_snapshots(modes_path, mf.vectors)
     eig_path = os.path.join(args.out, "eigenvalues.csv")
-    rows = [f"{i},{raw!r},{cor!r}\n"
+    rows = [f"{i},{float(raw)!r},{float(cor)!r}\n"
             for i, (raw, cor) in enumerate(zip(mf.raw_eigvals, mf.corrected_eigvals))]
     _atomic_write(eig_path, ("index,raw,corrected\n" + "".join(rows)).encode())
     summary.update({

@@ -30,9 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, _as_matrix, _snapshot_chunks, orthonormalize
+from .core import Basis, Metric, SnapshotSet, _as_matrix, _snapshot_chunks
 from .estimator import estimate_profile, optimal_alpha
-from .mfpod import mfpod_fixed, select_dim
+from .mfpod import _SPAN_BLOCK, _extend_span, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -62,8 +62,6 @@ _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
 # Reference eigenvalues at or below this fraction of the trace are roundoff.
 _REFERENCE_FLOOR = 1e-14
-# Snapshot columns per Gram-Schmidt block of the reference span build.
-_SPAN_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -180,9 +178,9 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     eigenvalues, zero below the roundoff floor.
 
     The n x n second moment S = (1/size) sum_i t_i t_i^T is never formed.
-    The snapshots stream through a block Gram-Schmidt that grows a
-    Euclidean-orthonormal basis Q of their span in metric coordinates and
-    accumulates M = Q^T S Q, so the eigenpairs of S are Q Y from one k x k
+    The snapshots stream through the span's block Gram-Schmidt, which grows
+    a Euclidean-orthonormal basis Q of their span in metric coordinates,
+    while M = Q^T S Q accumulates, so the eigenpairs of S are Q Y from one k x k
     eigh of M, where k is the span dimension."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
@@ -194,19 +192,9 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
             norms_sq = euclid.norms_sq(t)
             energy += float(norms_sq.sum())
             scale = max(scale, float(np.sqrt(norms_sq.max())))
-            coeff = q.T @ t
-            resid = t - q @ coeff
-            # orthonormalize's dependence rule, against the largest snapshot so far
-            norms = np.sqrt(euclid.norms_sq(resid))
-            kept = resid[:, norms > 1e-12 * scale]
-            if kept.shape[1]:
-                new = orthonormalize(kept, euclid, 1e-12 * scale / norms.max()).vectors
-                # Cancellation inside the block can leave the new vectors with
-                # Q-components up to eps / 1e-12; a second pass removes them.
-                new = orthonormalize(new - q @ (q.T @ new), euclid).vectors
-                # earlier snapshots lie in span(Q) up to the dependence rule
-                moment = np.pad(moment, (0, new.shape[1]))
-                q, coeff = np.hstack([q, new]), np.vstack([coeff, new.T @ t])
+            q, coeff = _extend_span(q, t, scale)
+            # earlier snapshots lie in span(Q) up to the dependence rule
+            moment = np.pad(moment, (0, q.shape[1] - len(moment)))
             moment += coeff @ coeff.T
     trace = energy / size
     if not trace > 0.0:

@@ -35,6 +35,10 @@ __all__ = [
 
 # Corrected eigenvalues below this fraction of the largest are truncated.
 _PLUS_FLOOR = 1e-10
+# Largest dimension for which the operator is assembled as a dense matrix.
+_DENSE_CAP = 4096
+# Snapshot columns per block of the span's Gram-Schmidt.
+_SPAN_BLOCK = 250
 
 
 def _check_sets(sets, metric: Metric) -> tuple:
@@ -88,10 +92,10 @@ class MfOperator:
     def dim(self) -> int:
         return self.metric.n
 
-    def assemble_transformed(self, cap: int = 4096) -> np.ndarray:
+    def assemble_transformed(self) -> np.ndarray:
         """Dense symmetric operator matrix in metric coordinates."""
-        if self.dim > cap:
-            raise ValueError(f"dimension {self.dim} exceeds the dense cap {cap}")
+        if self.dim > _DENSE_CAP:
+            raise ValueError(f"dimension {self.dim} exceeds the dense cap {_DENSE_CAP}")
         out = np.zeros((self.dim, self.dim))
         for c, t in self.blocks:
             out += c * (t @ t.T)
@@ -103,13 +107,38 @@ def build_operator(sets, alphas, metric: Metric) -> MfOperator:
     return MfOperator(tuple(sets), tuple(alphas), metric)
 
 
+def _extend_span(q: np.ndarray, t: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grow the orthonormal columns q by the directions of the block t that
+    they lack; return the grown q and its coefficients q^T t.
+
+    A column whose residual against q is at most 1e-12 * scale adds no
+    direction (orthonormalize's dependence rule, against an absolute scale).
+    """
+    euclid = Metric.euclidean(q.shape[0])
+    coeff = q.T @ t
+    resid = t - q @ coeff if q.shape[1] else t
+    norms = np.sqrt(euclid.norms_sq(resid))
+    keep = norms > 1e-12 * scale
+    if not keep.any():
+        return q, coeff
+    # dependent columns stay out of orthonormalize's column loop
+    new = orthonormalize(resid if keep.all() else resid[:, keep], euclid,
+                         1e-12 * scale / norms.max()).vectors
+    if q.shape[1]:
+        # Cancellation inside the block can leave the new vectors with
+        # q-components up to eps / 1e-12; a second pass removes them.
+        new = orthonormalize(new - q @ (q.T @ new), euclid).vectors
+    return np.hstack([q, new]), np.vstack([coeff, new.T @ t])
+
+
 @dataclass(frozen=True)
 class SnapshotSpan:
     """The snapshot span, on which every multifidelity eigenproblem lives.
 
     ``basis`` is an orthonormal basis Q of the span of all snapshot blocks
-    in metric coordinates, and ``projections`` holds Q^T T for each block
-    in operator order, so that the operator restricted to the span is the
+    in metric coordinates, grown _SPAN_BLOCK columns at a time by
+    _extend_span, and ``projections`` holds Q^T T for each block in
+    operator order, so that the operator restricted to the span is the
     small symmetric matrix sum c (Q^T T)(Q^T T)^T for any weights.
     """
 
@@ -122,7 +151,11 @@ class SnapshotSpan:
     def from_sets(cls, sets, metric: Metric) -> "SnapshotSpan":
         sets = _check_sets(sets, metric)
         coords = [metric.to_coords(s) for s in _snapshot_blocks(sets)]
-        q = orthonormalize(np.hstack(coords), Metric.euclidean(metric.n)).vectors
+        stacked = np.hstack(coords)
+        scale = float(np.sqrt(Metric.euclidean(metric.n).norms_sq(stacked).max(initial=0.0)))
+        q = np.zeros((metric.n, 0))
+        for start in range(0, stacked.shape[1], _SPAN_BLOCK):
+            q, _ = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
         return cls(q, tuple(q.T @ t for t in coords), tuple(s.count for s in sets), metric)
 
     @property

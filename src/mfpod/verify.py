@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Basis, Metric, SnapshotSet, _second_moment
-from .mfpod import MfOperator, build_operator
+from .mfpod import _DENSE_CAP, MfOperator, build_operator
 from .models import ModelPair
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "convergence_study",
     "eigenvalue_sum_mse",
 ]
-
-_DENSE_CAP = 4096
 
 
 def hs_error(op: MfOperator, reference: np.ndarray, metric: Metric) -> float:
@@ -51,7 +49,7 @@ def hs_error(op: MfOperator, reference: np.ndarray, metric: Metric) -> float:
     if ref.shape != (metric.n, metric.n):
         raise ValueError(f"reference must be {metric.n} x {metric.n}, got {ref.shape}")
     ref_t = metric.to_coords(metric.to_coords(ref).T).T
-    return float(np.linalg.norm(op.assemble_transformed(_DENSE_CAP) - ref_t))
+    return float(np.linalg.norm(op.assemble_transformed() - ref_t))
 
 
 def subspace_alignment(v: Basis, vstar: Basis) -> float:
@@ -144,7 +142,7 @@ def convergence_study(
         errs = np.empty(repeats)
         for rep in range(repeats):
             op = _draw_operator(pair, m0, q1, alpha, _study_seed(seed, m0, rep))
-            diff = op.assemble_transformed(_DENSE_CAP) - reference
+            diff = op.assemble_transformed() - reference
             errs[rep] = np.sum(diff * diff)
         means.append(float(errs.mean()))
     means_arr = np.array(means)
@@ -251,7 +249,7 @@ def eigenvalue_sum_mse(
         )
         for rep in range(repeats):
             op = _draw_operator(pair, m0, q1, alpha, _study_seed(seed, m0, rep))
-            mat = op.assemble_transformed(_DENSE_CAP)
+            mat = op.assemble_transformed()
             vals, vecs = scipy.linalg.eigh(mat)
             vorder = np.argsort(-vals, kind="stable")
             vals = vals[vorder]

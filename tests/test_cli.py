@@ -16,21 +16,27 @@ def _run(capsys, *argv):
 
 def test_generate_pod_mfpod_pipeline(capsys, tmp_path):
     gen = tmp_path / "gen"
-    code, out, err = _run(capsys, "generate", "--budget", "5", "--split", "even",
+    code, out, err = _run(capsys, "generate", "--budget", "40", "--split", "even",
                           "--seed", "3", "--n-hf", "129", "--n-lf", "33",
                           "--out", str(gen))
     assert code == 0, err
     assert sorted(os.listdir(gen)) == ["manifest.json", "snapshots_high.mfp1",
                                        "snapshots_low.mfp1"]
 
-    podout = tmp_path / "pod"
-    code, out, err = _run(capsys, "pod", "--input", str(gen / "snapshots_high.mfp1"),
-                          "--out", str(podout))
-    assert code == 0, err
-    summary = json.loads(out)
-    assert summary["mode_count"] >= 1
-    modes = read_snapshots(podout / "modes.mfp1")
-    assert modes.shape[0] == 129
+    for name in ("snapshots_high.mfp1", "snapshots_low.mfp1"):
+        podout = tmp_path / "pod" / name
+        code, out, err = _run(capsys, "pod", "--input", str(gen / name), "--out", str(podout))
+        assert code == 0, err
+        summary = json.loads(out)
+        kept = summary["mode_count"]
+        assert kept >= 1
+        assert read_snapshots(podout / "modes.mfp1").shape == (129, kept)
+        # one row per snapshot, exact zeros past the retained modes
+        rows = [row.split(",") for row in (podout / "eigenvalues.csv").read_text().splitlines()[1:]]
+        assert len(rows) == read_snapshots(gen / name).shape[1]
+        assert all(float(v) > 0 for _, v in rows[:kept])
+        assert all(v == "0.0" for _, v in rows[kept:])
+    assert len(rows) > kept  # 60 prolonged 33-node snapshots span fewer dimensions
 
     mfout = tmp_path / "mf"
     code, out, err = _run(capsys, "mfpod", "--hf", str(gen / "snapshots_high.mfp1"),
@@ -40,7 +46,9 @@ def test_generate_pod_mfpod_pipeline(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["mode_count"] > 0
     assert len(summary["alphas"]) == 1
-    assert (mfout / "eigenvalues.csv").exists()
+    rows = (mfout / "eigenvalues.csv").read_text().splitlines()[1:]
+    assert len(rows) == summary["mode_count"]
+    assert all(float(raw) <= float(cor) for _, raw, cor in (row.split(",") for row in rows))
 
 
 def test_mfpod_adaptive_flag(capsys, tmp_path):

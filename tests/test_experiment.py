@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfpod.experiment as experiment
+import mfpod.mfpod as mfpod_module
 from mfpod import (
     AdvDiffConfig,
     MfpFileError,
@@ -140,7 +141,7 @@ def test_reference_span_grows_across_chunks():
     # directions still join the span in a later chunk, after earlier chunks
     # have been accumulated, so the moment's zero padding is exercised
     chunks, growth = [], []
-    stream, orthonormalize_ = experiment._snapshot_chunks, experiment.orthonormalize
+    stream, orthonormalize_ = experiment._snapshot_chunks, mfpod_module.orthonormalize
 
     def counted_chunks(*args):
         for chunk in stream(*args):
@@ -153,7 +154,7 @@ def test_reference_span_grows_across_chunks():
         return basis
 
     with mock.patch.object(experiment, "_snapshot_chunks", counted_chunks), \
-            mock.patch.object(experiment, "orthonormalize", recorded):
+            mock.patch.object(mfpod_module, "orthonormalize", recorded):
         build_reference(_SMALL, 2 * _CHUNK + 17, 40)
     assert chunks == [_CHUNK, _CHUNK, 17]
     assert max(index for index, dim in growth if dim) >= 2

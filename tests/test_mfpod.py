@@ -2,13 +2,18 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpod import (
+    AdvDiffConfig,
     Allocation,
     Basis,
     Metric,
     SnapshotSet,
     build_operator,
+    fine_metric,
     inner,
     j_mf,
     jmf_plus,
@@ -16,9 +21,11 @@ from mfpod import (
     mfpod_fixed,
     orthonormalize,
     pod,
+    sample_parameters,
+    snapshot,
     subspace_alignment,
 )
-from mfpod.mfpod import SnapshotSpan
+from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan
 
 from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric
 
@@ -241,3 +248,124 @@ def test_one_span_orthonormalization_and_one_transform_per_block(monkeypatch):
     calls.update(orthonormalize=0, to_coords=0)
     mfpod_adaptive(sets, kappa=0.99, metric=metric)
     assert calls == {"orthonormalize": 1, "to_coords": 3}
+
+
+# -- the span across several Gram-Schmidt blocks -------------------------------
+
+_COARSE, _FINE = AdvDiffConfig(n_hf=129, n_lf=9), AdvDiffConfig(n_hf=129, n_lf=17)
+
+
+def _multiblock_surrogate():
+    """2 * _SPAN_BLOCK + 17 prolonged surrogate snapshots at n = 129: two
+    blocks from a 9-node surrogate, then 17 from a 17-node one, whose
+    extra directions can join the span only in the third block."""
+    thetas = sample_parameters(2 * _SPAN_BLOCK + 17, 4, _FINE.theta_range)
+    return thetas, np.column_stack([
+        snapshot(t, "low", _COARSE if j < 2 * _SPAN_BLOCK else _FINE) for j, t in enumerate(thetas)
+    ])
+
+
+def _single_level(s) -> tuple:
+    return (SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(s.shape[1])), 1.0),)
+
+
+def test_span_grows_across_blocks():
+    metric = fine_metric(_FINE)
+    _, lf = _multiblock_surrogate()
+    span = SnapshotSpan.from_sets(_single_level(lf), metric)
+    q, t = span.basis, metric.to_coords(lf)
+    assert np.abs(q.T @ q - np.eye(span.rank)).max() <= 1e-14
+    # every snapshot lies in the span up to the dependence rule
+    scale = np.linalg.norm(t, axis=0).max()
+    assert np.linalg.norm(t - q @ (q.T @ t), axis=0).max() <= 1e-11 * scale
+    assert span.rank >= np.linalg.matrix_rank(t)
+    # the 17-node snapshots of the third block add directions
+    first_two = SnapshotSpan.from_sets(_single_level(lf[:, :2 * _SPAN_BLOCK]), metric)
+    assert span.rank >= first_two.rank + 8
+
+
+def test_pod_across_blocks_matches_dense_gramian():
+    metric = fine_metric(_FINE)
+    _, lf = _multiblock_surrogate()
+    m = lf.shape[1]
+    res = pod(lf, metric)
+    t = metric.to_coords(lf)
+    vals, w = scipy.linalg.eigh(t.T @ t / m)
+    vals, w = vals[::-1], w[:, ::-1]
+    kept = int(np.sum(vals > 1e-10 * vals[0]))
+    assert res.dim == kept
+    want = np.where(np.arange(m) < kept, vals, 0.0)
+    np.testing.assert_allclose(res.eigvals, want, rtol=0, atol=1e-12 * vals[0])
+    modes = lf @ w[:, :kept] / np.sqrt(m * vals[:kept])
+    for r in range(1, kept):
+        if vals[r - 1] - vals[r] > 1e-6 * vals[0]:
+            assert subspace_alignment(res.basis.truncated(r), Basis(modes[:, :r], metric)) < 1e-8
+
+
+def test_mfpod_fixed_across_blocks_matches_dense_oracle():
+    metric = fine_metric(_FINE)
+    thetas, lf = _multiblock_surrogate()
+    hf = np.column_stack([snapshot(t, "high", _FINE) for t in thetas[:8]])
+    sets = SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
+    alpha = 0.9
+    mf = mfpod_fixed(sets, (alpha,), kappa=0.9999, metric=metric)
+    vals, vecs = dense_mf_oracle(sets, alpha, metric, drop_tol=1e-10)
+    order = np.argsort(-mf.raw_eigvals, kind="stable")
+    top = np.abs(vals).max()
+    np.testing.assert_allclose(mf.raw_eigvals[order], vals, rtol=0, atol=1e-12 * top)
+    for j in range(len(vals) - 1):
+        if vals[j] - vals[j + 1] > 1e-6 * top:
+            a = Basis(mf.vectors[:, order[: j + 1]], metric)
+            assert subspace_alignment(a, orthonormalize(vecs[:, : j + 1], metric)) < 1e-8
+
+
+# -- invariance to snapshot scale and order --------------------------------------
+
+
+def _two_level_model_sets(c: float = 1.0, order=None):
+    thetas = sample_parameters(60, 12, _FINE.theta_range)
+    hf = c * np.column_stack([snapshot(t, "high", _FINE) for t in thetas[:6]])
+    lf = c * np.column_stack([snapshot(t, "low", _FINE) for t in thetas])
+    if order is not None:
+        lf = np.hstack([lf[:, :6], lf[:, 6:][:, list(order)]])
+    return SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
+
+
+def _worst_alignment(a, b) -> float:
+    """Worst sin^2 sum between the leading modes of two bases, over the
+    block sizes where the corrected spectrum has a gap."""
+    lam, worst = a.corrected_eigvals, 0.0
+    for r in range(1, a.mode_count + 1):
+        if r == a.mode_count or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
+            pair = a.full_basis.truncated(r), b.full_basis.truncated(r)
+            worst = max(worst, subspace_alignment(*pair))
+    return worst
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(exponent=st.floats(-6.0, 6.0))
+def test_mfpod_fixed_is_invariant_to_snapshot_scale(exponent):
+    c = 10.0 ** exponent
+    metric = fine_metric(_FINE)
+    base = mfpod_fixed(_two_level_model_sets(), (0.9,), kappa=0.9999, metric=metric)
+    scaled = mfpod_fixed(_two_level_model_sets(c), (0.9,), kappa=0.9999, metric=metric)
+    assert (scaled.mode_count, scaled.selected_dim, scaled.correction_count) == \
+        (base.mode_count, base.selected_dim, base.correction_count)
+    top = c * c * base.corrected_eigvals[0]
+    for got, want in ((scaled.corrected_eigvals, base.corrected_eigvals),
+                      (scaled.raw_eigvals, base.raw_eigvals)):
+        np.testing.assert_allclose(got, c * c * want, rtol=0, atol=1e-12 * top)
+    assert _worst_alignment(base, scaled) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(order=st.permutations(range(54)))
+def test_mfpod_fixed_is_invariant_to_extra_column_order(order):
+    metric = fine_metric(_FINE)
+    base = mfpod_fixed(_two_level_model_sets(), (0.9,), kappa=0.9999, metric=metric)
+    shuffled = mfpod_fixed(_two_level_model_sets(order=order), (0.9,), kappa=0.9999,
+                           metric=metric)
+    top = base.corrected_eigvals[0]
+    for got, want in ((shuffled.corrected_eigvals, base.corrected_eigvals),
+                      (shuffled.raw_eigvals, base.raw_eigvals)):
+        np.testing.assert_allclose(np.sort(got), np.sort(want), rtol=0, atol=1e-12 * top)

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfpod import Basis, Metric, norm, pod, pod_projection_error
+from mfpod import (
+    AdvDiffConfig,
+    Basis,
+    Metric,
+    fine_metric,
+    norm,
+    pod,
+    pod_projection_error,
+    sample_parameters,
+    select_dim,
+    snapshot,
+    subspace_alignment,
+)
 
 from conftest import random_spd_metric
 
@@ -96,3 +110,50 @@ def test_result_tail_energy_helper():
     res = pod(rng.standard_normal((15, 5)), Metric.euclidean(15))
     assert res.tail_energy(0) == pytest.approx(res.eigvals.sum(), rel=1e-12)
     assert res.tail_energy(5) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_eigvals_are_exact_zeros_past_the_retained_modes():
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((20, 3))
+    res = pod(u @ rng.standard_normal((3, 11)), Metric.euclidean(20))
+    assert res.dim == 3 and len(res.eigvals) == 11
+    assert (res.eigvals[:3] > 0).all() and (res.eigvals[3:] == 0.0).all()
+
+
+# -- invariance to snapshot scale and order, on the n = 129 model ---------------
+
+_MODEL = AdvDiffConfig(n_hf=129, n_lf=17)
+# 300 snapshots: two Gram-Schmidt blocks of the span
+_THETAS = sample_parameters(300, 21, _MODEL.theta_range)
+_SNAPSHOTS = np.column_stack([snapshot(t, "high", _MODEL) for t in _THETAS])
+
+
+def _worst_alignment(a, b) -> float:
+    """Worst sin^2 sum between leading blocks of two POD bases, over the
+    block sizes where the spectrum has a gap."""
+    lam, worst = a.eigvals, 0.0
+    for r in range(1, a.dim + 1):
+        if r == a.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
+            worst = max(worst, subspace_alignment(a.basis.truncated(r), b.basis.truncated(r)))
+    return worst
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(exponent=st.floats(-6.0, 6.0))
+def test_pod_is_invariant_to_snapshot_scale(exponent):
+    c = 10.0 ** exponent
+    metric = fine_metric(_MODEL)
+    base, scaled = pod(_SNAPSHOTS, metric), pod(c * _SNAPSHOTS, metric)
+    assert scaled.dim == base.dim
+    assert select_dim(scaled.eigvals, 0.9999) == select_dim(base.eigvals, 0.9999)
+    np.testing.assert_allclose(scaled.eigvals, c * c * base.eigvals, rtol=0,
+                               atol=1e-12 * c * c * base.eigvals[0])
+    assert _worst_alignment(base, scaled) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(order=st.permutations(range(300)))
+def test_pod_is_invariant_to_snapshot_order(order):
+    metric = fine_metric(_MODEL)
+    base, shuffled = pod(_SNAPSHOTS, metric), pod(_SNAPSHOTS[:, list(order)], metric)
+    np.testing.assert_allclose(shuffled.eigvals, base.eigvals, rtol=0, atol=1e-12 * base.eigvals[0])
