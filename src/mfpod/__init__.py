@@ -6,12 +6,11 @@ expected projection error.  See the README for the CLI and study tools.
 """
 
 from .adaptive import AdaptiveStep, AdaptiveTrace, adaptive_weight, mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, inner, norm, orthonormalize, project, validate_levels
+from .core import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
 from .estimator import (
     Allocation,
     VarianceProfile,
     estimate_profile,
-    j_mc,
     j_mf,
     mf_mse,
     min_mse,
@@ -31,7 +30,7 @@ from .experiment import (
     write_snapshots,
     write_study,
 )
-from .mfpod import MfBasis, MfOperator, build_operator, jmf_plus, mfpod_fixed, select_dim
+from .mfpod import MfBasis, jmf_plus, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -41,7 +40,6 @@ from .models import (
     make_model_pair,
     mass_matrix,
     prolong,
-    restrict,
     sample_parameters,
     snapshot,
     solve_adv_diff,
@@ -52,7 +50,6 @@ from .verify import (
     EigenSumStudy,
     convergence_study,
     eigenvalue_sum_mse,
-    hs_error,
     reference_matrix,
     subspace_alignment,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "EigenSumStudy",
     "Metric",
     "MfBasis",
-    "MfOperator",
     "MfpFileError",
     "ModelCosts",
     "ModelPair",
@@ -81,7 +77,6 @@ __all__ = [
     "VarianceProfile",
     "adaptive_weight",
     "allocate_budget",
-    "build_operator",
     "build_reference",
     "convergence_study",
     "eigenvalue_sum_mse",
@@ -89,9 +84,6 @@ __all__ = [
     "estimate_profile",
     "fine_metric",
     "generate_snapshot_files",
-    "hs_error",
-    "inner",
-    "j_mc",
     "j_mf",
     "jmf_plus",
     "make_model_pair",
@@ -100,7 +92,6 @@ __all__ = [
     "mfpod_adaptive",
     "mfpod_fixed",
     "min_mse",
-    "norm",
     "optimal_alpha",
     "orthonormalize",
     "pod",
@@ -109,7 +100,6 @@ __all__ = [
     "prolong",
     "read_snapshots",
     "reference_matrix",
-    "restrict",
     "run_study",
     "sample_parameters",
     "select_dim",

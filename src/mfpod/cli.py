@@ -12,21 +12,20 @@ import json
 import os
 import sys
 
-from .adaptive import mfpod_adaptive
 from .core import Metric, SnapshotSet
 from .experiment import (
     StudyConfig,
     _atomic_write,
     _dump_json,
-    _pilot_alpha,
+    _fit_mfpod,
     generate_snapshot_files,
     read_snapshots,
     run_study,
     write_snapshots,
     write_study,
 )
-from .mfpod import mfpod_fixed, select_dim
-from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
+from .mfpod import select_dim
+from .models import AdvDiffConfig, make_model_pair, mass_matrix
 from .pod import pod
 from .verify import convergence_study, eigenvalue_sum_mse, reference_matrix
 
@@ -170,8 +169,7 @@ def _cmd_pod(args) -> dict:
 
 
 def _cmd_mfpod(args) -> dict:
-    if args.alpha not in ("pilot", "adaptive"):
-        _weight_mode(args.alpha)  # validate before any file I/O
+    weight_mode = _weight_mode(args.alpha)  # validate before any file I/O
     hf = read_snapshots(args.hf)
     lf = read_snapshots(args.lf)
     if hf.shape[0] != lf.shape[0]:
@@ -181,18 +179,7 @@ def _cmd_mfpod(args) -> dict:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, 1.0, 1.0 / args.cost_ratio)
-    summary = {}
-    if args.alpha == "adaptive":
-        mf, trace = mfpod_adaptive(sets, args.kappa, metric)
-        summary["alphas"] = [float(a) for a in trace.alphas]
-        summary["termination"] = trace.termination
-    else:
-        if args.alpha == "pilot":
-            alpha = _pilot_alpha(sets, metric)
-        else:
-            alpha = float(_weight_mode(args.alpha).split(":", 1)[1])
-        mf = mfpod_fixed(sets, (alpha,), args.kappa, metric)
-        summary["alphas"] = [float(alpha)]
+    mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
     os.makedirs(args.out, exist_ok=True)
     modes_path = os.path.join(args.out, "modes.mfp1")
     write_snapshots(modes_path, mf.vectors)

@@ -19,8 +19,6 @@ __all__ = [
     "Metric",
     "SnapshotSet",
     "Basis",
-    "inner",
-    "norm",
     "project",
     "orthonormalize",
     "validate_levels",
@@ -124,15 +122,6 @@ class Metric:
         """Weight matrix W, or None for the Euclidean metric."""
         return self._weight
 
-    @property
-    def factor(self):
-        """Lower-triangular F with F F^T = W, or None for the Euclidean metric."""
-        if self.kind == "euclidean":
-            return None
-        if self._factor_dense is not None:
-            return self._factor_dense
-        return self._factor
-
     def apply(self, x) -> np.ndarray:
         """W @ x for a vector or a matrix of column vectors."""
         if self.kind == "euclidean":
@@ -215,11 +204,6 @@ class SnapshotSet:
             raise ValueError("cost_per_sample must be positive and finite")
         if not (np.isfinite(shared).all() and np.isfinite(extra).all()):
             raise ValueError("snapshot entries must be finite")
-
-    @classmethod
-    def from_columns(cls, level, columns, n_shared, sample_ids, cost_per_sample):
-        cols = _as_matrix(columns)
-        return cls(level, cols[:, :n_shared], cols[:, n_shared:], tuple(sample_ids), cost_per_sample)
 
     @classmethod
     def two_level(cls, hf, lf, cost_high: float, cost_low: float) -> tuple:
@@ -321,15 +305,6 @@ class Basis:
 
     def truncated(self, r: int) -> "Basis":
         return Basis(self.vectors[:, : max(0, r)], self.metric)
-
-
-def inner(u, v, metric: Metric) -> float:
-    """(u, v) in the metric."""
-    return metric.inner(u, v)
-
-
-def norm(u, metric: Metric) -> float:
-    return metric.norm(u)
 
 
 def project(basis: Basis, u) -> np.ndarray:

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, SnapshotSet, project, validate_levels
-from .pod import pod_projection_error
+from .core import Basis, project, validate_levels
 
 __all__ = [
     "VarianceProfile",
     "Allocation",
-    "j_mc",
     "j_mf",
     "estimate_profile",
     "optimal_alpha",
@@ -110,12 +108,6 @@ def _residual_energies(basis: Basis, columns: np.ndarray) -> np.ndarray:
     return basis.metric.norms_sq(resid)
 
 
-def j_mc(basis: Basis, hf_snapshots) -> float:
-    """Plain Monte Carlo estimate: mean squared projection error of the columns."""
-    cols = hf_snapshots.columns if isinstance(hf_snapshots, SnapshotSet) else hf_snapshots
-    return pod_projection_error(basis, cols)
-
-
 def _check_alloc(sets, alloc: Allocation) -> None:
     counts = tuple(s.count for s in sets)
     if counts != alloc.counts:
@@ -127,8 +119,8 @@ def j_mf(basis: Basis, sets, alloc: Allocation) -> float:
 
     The high-fidelity term is averaged over the m_0 shared samples; each
     lower level contributes its weighted telescoping difference.  The value
-    is unbiased for the high-fidelity mean but, unlike j_mc, may be
-    negative for unlucky draws.
+    is unbiased for the high-fidelity mean but, unlike the plain Monte Carlo
+    mean, may be negative for unlucky draws.
     """
     validate_levels(sets)
     _check_alloc(sets, alloc)

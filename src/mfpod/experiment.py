@@ -32,7 +32,7 @@ import scipy.linalg
 from .adaptive import mfpod_adaptive
 from .core import Basis, Metric, SnapshotSet, _as_matrix, _snapshot_chunks
 from .estimator import estimate_profile, optimal_alpha
-from .mfpod import _SPAN_BLOCK, _extend_span, mfpod_fixed, select_dim
+from .mfpod import _SPAN_BLOCK, MfBasis, _extend_span, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -233,6 +233,18 @@ def _pilot_alpha(sets, metric: Metric) -> float:
     return optimal_alpha(estimate_profile(empty, sets))[0]
 
 
+def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
+    """Multifidelity basis under a StudyConfig weight mode, with the weights
+    used and, for the adaptive mode, why its mode search stopped."""
+    kind, alpha = _parse_weight_mode(weight_mode)
+    if kind == "adaptive":
+        mf, trace = mfpod_adaptive(sets, kappa, metric)
+        return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
+    if kind == "pilot_alpha":
+        alpha = _pilot_alpha(sets, metric)
+    return mfpod_fixed(sets, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
+
+
 @dataclass
 class StudyReport:
     """In-memory study result; see write_study for the on-disk layout."""
@@ -276,8 +288,6 @@ def _jsonable(obj):
 
 def _nearest_rank(sorted_vals: np.ndarray, p: float) -> float:
     n = len(sorted_vals)
-    if n == 0:
-        return float("nan")
     k = max(1, math.ceil(p / 100.0 * n))
     return float(sorted_vals[k - 1])
 
@@ -307,7 +317,6 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     costs = ModelCosts.from_config(model)
     m0, m1 = allocate_budget(config.budget, costs, config.split)
     split_kind, _ = _parse_split(config.split)
-    weight_kind, fixed_alpha = _parse_weight_mode(config.weight_mode)
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))
     metric = reference.metric
@@ -318,10 +327,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         seed = _repeat_seed(config.master_seed, rep)
         started = time.perf_counter()
         try:
-            records.append(_run_repeat(
-                rep, seed, model, costs, metric, m0, m1, pipeline,
-                weight_kind, fixed_alpha, config, reference,
-            ))
+            records.append(_run_repeat(rep, seed, costs, metric, m0, m1, pipeline,
+                                       config, reference))
         except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
@@ -347,20 +354,13 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     )
 
 
-def _run_repeat(rep, seed, model, costs, metric, m0, m1, pipeline,
-                weight_kind, fixed_alpha, config, reference) -> dict:
-    dims = config.report_dims
+def _run_repeat(rep, seed, costs, metric, m0, m1, pipeline, config, reference) -> dict:
+    model, dims = config.model, config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
     if pipeline == "mfpod":
         sets = _draw_sets(model, costs, m0, m1, seed)
-        if weight_kind == "adaptive":
-            mf, trace = mfpod_adaptive(sets, config.kappa, metric)
-            record["alphas"] = list(trace.alphas)
-            record["termination"] = trace.termination
-        else:
-            alpha = fixed_alpha if weight_kind == "fixed" else _pilot_alpha(sets, metric)
-            mf = mfpod_fixed(sets, (alpha,), config.kappa, metric)
-            record["alphas"] = [float(alpha)]
+        mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
+        record.update(weights)
         record.update({
             "mode_count": mf.mode_count,
             "selected_r": mf.selected_dim,

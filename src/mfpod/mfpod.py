@@ -24,10 +24,8 @@ from .core import Basis, Metric, _as_matrix, orthonormalize, validate_levels
 from .solver import _fix_signs, lowrank_eig
 
 __all__ = [
-    "MfOperator",
     "MfBasis",
     "SnapshotSpan",
-    "build_operator",
     "mfpod_fixed",
     "jmf_plus",
     "select_dim",
@@ -68,6 +66,7 @@ def _coefficients(counts, alphas) -> tuple[float, ...]:
     return tuple(out)
 
 
+# Not exported: verify builds its dense matrices here, and bench/tracing.py hooks both.
 @dataclass(frozen=True)
 class MfOperator:
     """Snapshot-block form of the multifidelity covariance operator."""

@@ -37,7 +37,6 @@ __all__ = [
     "mass_matrix",
     "fine_metric",
     "prolong",
-    "restrict",
     "snapshot",
     "make_model_pair",
 ]
@@ -172,15 +171,6 @@ def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     out[-1] = c[-1]
     out[::k] = c  # exact nodal values regardless of rounding
     return out
-
-
-def restrict(fine: np.ndarray, n_lf: int) -> np.ndarray:
-    """Nodal restriction onto the nested coarse mesh."""
-    f = np.asarray(fine, dtype=float)
-    if (f.shape[0] - 1) % (n_lf - 1) != 0:
-        raise ValueError("meshes do not nest")
-    k = (f.shape[0] - 1) // (n_lf - 1)
-    return f[::k].copy()
 
 
 def snapshot(theta: float, fidelity: str, config: AdvDiffConfig = AdvDiffConfig()) -> np.ndarray:

@@ -27,29 +27,11 @@ from .models import ModelPair
 __all__ = [
     "ConvergenceStudyResult",
     "EigenSumStudy",
-    "AlignmentResult",
-    "hs_error",
     "subspace_alignment",
     "reference_matrix",
     "convergence_study",
     "eigenvalue_sum_mse",
 ]
-
-
-def hs_error(op: MfOperator, reference: np.ndarray, metric: Metric) -> float:
-    """Frobenius distance between the operator and a reference, in metric
-    coordinates.
-
-    ``reference`` is a second-moment matrix sum c S S^T in original
-    coordinates, without the metric weight.
-    """
-    if metric.n > _DENSE_CAP:
-        raise ValueError(f"dimension {metric.n} exceeds the dense cap {_DENSE_CAP}")
-    ref = np.asarray(reference, dtype=float)
-    if ref.shape != (metric.n, metric.n):
-        raise ValueError(f"reference must be {metric.n} x {metric.n}, got {ref.shape}")
-    ref_t = metric.to_coords(metric.to_coords(ref).T).T
-    return float(np.linalg.norm(op.assemble_transformed() - ref_t))
 
 
 def subspace_alignment(v: Basis, vstar: Basis) -> float:
@@ -105,7 +87,6 @@ class ConvergenceStudyResult:
     repeats: int
     q1: int
     alpha: float
-    reference_size: int
     exact: bool
 
 
@@ -154,17 +135,8 @@ def convergence_study(
         slope = float(np.polyfit(np.log(grid), np.log(np.maximum(means_arr, 1e-300)), 1)[0])
     gamma_hat = float(np.mean(np.array(grid) * means_arr))
     return ConvergenceStudyResult(
-        grid, tuple(means), slope, gamma_hat, repeats, q1, alpha, reference_size, exact
+        grid, tuple(means), slope, gamma_hat, repeats, q1, alpha, exact
     )
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """One draw's subspace alignment against the reference modes."""
-
-    principal_sine_sq_sum: float
-    spectral_gap: float
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -178,7 +150,6 @@ class EigenSumStudy:
     gamma_hat: float
     alignment_mean_sq: tuple[float, ...]
     alignment_bound: tuple[float, ...]
-    alignment_records: tuple[tuple[AlignmentResult, ...], ...]
     symmetry_max_dev: float
     spectral_gap: float
     gap_degenerate: bool
@@ -201,9 +172,9 @@ def eigenvalue_sum_mse(
 ) -> EigenSumStudy:
     """Empirical MSE of the summed top-r eigenvalues against r*gamma/m_0.
 
-    Alongside the eigenvalue sums this records, per draw, the alignment
-    between the estimated and reference top-r subspaces and the deviation
-    of the exchange identity
+    Alongside the eigenvalue sums this measures, per draw, the alignment
+    between the estimated and reference top-r subspaces (reported as its
+    mean square per grid point) and the deviation of the exchange identity
 
         sum_j ||v_j* - proj_V v_j*||^2 == sum_j ||v_j - proj_V* v_j||^2,
 
@@ -235,7 +206,7 @@ def eigenvalue_sum_mse(
     gap_degenerate = not gap > 1e-12 * max(abs(ref_vals[0]), 1e-300)
     vstar = ref_vecs[:, :r]
 
-    mse, bound, align_msq, align_bound, records, ratio_medians = [], [], [], [], [], []
+    mse, bound, align_msq, align_bound, ratio_medians = [], [], [], [], []
     symmetry_max = 0.0
     n = pair.metric.n
     euclid = Metric.euclidean(n)
@@ -243,7 +214,6 @@ def eigenvalue_sum_mse(
         dsum = np.empty(repeats)
         asq = np.empty(repeats)
         ratios = np.empty(repeats)
-        point_records = []
         point_bound = (
             float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
         )
@@ -271,16 +241,14 @@ def eigenvalue_sum_mse(
                 symmetry_max = max(symmetry_max, abs(forward - backward))
                 s = subspace_alignment(v, vs)
                 asq[rep] = s * s
-                point_records.append(AlignmentResult(s, gap, point_bound))
         mse.append(float((dsum * dsum).mean()))
         bound.append(r * gamma_hat / m0)
         align_msq.append(float(asq.mean()) if not gap_degenerate else float("nan"))
         align_bound.append(point_bound)
-        records.append(tuple(point_records))
         ratio_medians.append(float(np.median(ratios)))
     return EigenSumStudy(
         r, grid, tuple(mse), tuple(bound), float(gamma_hat),
-        tuple(align_msq), tuple(align_bound), tuple(records),
+        tuple(align_msq), tuple(align_bound),
         float(symmetry_max), gap, gap_degenerate,
         tuple(ratio_medians), ref_sum / ref_trace if ref_trace else float("nan"),
         repeats,

@@ -4,7 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from mfpod import read_snapshots
+from mfpod import (
+    Basis,
+    Metric,
+    SnapshotSet,
+    estimate_profile,
+    mass_matrix,
+    mfpod_adaptive,
+    mfpod_fixed,
+    optimal_alpha,
+    read_snapshots,
+)
 from mfpod.cli import main
 
 
@@ -51,17 +61,30 @@ def test_generate_pod_mfpod_pipeline(capsys, tmp_path):
     assert all(float(raw) <= float(cor) for _, raw, cor in (row.split(",") for row in rows))
 
 
-def test_mfpod_adaptive_flag(capsys, tmp_path):
+@pytest.mark.parametrize("alpha", ["pilot", "adaptive", "0.7"])
+def test_mfpod_adaptive_flag(capsys, tmp_path, alpha):
     gen = tmp_path / "gen"
     _run(capsys, "generate", "--budget", "5", "--split", "even", "--seed", "1",
          "--n-hf", "129", "--n-lf", "33", "--out", str(gen))
     code, out, err = _run(capsys, "mfpod", "--hf", str(gen / "snapshots_high.mfp1"),
                           "--lf", str(gen / "snapshots_low.mfp1"),
-                          "--alpha", "adaptive", "--out", str(tmp_path / "mfa"))
+                          "--alpha", alpha, "--out", str(tmp_path / "mfa"))
     assert code == 0, err
     summary = json.loads(out)
-    assert "termination" in summary
-    assert len(summary["alphas"]) >= 1
+    assert ("termination" in summary) == (alpha == "adaptive")
+    # the same fit through the library, on the same files and default flags
+    hf, lf = (read_snapshots(gen / f"snapshots_{f}.mfp1") for f in ("high", "low"))
+    metric = Metric.from_weight(mass_matrix(hf.shape[0]))
+    sets = SnapshotSet.two_level(hf, lf, 1.0, 33.0 / 4097.0)
+    if alpha == "adaptive":
+        want, trace = mfpod_adaptive(sets, 0.9999, metric)
+        assert summary["alphas"] == list(trace.alphas) and len(trace.alphas) >= 1
+    else:
+        pilot = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
+        weight = pilot if alpha == "pilot" else 0.7
+        assert summary["alphas"] == [weight]
+        want = mfpod_fixed(sets, (weight,), 0.9999, metric)
+    assert (summary["mode_count"], summary["selected_r"]) == (want.mode_count, want.selected_dim)
 
 
 def test_study_command(capsys, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mfpod import Basis, Metric, SnapshotSet, inner, norm, orthonormalize, project, validate_levels
+from mfpod import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
 from mfpod.models import mass_matrix
 
 from conftest import random_spd_metric
@@ -11,17 +11,17 @@ from conftest import random_spd_metric
 def test_euclidean_inner_is_exact_dot():
     m = Metric.euclidean(4)
     e1 = np.array([1.0, 0, 0, 0])
-    assert inner(e1, e1, m) == 1.0
+    assert m.inner(e1, e1) == 1.0
     rng = np.random.default_rng(0)
     u, v = rng.standard_normal(4), rng.standard_normal(4)
-    assert inner(u, v, m) == np.dot(u, v)
+    assert m.inner(u, v) == np.dot(u, v)
 
 
 def test_weighted_inner_symmetry():
     rng = np.random.default_rng(1)
     m = random_spd_metric(rng, 9)
     u, v = rng.standard_normal(9), rng.standard_normal(9)
-    assert inner(u, v, m) == pytest.approx(inner(v, u, m), rel=1e-12)
+    assert m.inner(u, v) == pytest.approx(m.inner(v, u), rel=1e-12)
 
 
 def test_mass_matrix_integral_of_one_minus_x():
@@ -29,7 +29,7 @@ def test_mass_matrix_integral_of_one_minus_x():
     n = 101
     x = np.linspace(0.0, 1.0, n)
     m = Metric.from_weight(mass_matrix(n))
-    assert inner(1.0 - x, 1.0 - x, m) == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert m.inner(1.0 - x, 1.0 - x) == pytest.approx(1.0 / 3.0, abs=1e-8)
 
 
 def test_metric_rejects_asymmetric_and_indefinite():
@@ -43,7 +43,8 @@ def test_metric_rejects_asymmetric_and_indefinite():
 def test_factor_property_and_coordinate_roundtrip():
     rng = np.random.default_rng(2)
     m = random_spd_metric(rng, 12)
-    f = np.asarray(m.factor)
+    # to_coords applies F^T, so its image of the identity is F^T itself
+    f = m.to_coords(np.eye(12)).T
     w = np.asarray(m.weight)
     np.testing.assert_allclose(f @ f.T, w, rtol=0, atol=1e-12 * np.abs(w).max())
     x = rng.standard_normal((12, 5))
@@ -87,7 +88,7 @@ def test_project_empty_full_and_pythagoras():
     np.testing.assert_allclose(project(full, u), u, atol=1e-10)
     part = Basis(full.vectors[:, :3], m)
     pu = project(part, u)
-    assert norm(u, m) ** 2 == pytest.approx(norm(pu, m) ** 2 + norm(u - pu, m) ** 2, rel=1e-10)
+    assert m.norm(u) ** 2 == pytest.approx(m.norm(pu) ** 2 + m.norm(u - pu) ** 2, rel=1e-10)
 
 
 def test_orthonormalize_identity_columns_unchanged():
@@ -163,7 +164,7 @@ def test_validate_levels_rejects_sharing_violations():
 def test_from_columns_constructor():
     rng = np.random.default_rng(9)
     cols = rng.standard_normal((5, 4))
-    s = SnapshotSet.from_columns(1, cols, 2, (0, 1, 2, 3), 0.5)
+    s = SnapshotSet(1, cols[:, :2], cols[:, 2:], (0, 1, 2, 3), 0.5)
     np.testing.assert_array_equal(s.columns, cols)
     assert s.shared.shape == (5, 2) and s.extra.shape == (5, 2)
     hf = rng.standard_normal((5, 2))

@@ -7,7 +7,6 @@ from mfpod import (
     Metric,
     VarianceProfile,
     estimate_profile,
-    j_mc,
     j_mf,
     mf_mse,
     min_mse,
@@ -26,15 +25,17 @@ def _alloc(m0, m1, alpha, c1=0.125):
 
 
 def test_j_mc_matches_pod_projection_error():
+    # the plain Monte Carlo estimate J_MC is pod_projection_error
     rng = np.random.default_rng(0)
     metric = random_spd_metric(rng, 12)
     s = rng.standard_normal((12, 6))
     basis = orthonormalize(rng.standard_normal((12, 3)), metric)
-    assert j_mc(basis, s) == pod_projection_error(basis, s)
+    resid = s - basis.vectors @ (basis.vectors.T @ metric.apply(s))
+    assert pod_projection_error(basis, s) == pytest.approx(metric.norms_sq(resid).mean(), rel=1e-12)
     full = orthonormalize(rng.standard_normal((12, 12)), metric)
-    assert j_mc(full, s) <= 1e-12 * metric.norms_sq(s).max()
+    assert pod_projection_error(full, s) <= 1e-12 * metric.norms_sq(s).max()
     empty = Basis(np.zeros((12, 0)), metric)
-    assert j_mc(empty, s) == pytest.approx(metric.norms_sq(s).mean(), rel=1e-12)
+    assert pod_projection_error(empty, s) == pytest.approx(metric.norms_sq(s).mean(), rel=1e-12)
 
 
 def test_j_mf_alpha_zero_collapses_to_mc():
@@ -43,7 +44,7 @@ def test_j_mf_alpha_zero_collapses_to_mc():
     sets = random_instance(rng, 10, 3, 7, metric)
     basis = orthonormalize(rng.standard_normal((10, 2)), metric)
     lhs = j_mf(basis, sets, _alloc(3, 7, 0.0))
-    assert lhs == pytest.approx(j_mc(basis, sets[0].shared), rel=1e-14)
+    assert lhs == pytest.approx(pod_projection_error(basis, sets[0].shared), rel=1e-14)
 
 
 def test_j_mf_identical_levels_telescopes():
@@ -58,7 +59,7 @@ def test_j_mf_identical_levels_telescopes():
     )
     basis = orthonormalize(rng.standard_normal((9, 3)), metric)
     lhs = j_mf(basis, sets, _alloc(m0, m1, 1.0, c1=0.25))
-    assert lhs == pytest.approx(j_mc(basis, u), rel=1e-12)
+    assert lhs == pytest.approx(pod_projection_error(basis, u), rel=1e-12)
 
 
 def test_j_mf_matches_term_by_term_sum():

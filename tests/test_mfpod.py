@@ -12,9 +12,7 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
-    build_operator,
     fine_metric,
-    inner,
     j_mf,
     jmf_plus,
     mfpod_adaptive,
@@ -22,10 +20,11 @@ from mfpod import (
     orthonormalize,
     pod,
     sample_parameters,
+    select_dim,
     snapshot,
     subspace_alignment,
 )
-from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan
+from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan, build_operator
 
 from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric
 
@@ -69,8 +68,8 @@ def test_operator_self_adjoint_under_metric():
     op = build_operator(sets, (0.6,), metric)
     for _ in range(20):
         u, v = rng.standard_normal(10), rng.standard_normal(10)
-        lhs = inner(_action(op, u), v, metric)
-        rhs = inner(u, _action(op, v), metric)
+        lhs = metric.inner(_action(op, u), v)
+        rhs = metric.inner(u, _action(op, v))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -122,7 +121,7 @@ def test_correct_eigenvalue_branches():
         for j in range(mf.mode_count):
             if repaired[j]:
                 v = mf.vectors[:, j]
-                energy = np.mean([inner(s0[:, i], v, metric) ** 2 for i in range(s0.shape[1])])
+                energy = np.mean([metric.inner(s0[:, i], v) ** 2 for i in range(s0.shape[1])])
                 assert mf.corrected_eigvals[j] == pytest.approx(energy, rel=1e-10)
             else:
                 assert mf.corrected_eigvals[j] == mf.raw_eigvals[j]
@@ -192,7 +191,7 @@ def test_jmf_plus_tail_and_bruteforce():
                                               rel=1e-10, abs=1e-12)
     cand = orthonormalize(rng.standard_normal((30, 5)), metric)
     brute = sum(
-        lam * (1.0 - sum(inner(mf.vectors[:, j], cand.vectors[:, k], metric) ** 2
+        lam * (1.0 - sum(metric.inner(mf.vectors[:, j], cand.vectors[:, k]) ** 2
                          for k in range(cand.dim)))
         for j, lam in enumerate(mf.corrected_eigvals)
     )
@@ -331,14 +330,13 @@ def _two_level_model_sets(c: float = 1.0, order=None):
     return SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
 
 
-def _worst_alignment(a, b) -> float:
+def _worst_alignment(lam, a: Basis, b: Basis) -> float:
     """Worst sin^2 sum between the leading modes of two bases, over the
-    block sizes where the corrected spectrum has a gap."""
-    lam, worst = a.corrected_eigvals, 0.0
-    for r in range(1, a.mode_count + 1):
-        if r == a.mode_count or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
-            pair = a.full_basis.truncated(r), b.full_basis.truncated(r)
-            worst = max(worst, subspace_alignment(*pair))
+    block sizes where the spectrum lam of a's modes has a gap."""
+    worst = 0.0
+    for r in range(1, a.dim + 1):
+        if r == a.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
+            worst = max(worst, subspace_alignment(a.truncated(r), b.truncated(r)))
     return worst
 
 
@@ -355,7 +353,7 @@ def test_mfpod_fixed_is_invariant_to_snapshot_scale(exponent):
     for got, want in ((scaled.corrected_eigvals, base.corrected_eigvals),
                       (scaled.raw_eigvals, base.raw_eigvals)):
         np.testing.assert_allclose(got, c * c * want, rtol=0, atol=1e-12 * top)
-    assert _worst_alignment(base, scaled) < 1e-8
+    assert _worst_alignment(base.corrected_eigvals, base.full_basis, scaled.full_basis) < 1e-8
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -369,3 +367,38 @@ def test_mfpod_fixed_is_invariant_to_extra_column_order(order):
     for got, want in ((shuffled.corrected_eigvals, base.corrected_eigvals),
                       (shuffled.raw_eigvals, base.raw_eigvals)):
         np.testing.assert_allclose(np.sort(got), np.sort(want), rtol=0, atol=1e-12 * top)
+
+
+# -- invariance to the metric basis ---------------------------------------------
+
+
+def _fits(sets, metric: Metric) -> tuple:
+    """(selected r, raw and corrected eigenvalues, modes) of mfpod_fixed on
+    both levels and of pod on the surrogate level."""
+    mf = mfpod_fixed(sets, (0.8,), kappa=0.9999, metric=metric)
+    res = pod(sets[1].columns, metric)
+    plain = res.eigvals[:res.dim]
+    return ((mf.selected_dim, mf.raw_eigvals, mf.corrected_eigvals, mf.vectors),
+            (select_dim(res.eigvals, 0.9999), plain, plain, res.basis.vectors))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), m0=st.integers(1, 4),
+       extra=st.integers(1, 30), weighted=st.booleans())
+def test_mfpod_fixed_and_pod_are_invariant_to_metric_basis(seed, n, m0, extra, weighted):
+    # With x = U x' for an orthogonal U, the snapshots U^T S in the metric
+    # U^T W U describe the same geometry: modes V' map back to U V'.
+    rng = np.random.default_rng(seed)
+    metric = random_spd_metric(rng, n) if weighted else Metric.euclidean(n)
+    sets = random_instance(rng, n, m0, m0 + extra, metric)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.eye(n) if metric.weight is None else metric.weight
+    turned = Metric.from_weight(u.T @ w @ u)
+    turned_sets = tuple(SnapshotSet(s.level, u.T @ s.shared, u.T @ s.extra, s.sample_ids,
+                                    s.cost_per_sample) for s in sets)
+    for (r, raw, lam, v), (r2, raw2, _, v2) in zip(_fits(sets, metric),
+                                                     _fits(turned_sets, turned)):
+        assert (v2.shape[1], r2) == (v.shape[1], r)
+        np.testing.assert_allclose(np.sort(raw2), np.sort(raw), rtol=0,
+                                   atol=1e-12 * np.abs(raw).max())
+        assert _worst_alignment(lam, Basis(v, metric), Basis(u @ v2, metric)) < 1e-8

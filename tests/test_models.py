@@ -7,11 +7,9 @@ from mfpod import (
     ModelCosts,
     equispaced_parameters,
     fine_metric,
-    inner,
     make_model_pair,
     mass_matrix,
     prolong,
-    restrict,
     sample_parameters,
     snapshot,
     solve_adv_diff,
@@ -85,7 +83,7 @@ def test_boundary_layer_second_order_convergence():
             x = np.linspace(0, 1, n)
             m = Metric.from_weight(mass_matrix(n))
             d = u - _analytic_boundary_layer(x, theta)
-            errs.append(np.sqrt(inner(d, d, m)))
+            errs.append(m.norm(d))
         order = np.polyfit(np.log([32, 64, 128]), np.log(errs), 1)[0]
         assert -order == pytest.approx(2.0, abs=0.3)
 
@@ -98,7 +96,7 @@ def test_prolong_and_restrict():
     np.testing.assert_allclose(prolong(xs_coarse, 129), xs_fine, atol=1e-14)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(33)
-    np.testing.assert_array_equal(restrict(prolong(v, 129), 33), v)
+    np.testing.assert_array_equal(prolong(v, 129)[::4], v)  # nodal restriction
     with pytest.raises(ValueError):
         prolong(v, 100)
 
@@ -123,7 +121,7 @@ def test_low_fidelity_close_at_small_theta():
     hi = snapshot(1.0, "high", cfg)
     lo = snapshot(1.0, "low", cfg)
     m = fine_metric(cfg)
-    gap = np.sqrt(inner(hi - lo, hi - lo, m)) / np.sqrt(inner(hi, hi, m))
+    gap = m.norm(hi - lo) / m.norm(hi)
     assert gap < 0.05
 
 

@@ -8,10 +8,8 @@ from mfpod import (
     Metric,
     ModelCosts,
     ModelPair,
-    build_operator,
     convergence_study,
     eigenvalue_sum_mse,
-    hs_error,
     make_model_pair,
     orthonormalize,
     reference_matrix,
@@ -21,51 +19,11 @@ from mfpod import (
 from mfpod.core import _CHUNK
 from mfpod.verify import _study_seed
 
-from conftest import assemble_mf_matrix, random_instance, random_spd_metric
+from conftest import random_spd_metric
 
 
 def _small_pair(n_hf=65, n_lf=17):
     return make_model_pair(AdvDiffConfig(n_hf=n_hf, n_lf=n_lf))
-
-
-def test_hs_error_zero_against_own_assembly():
-    rng = np.random.default_rng(0)
-    metric = random_spd_metric(rng, 10)
-    sets = random_instance(rng, 10, 2, 6, metric)
-    op = build_operator(sets, (0.7,), metric)
-    assert hs_error(op, assemble_mf_matrix(sets, 0.7), metric) <= 1e-12
-
-
-def test_hs_error_alpha_zero_reference():
-    rng = np.random.default_rng(1)
-    metric = random_spd_metric(rng, 8)
-    sets = random_instance(rng, 8, 3, 6, metric)
-    op = build_operator(sets, (0.0,), metric)
-    s0 = sets[0].shared
-    ref = (s0 @ s0.T) / 3.0
-    assert hs_error(op, ref, metric) <= 1e-12 * np.abs(ref).max()
-
-
-def test_hs_error_matches_bruteforce_frobenius():
-    rng = np.random.default_rng(2)
-    metric = random_spd_metric(rng, 12)
-    sets = random_instance(rng, 12, 2, 5, metric)
-    alpha = 1.3
-    op = build_operator(sets, (alpha,), metric)
-    ref = rng.standard_normal((12, 12))
-    ref = (ref + ref.T) / 2
-    f = np.linalg.cholesky(np.asarray(metric.weight))
-    brute = np.linalg.norm(f.T @ (assemble_mf_matrix(sets, alpha) - ref) @ f)
-    assert hs_error(op, ref, metric) == pytest.approx(brute, rel=1e-10)
-
-
-def test_hs_error_input_validation():
-    rng = np.random.default_rng(3)
-    metric = Metric.euclidean(6)
-    sets = random_instance(rng, 6, 2, 4, metric)
-    op = build_operator(sets, (1.0,), metric)
-    with pytest.raises(ValueError):
-        hs_error(op, np.zeros((5, 5)), metric)
 
 
 def test_subspace_alignment_identity_and_complement():
