@@ -18,6 +18,7 @@ from .experiment import (
     _atomic_write,
     _dump_json,
     _fit_mfpod,
+    _parse_weight_mode,
     generate_snapshot_files,
     read_snapshots,
     run_study,
@@ -25,7 +26,7 @@ from .experiment import (
     write_study,
 )
 from .mfpod import select_dim
-from .models import AdvDiffConfig, make_model_pair, mass_matrix
+from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
 from .pod import pod
 from .verify import convergence_study, eigenvalue_sum_mse, reference_matrix
 
@@ -62,14 +63,12 @@ def _split_policy(text: str) -> str:
 
 
 def _weight_mode(alpha: str) -> str:
-    if alpha == "pilot":
-        return "pilot_alpha"
-    if alpha == "adaptive":
-        return "adaptive"
     try:
-        return f"fixed:{float(alpha)}"
+        mode = {"pilot": "pilot_alpha", "adaptive": "adaptive"}.get(alpha) or f"fixed:{float(alpha)}"
+        _parse_weight_mode(mode)
     except ValueError:
-        raise _CliError(f"bad --alpha {alpha!r}; expected a number, 'pilot', or 'adaptive'") from None
+        raise _CliError(f"bad --alpha {alpha!r}; expected a finite number, 'pilot', or 'adaptive'") from None
+    return mode
 
 
 def _model_config(args) -> AdvDiffConfig:
@@ -111,8 +110,6 @@ def build_parser() -> _Parser:
     m.add_argument("--alpha", default="pilot")
     m.add_argument("--kappa", type=float, default=0.9999)
     m.add_argument("--metric", choices=("mass", "euclidean"), default="mass")
-    m.add_argument("--cost-ratio", type=float, default=4097.0 / 33.0,
-                   help="high-fidelity cost divided by surrogate cost")
     m.add_argument("--out", required=True)
 
     s = sub.add_parser("study", help="repeated budgeted comparison against a reference")
@@ -178,7 +175,7 @@ def _cmd_mfpod(args) -> dict:
     if m1 <= m0:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
     metric = _metric_for(hf.shape[0], args.metric)
-    sets = SnapshotSet.two_level(hf, lf, 1.0, 1.0 / args.cost_ratio)
+    sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
     os.makedirs(args.out, exist_ok=True)
     modes_path = os.path.join(args.out, "modes.mfp1")

@@ -24,9 +24,6 @@ __all__ = [
     "validate_levels",
 ]
 
-# Sparse weights wider than this band are densified before factorization.
-_MAX_BANDWIDTH = 16
-
 
 def _as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
@@ -42,9 +39,9 @@ class Metric:
 
     Parameters come in through the constructors :meth:`euclidean` and
     :meth:`from_weight`; the latter accepts a dense array or any
-    scipy.sparse matrix.  Narrow-banded sparse weights (1D finite element
-    mass matrices in particular) keep a banded Cholesky factor so that
-    coordinate transforms cost O(n) per vector.
+    scipy.sparse matrix.  Every weight keeps a banded Cholesky factor at its
+    own bandwidth, so narrow-banded weights (1D finite element mass matrices
+    in particular) transform coordinates at O(n) cost per vector.
     """
 
     def __init__(self, n: int, weight=None):
@@ -53,10 +50,6 @@ class Metric:
         self.n = int(n)
         self.kind = "euclidean" if weight is None else "weighted"
         self._weight = weight
-        self._factor = None
-        self._factor_dense = None
-        self._ft_bands = None  # F^T in solve_banded layout
-        self._bandwidth = 0
         if weight is not None:
             self._factorize(weight)
 
@@ -82,40 +75,20 @@ class Metric:
         return cls(w.shape[0], w)
 
     def _factorize(self, w) -> None:
-        if scipy.sparse.issparse(w):
-            coo = w.tocoo()
-            bw = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
-            if bw <= _MAX_BANDWIDTH:
-                self._factorize_banded(w, bw)
-                return
-            w = w.toarray()
-            self._weight = w
+        coo = scipy.sparse.coo_array(w)
+        bw = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
+        # W = F F^T with F^T upper banded, laid out for solve_banded.
+        ab = np.zeros((bw + 1, self.n))
+        for d in range(bw + 1):
+            ab[bw - d, d:] = w.diagonal(d)
         try:
-            f = scipy.linalg.cholesky(w, lower=True)
+            ft = scipy.linalg.cholesky_banded(ab, lower=False)
         except scipy.linalg.LinAlgError as exc:
             raise ValueError("weight matrix is not positive definite") from exc
-        self._factor_dense = f
-
-    def _factorize_banded(self, w, bw: int) -> None:
-        n = self.n
-        ab = np.zeros((bw + 1, n))
-        for d in range(bw + 1):
-            ab[d, : n - d] = w.diagonal(-d)
-        try:
-            fb = scipy.linalg.cholesky_banded(ab, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("weight matrix is not positive definite") from exc
-        self._bandwidth = bw
-        self._factor = scipy.sparse.diags(
-            [fb[d, : n - d] for d in range(bw + 1)],
-            offsets=[-d for d in range(bw + 1)],
-            format="csr",
-        )
-        # F^T is upper banded with u = bw; lay it out for solve_banded.
-        ft = np.zeros_like(fb)
-        for d in range(bw + 1):
-            ft[bw - d, d:] = fb[d, : n - d]
         self._ft_bands = ft
+        self._ft = scipy.sparse.diags(
+            [ft[bw - d, d:] for d in range(bw + 1)], offsets=range(bw + 1), format="csr"
+        )
 
     @property
     def weight(self):
@@ -146,17 +119,13 @@ class Metric:
         """y = F^T x, the Euclidean coordinates of x."""
         if self.kind == "euclidean":
             return np.asarray(x, dtype=float)
-        if self._factor_dense is not None:
-            return self._factor_dense.T @ x
-        return np.asarray(self._factor.T @ x)
+        return np.asarray(self._ft @ x)
 
     def from_coords(self, y) -> np.ndarray:
         """Solve F^T x = y, mapping Euclidean coordinates back."""
         if self.kind == "euclidean":
             return np.asarray(y, dtype=float)
-        if self._factor_dense is not None:
-            return scipy.linalg.solve_triangular(self._factor_dense.T, y, lower=False)
-        return scipy.linalg.solve_banded((0, self._bandwidth), self._ft_bands, y)
+        return scipy.linalg.solve_banded((0, len(self._ft_bands) - 1), self._ft_bands, y)
 
     def __repr__(self) -> str:
         return f"Metric(kind={self.kind!r}, n={self.n})"

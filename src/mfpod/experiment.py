@@ -110,9 +110,12 @@ def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
         return mode, None
     if mode.startswith("fixed:"):
         try:
-            return "fixed", float(mode.split(":", 1)[1])
+            alpha = float(mode.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad weight mode {mode!r}, expected fixed:<float>") from None
+            alpha = float("nan")
+        if not np.isfinite(alpha):
+            raise ValueError(f"bad weight mode {mode!r}, expected fixed:<finite float>")
+        return "fixed", alpha
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
@@ -320,6 +323,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))
     metric = reference.metric
+    if metric.n != model.n_hf:
+        raise ValueError(f"reference has dimension {metric.n} but the model has n_hf={model.n_hf}")
     pipeline = {"hf_only": "pod_hf", "lf_only": "pod_lf"}.get(split_kind, "mfpod")
 
     records, failures, timings = [], [], []
@@ -333,7 +338,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
     if len(failures) > config.repeats / 2:
-        raise RuntimeError(f"{len(failures)} of {config.repeats} repeats failed; aborting study")
+        raise RuntimeError(f"{len(failures)} of {config.repeats} repeats failed, first with "
+                           f"{failures[0]['error']}; aborting study")
 
     # past the abort above, at least one repeat succeeded
     aggregates = {key: _percentile_rows(np.array([rec[key] for rec in records]))

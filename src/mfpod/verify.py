@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, SnapshotSet, _second_moment
-from .mfpod import _DENSE_CAP, MfOperator, build_operator
+from .core import Basis, Metric, SnapshotSet, _second_moment, project
+from .mfpod import _DENSE_CAP, build_operator
 from .models import ModelPair
 
 __all__ = [
@@ -68,12 +68,34 @@ def _study_seed(seed: int, m0: int, rep: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(m0, rep)).generate_state(1)[0])
 
 
-def _draw_operator(pair: ModelPair, m0: int, q1: int, alpha: float, draw_seed: int) -> MfOperator:
-    thetas = pair.sampler(q1 * m0, draw_seed)
-    hf = np.column_stack([pair.high(t) for t in thetas[:m0]])
-    lf = np.column_stack([pair.low(t) for t in thetas])
-    sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
-    return build_operator(sets, (alpha,), pair.metric)
+def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):
+    """Validate a study's m_0 grid, repeats and q1, then return the grid and,
+    per grid point, a lazy stream of the assembled operators (in metric
+    coordinates) of its repeats' prefix-stable draws with m_1 = q1 * m_0."""
+    grid = tuple(int(m) for m in m0_grid)
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
+        raise ValueError("m0_grid must be strictly increasing with at least two points")
+    if repeats < 30:
+        raise ValueError("need at least 30 repeats per grid point")
+    if q1 < 2:
+        raise ValueError("q1 must be at least 2 so that m_1 > m_0")
+
+    def draws(m0):
+        for rep in range(repeats):
+            thetas = pair.sampler(q1 * m0, _study_seed(seed, m0, rep))
+            hf = np.column_stack([pair.high(t) for t in thetas[:m0]])
+            lf = np.column_stack([pair.low(t) for t in thetas])
+            sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
+            yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
+
+    return grid, ((m0, draws(m0)) for m0 in grid)
+
+
+def _descending_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix, largest eigenvalue first."""
+    vals, vecs = scipy.linalg.eigh(mat)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -109,23 +131,11 @@ def convergence_study(
     Degenerate models whose estimate is exact at every draw are reported
     with ``exact=True`` and an undefined slope.
     """
-    grid = tuple(int(m) for m in m0_grid)
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError("m0_grid must be strictly increasing with at least two points")
-    if repeats < 30:
-        raise ValueError("need at least 30 repeats per grid point")
-    if q1 < 2:
-        raise ValueError("q1 must be at least 2 so that m_1 > m_0")
+    grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
     if reference is None:
         reference = reference_matrix(pair, reference_size, seed)
-    means = []
-    for m0 in grid:
-        errs = np.empty(repeats)
-        for rep in range(repeats):
-            op = _draw_operator(pair, m0, q1, alpha, _study_seed(seed, m0, rep))
-            diff = op.assemble_transformed() - reference
-            errs[rep] = np.sum(diff * diff)
-        means.append(float(errs.mean()))
+    means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
+             for _, mats in points]
     means_arr = np.array(means)
     ref_scale = float(np.sum(reference * reference))
     exact = bool(np.all(means_arr <= 1e-24 * max(ref_scale, 1e-300)))
@@ -182,11 +192,9 @@ def eigenvalue_sum_mse(
     not supplied it is estimated by an internal convergence study with the
     same settings.
     """
-    grid = tuple(int(m) for m in m0_grid)
+    grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
     if r < 1:
         raise ValueError("r must be at least 1")
-    if repeats < 30:
-        raise ValueError("need at least 30 repeats per grid point")
     if reference is None:
         reference = reference_matrix(pair, reference_size, seed)
     if gamma_hat is None:
@@ -194,52 +202,36 @@ def eigenvalue_sum_mse(
             pair, q1, grid, repeats, seed, alpha=alpha, reference=reference
         ).gamma_hat
 
-    ref_vals, ref_vecs = scipy.linalg.eigh(reference)
-    order = np.argsort(-ref_vals, kind="stable")
-    ref_vals = ref_vals[order]
-    ref_vecs = ref_vecs[:, order]
+    ref_vals, ref_vecs = _descending_eigh(reference)
     if r >= len(ref_vals):
         raise ValueError("r must be smaller than the ambient dimension")
     ref_sum = float(ref_vals[:r].sum())
     ref_trace = float(ref_vals.sum())
     gap = float(ref_vals[r - 1] - ref_vals[r])
     gap_degenerate = not gap > 1e-12 * max(abs(ref_vals[0]), 1e-300)
-    vstar = ref_vecs[:, :r]
+    euclid = Metric.euclidean(pair.metric.n)
+    vstar = Basis(ref_vecs[:, :r], euclid)
 
     mse, bound, align_msq, align_bound, ratio_medians = [], [], [], [], []
     symmetry_max = 0.0
-    n = pair.metric.n
-    euclid = Metric.euclidean(n)
-    for m0 in grid:
+    for m0, mats in points:
         dsum = np.empty(repeats)
         asq = np.empty(repeats)
         ratios = np.empty(repeats)
         point_bound = (
             float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
         )
-        for rep in range(repeats):
-            op = _draw_operator(pair, m0, q1, alpha, _study_seed(seed, m0, rep))
-            mat = op.assemble_transformed()
-            vals, vecs = scipy.linalg.eigh(mat)
-            vorder = np.argsort(-vals, kind="stable")
-            vals = vals[vorder]
-            vecs = vecs[:, vorder]
+        for rep, mat in enumerate(mats):
+            vals, vecs = _descending_eigh(mat)
             dsum[rep] = vals[:r].sum() - ref_sum
             trace = vals.sum()
             ratios[rep] = vals[:r].sum() / trace if abs(trace) > 1e-300 else float("nan")
             if not gap_degenerate:
                 v = Basis(vecs[:, :r], euclid)
-                vs = Basis(vstar, euclid)
-                forward = float(np.sum([
-                    float(euclid.norms_sq(vstar[:, [j]] - v.vectors @ (v.vectors.T @ vstar[:, [j]]))[0])
-                    for j in range(r)
-                ]))
-                backward = float(np.sum([
-                    float(euclid.norms_sq(vecs[:, [j]] - vstar @ (vstar.T @ vecs[:, [j]]))[0])
-                    for j in range(r)
-                ]))
+                forward = float(euclid.norms_sq(vstar.vectors - project(v, vstar.vectors)).sum())
+                backward = float(euclid.norms_sq(v.vectors - project(vstar, v.vectors)).sum())
                 symmetry_max = max(symmetry_max, abs(forward - backward))
-                s = subspace_alignment(v, vs)
+                s = subspace_alignment(v, vstar)
                 asq[rep] = s * s
         mse.append(float((dsum * dsum).mean()))
         bound.append(r * gamma_hat / m0)

@@ -144,6 +144,19 @@ def test_usage_errors_are_json(capsys):
     assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_non_finite_alpha_is_a_usage_error(capsys, tmp_path, alpha):
+    code, out, err = _run(capsys, "study", "--budget", "5", "--alpha", alpha, "--repeats", "2",
+                          "--reference-size", "40", "--n-hf", "129", "--n-lf", "33",
+                          "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
+    code, out, err = _run(capsys, "mfpod", "--hf", "a", "--lf", "b", "--alpha", alpha,
+                          "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
+
+
 def test_runtime_errors_are_json(capsys, tmp_path):
     code, out, err = _run(capsys, "pod", "--input", str(tmp_path / "missing.mfp1"),
                           "--out", str(tmp_path))

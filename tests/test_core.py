@@ -67,14 +67,18 @@ def test_banded_and_dense_weight_paths_agree():
     np.testing.assert_allclose(mb.norms_sq(x), md.norms_sq(x), rtol=1e-12)
 
 
-def test_wide_sparse_weight_falls_back_to_dense_factor():
+def test_wide_sparse_and_dense_weights_factor_through_banded_route():
     n = 30
     rng = np.random.default_rng(4)
     a = rng.standard_normal((n, n)) * 0.05
-    w = scipy.sparse.csr_matrix(a @ a.T + np.eye(n))
-    m = Metric.from_weight(w)
+    dense = a @ a.T + np.eye(n)
     x = rng.standard_normal(n)
-    np.testing.assert_allclose(m.from_coords(m.to_coords(x)), x, atol=1e-12)
+    for weight in (scipy.sparse.csr_matrix(dense), dense):
+        m = Metric.from_weight(weight)
+        assert m._ft_bands.shape == (n, n)  # full bandwidth n - 1
+        f = m.to_coords(np.eye(n)).T
+        np.testing.assert_allclose(f @ f.T, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+        np.testing.assert_allclose(m.from_coords(m.to_coords(x)), x, atol=1e-12)
 
 
 def test_project_empty_full_and_pythagoras():

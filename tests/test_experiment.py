@@ -291,6 +291,12 @@ def test_study_config_validation():
         StudyConfig(budget=5.0, weight_mode="fixed:x")
 
 
+@pytest.mark.parametrize("mode", ["fixed:inf", "fixed:-inf", "fixed:nan"])
+def test_study_config_rejects_non_finite_fixed_weight(mode):
+    with pytest.raises(ValueError, match="finite"):
+        StudyConfig(budget=5.0, weight_mode=mode)
+
+
 def test_run_study_hf_only_cost_accounting():
     config = StudyConfig(budget=5.0, split="hf_only", repeats=1, master_seed=0,
                          model=_SMALL, reference_size=60, report_dims=6)
@@ -363,6 +369,30 @@ def test_run_study_aborts_on_majority_failure(monkeypatch):
                          model=_SMALL, reference_size=40, report_dims=4)
     with pytest.raises(RuntimeError):
         run_study(config)
+
+
+def test_run_study_abort_names_the_first_failure(monkeypatch):
+    def broken(rep, *args, **kwargs):
+        raise ValueError(f"synthetic failure of repeat {rep}")
+
+    monkeypatch.setattr(experiment, "_run_repeat", broken)
+    config = StudyConfig(budget=5.0, split="hf_only", repeats=3, master_seed=3,
+                         model=_SMALL, reference_size=40, report_dims=4)
+    with pytest.raises(RuntimeError, match="3 of 3 repeats failed, first with "
+                                           "ValueError: synthetic failure of repeat 0;"):
+        run_study(config)
+
+
+def test_run_study_rejects_a_reference_of_another_dimension(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a repeat ran against a mismatched reference")
+
+    monkeypatch.setattr(experiment, "_run_repeat", unreachable)
+    config = StudyConfig(budget=5.0, split="hf_only", repeats=2, master_seed=3,
+                         model=_SMALL, reference_size=40, report_dims=4)
+    reference = build_reference(AdvDiffConfig(n_hf=65, n_lf=17), 40, 40)
+    with pytest.raises(ValueError, match="dimension 65"):
+        run_study(config, reference)
 
 
 def test_run_study_propagates_programming_errors(monkeypatch):

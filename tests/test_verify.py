@@ -146,6 +146,16 @@ def test_eigenvalue_sum_validation():
         eigenvalue_sum_mse(pair, 3, (2, 4), 5, 0, reference_size=50)
 
 
+def test_eigenvalue_sum_validates_grid_and_q1_when_gamma_hat_is_given():
+    pair = _small_pair()
+    reference = np.eye(pair.metric.n)
+    for grid in ((4, 2), (4,), (0, 4)):
+        with pytest.raises(ValueError, match="m0_grid"):
+            eigenvalue_sum_mse(pair, 3, grid, 30, 0, gamma_hat=1.0, reference=reference)
+    with pytest.raises(ValueError, match="q1"):
+        eigenvalue_sum_mse(pair, 3, (2, 4), 30, 0, q1=1, gamma_hat=1.0, reference=reference)
+
+
 def test_reference_matrix_streams_chunks_exactly():
     # several chunks of the streamed second moment, the last one partial
     pair = _small_pair()
