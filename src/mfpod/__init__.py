@@ -5,7 +5,7 @@ surrogate snapshots, by minimizing a control-variate estimate of the
 expected projection error.  See the README for the CLI and study tools.
 """
 
-from .adaptive import AdaptiveStep, AdaptiveTrace, adaptive_weight, mfpod_adaptive
+from .adaptive import AdaptiveStep, AdaptiveTrace, mfpod_adaptive
 from .core import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
 from .estimator import (
     Allocation,
@@ -75,7 +75,6 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "VarianceProfile",
-    "adaptive_weight",
     "allocate_budget",
     "build_reference",
     "convergence_study",

@@ -20,7 +20,7 @@ from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing 
 from .estimator import estimate_profile, optimal_alpha
 from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
 
-__all__ = ["AdaptiveStep", "AdaptiveTrace", "adaptive_weight", "mfpod_adaptive"]
+__all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
 
 # Stop once the high-fidelity snapshots are captured to this fraction of
 # their combined norm.
@@ -54,18 +54,6 @@ class AdaptiveTrace:
     @property
     def residuals(self) -> tuple[float, ...]:
         return tuple(s.residual for s in self.steps)
-
-
-def adaptive_weight(basis: Basis, sets) -> float:
-    """Variance-optimal weight for the residual energies at the given basis.
-
-    Two-level only; delegates to the estimator's sample moments so the
-    number here is exactly what the fixed-weight machinery would use.
-    """
-    validate_levels(sets)
-    if len(sets) != 2:
-        raise ValueError("adaptive weighting handles exactly two fidelity levels")
-    return optimal_alpha(estimate_profile(basis, sets))[0]
 
 
 def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, AdaptiveTrace]:
@@ -119,7 +107,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         if z.shape[1] >= rank:
             return finalize("rank")
         current = Basis(metric.from_coords(q @ z), metric)
-        alpha = adaptive_weight(current, sets)
+        alpha = optimal_alpha(estimate_profile(current, sets))[0]
         full = span.operator((alpha,))
         b = full
         if z.shape[1]:

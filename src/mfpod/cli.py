@@ -147,18 +147,25 @@ def _cmd_generate(args) -> dict:
     return {"written": written}
 
 
+def _write_modes(outdir, vectors, **eigvals) -> list:
+    """modes.mfp1 and eigenvalues.csv (index, then one column per keyword) in outdir."""
+    os.makedirs(outdir, exist_ok=True)
+    modes_path = os.path.join(outdir, "modes.mfp1")
+    write_snapshots(modes_path, vectors)
+    eig_path = os.path.join(outdir, "eigenvalues.csv")
+    rows = [",".join(["index", *eigvals])] + [
+        ",".join([str(i)] + [repr(float(v)) for v in row])
+        for i, row in enumerate(zip(*eigvals.values()))]
+    _atomic_write(eig_path, "".join(row + "\n" for row in rows).encode())
+    return [modes_path, eig_path]
+
+
 def _cmd_pod(args) -> dict:
     snaps = read_snapshots(args.input)
     metric = _metric_for(snaps.shape[0], args.metric)
     result = pod(snaps, metric)
-    os.makedirs(args.out, exist_ok=True)
-    modes_path = os.path.join(args.out, "modes.mfp1")
-    write_snapshots(modes_path, result.basis.vectors)
-    eig_path = os.path.join(args.out, "eigenvalues.csv")
-    rows = [f"{i},{float(v)!r}\n" for i, v in enumerate(result.eigvals)]
-    _atomic_write(eig_path, ("index,eigval\n" + "".join(rows)).encode())
     return {
-        "written": [modes_path, eig_path],
+        "written": _write_modes(args.out, result.basis.vectors, eigval=result.eigvals),
         "mode_count": result.basis.dim,
         "selected_r": select_dim(result.eigvals, args.kappa),
         "leading_eigvals": [float(v) for v in result.eigvals[:10]],
@@ -177,15 +184,9 @@ def _cmd_mfpod(args) -> dict:
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
-    os.makedirs(args.out, exist_ok=True)
-    modes_path = os.path.join(args.out, "modes.mfp1")
-    write_snapshots(modes_path, mf.vectors)
-    eig_path = os.path.join(args.out, "eigenvalues.csv")
-    rows = [f"{i},{float(raw)!r},{float(cor)!r}\n"
-            for i, (raw, cor) in enumerate(zip(mf.raw_eigvals, mf.corrected_eigvals))]
-    _atomic_write(eig_path, ("index,raw,corrected\n" + "".join(rows)).encode())
     summary.update({
-        "written": [modes_path, eig_path],
+        "written": _write_modes(args.out, mf.vectors, raw=mf.raw_eigvals,
+                                corrected=mf.corrected_eigvals),
         "mode_count": mf.mode_count,
         "selected_r": mf.selected_dim,
         "correction_count": mf.correction_count,
@@ -218,7 +219,7 @@ def _cmd_verify(args) -> dict:
     out: dict = {"m0_grid": list(grid), "q1": args.q1, "alpha": args.alpha}
     reference = reference_matrix(pair, args.reference_size, args.seed)
     conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed, alpha=args.alpha,
-                             reference_size=args.reference_size, reference=reference)
+                             reference=reference)
     out["convergence"] = {
         "mean_sq_errors": [float(v) for v in conv.mean_sq_errors],
         "slope": float(conv.slope),

@@ -224,16 +224,16 @@ def _repeat_seed(master_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=(rep,)).generate_state(1)[0])
 
 
-def _draw_sets(model: AdvDiffConfig, costs: ModelCosts, m0: int, m1: int, seed: int):
-    thetas = sample_parameters(m1, seed, model.theta_range)
-    hf = np.column_stack([snapshot(t, "high", model) for t in thetas[:m0]])
-    lf = np.column_stack([snapshot(t, "low", model) for t in thetas])
-    return SnapshotSet.two_level(hf, lf, costs.high, costs.low)
+def _draw(model: AdvDiffConfig, m0: int, m1: int, seed: int):
+    """Prefix-stable draw of max(m0, m1) parameters with high fidelity solved
+    at the first m0 and the surrogate at the first m1, as (thetas, hf, lf)."""
+    thetas = sample_parameters(max(m0, m1), seed, model.theta_range)
 
+    def solve(count, fidelity):
+        cols = [snapshot(t, fidelity, model) for t in thetas[:count]]
+        return np.column_stack(cols) if cols else np.zeros((model.n_hf, 0))
 
-def _pilot_alpha(sets, metric: Metric) -> float:
-    empty = Basis.empty(metric)
-    return optimal_alpha(estimate_profile(empty, sets))[0]
+    return thetas, solve(m0, "high"), solve(m1, "low")
 
 
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
@@ -244,7 +244,7 @@ def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[Mf
         mf, trace = mfpod_adaptive(sets, kappa, metric)
         return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
     if kind == "pilot_alpha":
-        alpha = _pilot_alpha(sets, metric)
+        alpha = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
     return mfpod_fixed(sets, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
 
 
@@ -363,8 +363,9 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
 def _run_repeat(rep, seed, costs, metric, m0, m1, pipeline, config, reference) -> dict:
     model, dims = config.model, config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
+    _, hf, lf = _draw(model, m0, m1, seed)
     if pipeline == "mfpod":
-        sets = _draw_sets(model, costs, m0, m1, seed)
+        sets = SnapshotSet.two_level(hf, lf, costs.high, costs.low)
         mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
         record.update(weights)
         record.update({
@@ -377,10 +378,7 @@ def _run_repeat(rep, seed, costs, metric, m0, m1, pipeline, config, reference) -
             "captured_energy": _energy_curve(mf.vectors[:, :dims], reference, dims),
         })
         return record
-    count = m0 if pipeline == "pod_hf" else m1
-    fidelity = "high" if pipeline == "pod_hf" else "low"
-    thetas = sample_parameters(count, seed, model.theta_range)
-    snaps = np.column_stack([snapshot(t, fidelity, model) for t in thetas])
+    snaps = hf if pipeline == "pod_hf" else lf
     res = pod(snaps, metric)
     record.update({
         "alphas": [],
@@ -457,7 +455,7 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
     model = config.model
     costs = ModelCosts.from_config(model)
     m0, m1 = allocate_budget(config.budget, costs, config.split)
-    thetas = sample_parameters(max(m0, m1), config.master_seed, model.theta_range)
+    thetas, hf, lf = _draw(model, m0, m1, config.master_seed)
     os.makedirs(outdir, exist_ok=True)
     written = []
     manifest = {
@@ -471,16 +469,11 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
         "thetas": list(thetas),
         "format": "MFP1",
     }
-    if m0:
-        hf = np.column_stack([snapshot(t, "high", model) for t in thetas[:m0]])
-        path = os.path.join(outdir, "snapshots_high.mfp1")
-        write_snapshots(path, hf)
-        written.append(path)
-    if m1:
-        lf = np.column_stack([snapshot(t, "low", model) for t in thetas[:m1]])
-        path = os.path.join(outdir, "snapshots_low.mfp1")
-        write_snapshots(path, lf)
-        written.append(path)
+    for name, snaps in (("snapshots_high.mfp1", hf), ("snapshots_low.mfp1", lf)):
+        if snaps.shape[1]:
+            path = os.path.join(outdir, name)
+            write_snapshots(path, snaps)
+            written.append(path)
     manifest_path = os.path.join(outdir, "manifest.json")
     _atomic_write(manifest_path, _dump_json(_jsonable(manifest)).encode())
     written.append(manifest_path)

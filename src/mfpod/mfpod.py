@@ -87,15 +87,12 @@ class MfOperator:
         coeffs = _coefficients([s.count for s in self.sets], self.alphas)
         return tuple(zip(coeffs, (self.metric.to_coords(s) for s in _snapshot_blocks(self.sets))))
 
-    @property
-    def dim(self) -> int:
-        return self.metric.n
-
     def assemble_transformed(self) -> np.ndarray:
         """Dense symmetric operator matrix in metric coordinates."""
-        if self.dim > _DENSE_CAP:
-            raise ValueError(f"dimension {self.dim} exceeds the dense cap {_DENSE_CAP}")
-        out = np.zeros((self.dim, self.dim))
+        n = self.metric.n
+        if n > _DENSE_CAP:
+            raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
+        out = np.zeros((n, n))
         for c, t in self.blocks:
             out += c * (t @ t.T)
         return out

@@ -35,10 +35,6 @@ class PodResult:
     eigvals: np.ndarray
     basis: Basis
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
     def tail_energy(self, r: int) -> float:
         """sum_{j>r} lambda_j, the optimal mean squared projection error."""
         return float(self.eigvals[max(0, r):].sum())

@@ -119,21 +119,20 @@ def convergence_study(
     repeats: int,
     seed: int,
     alpha: float = 1.0,
-    reference_size: int = 10_000,
-    reference: np.ndarray | None = None,
+    *,
+    reference: np.ndarray,
 ) -> ConvergenceStudyResult:
     """Empirical decay of E ||C_hat(m_0) - C||^2 over the m_0 grid.
 
     Every grid point uses fresh prefix-stable draws with m_1 = q1 * m_0
-    and fixed weight alpha.  The fitted log-log slope should sit near -1;
+    and fixed weight alpha, measured against ``reference`` (a
+    reference_matrix).  The fitted log-log slope should sit near -1;
     gamma_hat = mean(m_0 * error) estimates the rate constant.
 
     Degenerate models whose estimate is exact at every draw are reported
     with ``exact=True`` and an undefined slope.
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
-    if reference is None:
-        reference = reference_matrix(pair, reference_size, seed)
     means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
              for _, mats in points]
     means_arr = np.array(means)
@@ -176,9 +175,9 @@ def eigenvalue_sum_mse(
     seed: int,
     alpha: float = 1.0,
     q1: int = 4,
-    reference_size: int = 10_000,
-    gamma_hat: float | None = None,
-    reference: np.ndarray | None = None,
+    *,
+    gamma_hat: float,
+    reference: np.ndarray,
 ) -> EigenSumStudy:
     """Empirical MSE of the summed top-r eigenvalues against r*gamma/m_0.
 
@@ -188,20 +187,13 @@ def eigenvalue_sum_mse(
 
         sum_j ||v_j* - proj_V v_j*||^2 == sum_j ||v_j - proj_V* v_j||^2,
 
-    whose two sides are evaluated independently.  When ``gamma_hat`` is
-    not supplied it is estimated by an internal convergence study with the
-    same settings.
+    whose two sides are evaluated independently.  ``reference`` is the
+    reference_matrix truth and ``gamma_hat`` the rate constant of a
+    convergence study against it.
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
     if r < 1:
         raise ValueError("r must be at least 1")
-    if reference is None:
-        reference = reference_matrix(pair, reference_size, seed)
-    if gamma_hat is None:
-        gamma_hat = convergence_study(
-            pair, q1, grid, repeats, seed, alpha=alpha, reference=reference
-        ).gamma_hat
-
     ref_vals, ref_vecs = _descending_eigh(reference)
     if r >= len(ref_vals):
         raise ValueError("r must be smaller than the ambient dimension")

@@ -5,9 +5,10 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
-    adaptive_weight,
+    estimate_profile,
     mfpod_adaptive,
     mfpod_fixed,
+    optimal_alpha,
     orthonormalize,
     pod,
     subspace_alignment,
@@ -33,7 +34,7 @@ def test_adaptive_weight_identical_levels_is_one():
     metric = random_spd_metric(rng, 10)
     sets = _identical_level_sets(rng, 10, 3, 7, spread=False)
     empty = Basis(np.zeros((10, 0)), metric)
-    assert adaptive_weight(empty, sets) == pytest.approx(1.0, rel=1e-12)
+    assert optimal_alpha(estimate_profile(empty, sets))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_adaptive_weight_zero_when_lf_fully_captured():
@@ -41,7 +42,7 @@ def test_adaptive_weight_zero_when_lf_fully_captured():
     metric = random_spd_metric(rng, 12)
     sets = random_instance(rng, 12, 3, 6, metric)
     lf_span = orthonormalize(sets[1].columns, metric)
-    assert adaptive_weight(lf_span, sets) == 0.0
+    assert optimal_alpha(estimate_profile(lf_span, sets))[0] == 0.0
 
 
 def test_adaptive_weight_matches_covariance_ratio():
@@ -57,7 +58,7 @@ def test_adaptive_weight_matches_covariance_ratio():
     x = res_energy(sets[0].shared)
     y = res_energy(sets[1].shared)
     expected = np.cov(x, y, ddof=1)[0, 1] / np.var(y, ddof=1)
-    assert adaptive_weight(basis, sets) == pytest.approx(expected, rel=1e-10)
+    assert optimal_alpha(estimate_profile(basis, sets))[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_identical_levels_match_fixed_alpha_one():

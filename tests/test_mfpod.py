@@ -292,7 +292,7 @@ def test_pod_across_blocks_matches_dense_gramian():
     vals, w = scipy.linalg.eigh(t.T @ t / m)
     vals, w = vals[::-1], w[:, ::-1]
     kept = int(np.sum(vals > 1e-10 * vals[0]))
-    assert res.dim == kept
+    assert res.basis.dim == kept
     want = np.where(np.arange(m) < kept, vals, 0.0)
     np.testing.assert_allclose(res.eigvals, want, rtol=0, atol=1e-12 * vals[0])
     modes = lf @ w[:, :kept] / np.sqrt(m * vals[:kept])
@@ -377,7 +377,7 @@ def _fits(sets, metric: Metric) -> tuple:
     both levels and of pod on the surrogate level."""
     mf = mfpod_fixed(sets, (0.8,), kappa=0.9999, metric=metric)
     res = pod(sets[1].columns, metric)
-    plain = res.eigvals[:res.dim]
+    plain = res.eigvals[:res.basis.dim]
     return ((mf.selected_dim, mf.raw_eigvals, mf.corrected_eigvals, mf.vectors),
             (select_dim(res.eigvals, 0.9999), plain, plain, res.basis.vectors))
 

@@ -115,7 +115,7 @@ def test_eigvals_are_exact_zeros_past_the_retained_modes():
     rng = np.random.default_rng(8)
     u = rng.standard_normal((20, 3))
     res = pod(u @ rng.standard_normal((3, 11)), Metric.euclidean(20))
-    assert res.dim == 3 and len(res.eigvals) == 11
+    assert res.basis.dim == 3 and len(res.eigvals) == 11
     assert (res.eigvals[:3] > 0).all() and (res.eigvals[3:] == 0.0).all()
 
 
@@ -131,8 +131,8 @@ def _worst_alignment(a, b) -> float:
     """Worst sin^2 sum between leading blocks of two POD bases, over the
     block sizes where the spectrum has a gap."""
     lam, worst = a.eigvals, 0.0
-    for r in range(1, a.dim + 1):
-        if r == a.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
+    for r in range(1, a.basis.dim + 1):
+        if r == a.basis.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
             worst = max(worst, subspace_alignment(a.basis.truncated(r), b.basis.truncated(r)))
     return worst
 
@@ -143,7 +143,7 @@ def test_pod_is_invariant_to_snapshot_scale(exponent):
     c = 10.0 ** exponent
     metric = fine_metric(_MODEL)
     base, scaled = pod(_SNAPSHOTS, metric), pod(c * _SNAPSHOTS, metric)
-    assert scaled.dim == base.dim
+    assert scaled.basis.dim == base.basis.dim
     assert select_dim(scaled.eigvals, 0.9999) == select_dim(base.eigvals, 0.9999)
     np.testing.assert_allclose(scaled.eigvals, c * c * base.eigvals, rtol=0,
                                atol=1e-12 * c * c * base.eigvals[0])

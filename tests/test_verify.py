@@ -52,9 +52,17 @@ def _constant_pair(n=6):
     )
 
 
+def _eigsum(pair, r, m0_grid, repeats, seed, reference):
+    """eigenvalue_sum_mse at the gamma_hat of the convergence study with the same settings."""
+    conv = convergence_study(pair, 4, m0_grid, repeats, seed, reference=reference)
+    return eigenvalue_sum_mse(pair, r, m0_grid, repeats, seed,
+                              gamma_hat=conv.gamma_hat, reference=reference)
+
+
 def test_convergence_study_degenerate_model_is_exact():
-    res = convergence_study(_constant_pair(), 4, (2, 4), repeats=30, seed=0,
-                            reference_size=50)
+    pair = _constant_pair()
+    res = convergence_study(pair, 4, (2, 4), repeats=30, seed=0,
+                            reference=reference_matrix(pair, 50, 0))
     assert res.exact
     assert np.isnan(res.slope)
     assert max(res.mean_sq_errors) <= 1e-20
@@ -82,17 +90,19 @@ def test_convergence_study_identical_levels_match_plain_mc():
 
 def test_convergence_study_validation():
     pair = _small_pair()
+    reference = reference_matrix(pair, 50, 0)
     with pytest.raises(ValueError):
-        convergence_study(pair, 4, (4, 2), 30, 0, reference_size=50)
+        convergence_study(pair, 4, (4, 2), 30, 0, reference=reference)
     with pytest.raises(ValueError):
-        convergence_study(pair, 4, (2, 4), 10, 0, reference_size=50)
+        convergence_study(pair, 4, (2, 4), 10, 0, reference=reference)
     with pytest.raises(ValueError):
-        convergence_study(pair, 1, (2, 4), 30, 0, reference_size=50)
+        convergence_study(pair, 1, (2, 4), 30, 0, reference=reference)
 
 
 def test_convergence_errors_decay_with_m0():
     pair = _small_pair()
-    res = convergence_study(pair, 4, (2, 8, 32), repeats=60, seed=1, reference_size=2000)
+    res = convergence_study(pair, 4, (2, 8, 32), repeats=60, seed=1,
+                            reference=reference_matrix(pair, 2000, 1))
     assert not res.exact
     assert res.mean_sq_errors[0] > res.mean_sq_errors[-1]
     assert res.slope < -0.4
@@ -101,8 +111,7 @@ def test_convergence_errors_decay_with_m0():
 
 def test_eigenvalue_sum_mse_bound_and_symmetry():
     pair = _small_pair()
-    study = eigenvalue_sum_mse(pair, 3, (2, 4, 8), repeats=60, seed=2,
-                               reference_size=2000)
+    study = _eigsum(pair, 3, (2, 4, 8), 60, 2, reference_matrix(pair, 2000, 2))
     for m, b in zip(study.mse, study.bound):
         assert m <= 1.2 * b
     assert study.symmetry_max_dev <= 1e-9
@@ -111,17 +120,15 @@ def test_eigenvalue_sum_mse_bound_and_symmetry():
 
 def test_eigenvalue_sum_mse_doubling_ratio():
     pair = _small_pair()
-    study = eigenvalue_sum_mse(pair, 3, (2, 4, 8, 16), repeats=150, seed=3,
-                               reference_size=2000)
+    study = _eigsum(pair, 3, (2, 4, 8, 16), 150, 3, reference_matrix(pair, 2000, 3))
     for a, b in zip(study.mse, study.mse[1:]):
         assert 0.3 <= b / a <= 0.9
 
 
 def test_eigenvalue_sum_alignment_bound_on_wide_gap():
     pair = _small_pair()
-    study = eigenvalue_sum_mse(pair, 1, (2, 4, 8), repeats=60, seed=4,
-                               reference_size=2000)
     ref = reference_matrix(pair, 2000, 4)
+    study = _eigsum(pair, 1, (2, 4, 8), 60, 4, ref)
     vals = np.sort(scipy.linalg.eigh(ref, eigvals_only=True))[::-1]
     assert study.spectral_gap >= 0.1 * vals[0]  # instance qualifies for the bound
     for msq, b in zip(study.alignment_mean_sq, study.alignment_bound):
@@ -130,8 +137,7 @@ def test_eigenvalue_sum_alignment_bound_on_wide_gap():
 
 def test_eigenvalue_energy_ratio_approaches_reference():
     pair = _small_pair()
-    study = eigenvalue_sum_mse(pair, 3, (2, 4, 8, 16), repeats=60, seed=5,
-                               reference_size=2000)
+    study = _eigsum(pair, 3, (2, 4, 8, 16), 60, 5, reference_matrix(pair, 2000, 5))
     ref_ratio = study.reference_energy_ratio
     final = study.energy_ratio_medians[-1]
     assert abs(final - ref_ratio) <= 0.05 * abs(ref_ratio)
@@ -140,10 +146,11 @@ def test_eigenvalue_energy_ratio_approaches_reference():
 
 def test_eigenvalue_sum_validation():
     pair = _small_pair()
+    reference = reference_matrix(pair, 50, 0)
     with pytest.raises(ValueError):
-        eigenvalue_sum_mse(pair, 0, (2, 4), 30, 0, reference_size=50)
+        eigenvalue_sum_mse(pair, 0, (2, 4), 30, 0, gamma_hat=1.0, reference=reference)
     with pytest.raises(ValueError):
-        eigenvalue_sum_mse(pair, 3, (2, 4), 5, 0, reference_size=50)
+        eigenvalue_sum_mse(pair, 3, (2, 4), 5, 0, gamma_hat=1.0, reference=reference)
 
 
 def test_eigenvalue_sum_validates_grid_and_q1_when_gamma_hat_is_given():
