@@ -38,8 +38,10 @@ from .models import (
     ModelCosts,
     equispaced_parameters,
     fine_metric,
+    prolong,
     sample_parameters,
     snapshot,
+    solve_adv_diff,
 )
 from .pod import pod
 
@@ -226,14 +228,18 @@ def _repeat_seed(master_seed: int, rep: int) -> int:
 
 def _draw(model: AdvDiffConfig, m0: int, m1: int, seed: int):
     """Prefix-stable draw of max(m0, m1) parameters with high fidelity solved
-    at the first m0 and the surrogate at the first m1, as (thetas, hf, lf)."""
+    at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
+
+    The surrogate is solved on the coarse mesh and prolonged as one block,
+    which gives the same bits as snapshot(theta, "low") column by column."""
     thetas = sample_parameters(max(m0, m1), seed, model.theta_range)
-
-    def solve(count, fidelity):
-        cols = [snapshot(t, fidelity, model) for t in thetas[:count]]
-        return np.column_stack(cols) if cols else np.zeros((model.n_hf, 0))
-
-    return thetas, solve(m0, "high"), solve(m1, "low")
+    hf = np.empty((model.n_hf, m0))
+    for j, theta in enumerate(thetas[:m0]):
+        hf[:, j] = snapshot(theta, "high", model)
+    coarse = np.empty((model.n_lf, m1))
+    for j, theta in enumerate(thetas[:m1]):
+        coarse[:, j] = solve_adv_diff(theta, model.n_lf, model)
+    return thetas, hf, prolong(coarse, model.n_hf)
 
 
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:

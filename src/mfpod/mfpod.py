@@ -36,7 +36,7 @@ _PLUS_FLOOR = 1e-10
 # Largest dimension for which the operator is assembled as a dense matrix.
 _DENSE_CAP = 4096
 # Snapshot columns per block of the span's Gram-Schmidt.
-_SPAN_BLOCK = 250
+_SPAN_BLOCK = 50
 
 
 def _check_sets(sets, metric: Metric) -> tuple:
@@ -134,8 +134,9 @@ class SnapshotSpan:
     ``basis`` is an orthonormal basis Q of the span of all snapshot blocks
     in metric coordinates, grown _SPAN_BLOCK columns at a time by
     _extend_span, and ``projections`` holds Q^T T for each block in
-    operator order, so that the operator restricted to the span is the
-    small symmetric matrix sum c (Q^T T)(Q^T T)^T for any weights.
+    operator order, as that growth computes it, so that the operator
+    restricted to the span is the small symmetric matrix
+    sum c (Q^T T)(Q^T T)^T for any weights.
     """
 
     basis: np.ndarray
@@ -149,10 +150,15 @@ class SnapshotSpan:
         coords = [metric.to_coords(s) for s in _snapshot_blocks(sets)]
         stacked = np.hstack(coords)
         scale = float(np.sqrt(Metric.euclidean(metric.n).norms_sq(stacked).max(initial=0.0)))
-        q = np.zeros((metric.n, 0))
+        q, coeffs = np.zeros((metric.n, 0)), []
         for start in range(0, stacked.shape[1], _SPAN_BLOCK):
-            q, _ = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
-        return cls(q, tuple(q.T @ t for t in coords), tuple(s.count for s in sets), metric)
+            q, coeff = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
+            coeffs.append(coeff)
+        # Earlier blocks lie in the span they grew up to the dependence
+        # rule, so their coefficients on later directions are zero.
+        p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs])
+        splits = np.cumsum([t.shape[1] for t in coords])[:-1]
+        return cls(q, tuple(np.split(p, splits, axis=1)), tuple(s.count for s in sets), metric)
 
     @property
     def rank(self) -> int:

@@ -116,16 +116,21 @@ def solve_adv_diff(theta: float, n_dofs: int, config: AdvDiffConfig = AdvDiffCon
     lower = -diff - b / 2.0
     diag = 2.0 * diff
     upper = -diff + b / 2.0
+    if not np.isfinite(diag):
+        raise ValueError(f"theta {theta} is too small for a mesh of {n} nodes")
     # Interior system with the Dirichlet lift moved to the right-hand side.
     k = n - 2
     rhs = np.full(k, h)
     rhs[0] -= lower * config.bc[0]
     rhs[-1] -= upper * config.bc[1]
-    ab = np.empty((3, k))
-    ab[0, :] = upper
-    ab[1, :] = diag
-    ab[2, :] = lower
-    interior = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    if k == 1:  # LAPACK's wrapper rejects the empty off-diagonals of a 1 x 1 system
+        interior, info = rhs / diag, 0
+    else:
+        # the tridiagonal LAPACK solver itself, without solve_banded's validation
+        *_, interior, info = scipy.linalg.lapack.dgtsv(
+            np.full(k - 1, lower), np.full(k, diag), np.full(k - 1, upper), rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise ValueError(f"tridiagonal solve failed at theta={theta} (LAPACK info {info})")
     out = np.empty(n)
     out[0] = config.bc[0]
     out[1:-1] = interior
@@ -150,10 +155,12 @@ def fine_metric(config: AdvDiffConfig) -> Metric:
 
 
 def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
-    """Linear interpolation onto the nested fine mesh.
+    """Linear interpolation onto the nested fine mesh, of one coarse vector
+    or of each column of an (n_lf, m) block.
 
     Coarse nodal values are copied bitwise, so restriction back to the
-    coarse mesh is an exact round trip.
+    coarse mesh is an exact round trip; a block gives the same bits as
+    prolonging its columns one by one.
     """
     c = np.asarray(coarse, dtype=float)
     n_lf = c.shape[0]
@@ -164,10 +171,11 @@ def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     k = (n_hf - 1) // (n_lf - 1)
     if k == 1:
         return c.copy()
-    s = np.arange(k)
-    segs = (c[:-1, None] * (k - s)[None, :] + c[1:, None] * s[None, :]) / k
-    out = np.empty(n_hf)
-    out[:-1] = segs.ravel()
+    cols = c.shape[1:]
+    s = np.arange(k).reshape((k,) + (1,) * len(cols))
+    segs = (c[:-1, None] * (k - s) + c[1:, None] * s) / k
+    out = np.empty((n_hf,) + cols)
+    out[:-1] = segs.reshape((n_hf - 1,) + cols)
     out[-1] = c[-1]
     out[::k] = c  # exact nodal values regardless of rounding
     return out

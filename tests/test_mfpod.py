@@ -24,6 +24,7 @@ from mfpod import (
     snapshot,
     subspace_alignment,
 )
+import mfpod.mfpod as mfpod_module
 from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan, build_operator
 
 from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric
@@ -268,6 +269,12 @@ def _single_level(s) -> tuple:
     return (SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(s.shape[1])), 1.0),)
 
 
+def _multiblock_two_level():
+    thetas, lf = _multiblock_surrogate()
+    hf = np.column_stack([snapshot(t, "high", _FINE) for t in thetas[:8]])
+    return SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
+
+
 def test_span_grows_across_blocks():
     metric = fine_metric(_FINE)
     _, lf = _multiblock_surrogate()
@@ -303,9 +310,7 @@ def test_pod_across_blocks_matches_dense_gramian():
 
 def test_mfpod_fixed_across_blocks_matches_dense_oracle():
     metric = fine_metric(_FINE)
-    thetas, lf = _multiblock_surrogate()
-    hf = np.column_stack([snapshot(t, "high", _FINE) for t in thetas[:8]])
-    sets = SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
+    sets = _multiblock_two_level()
     alpha = 0.9
     mf = mfpod_fixed(sets, (alpha,), kappa=0.9999, metric=metric)
     vals, vecs = dense_mf_oracle(sets, alpha, metric, drop_tol=1e-10)
@@ -316,6 +321,37 @@ def test_mfpod_fixed_across_blocks_matches_dense_oracle():
         if vals[j] - vals[j + 1] > 1e-6 * top:
             a = Basis(mf.vectors[:, order[: j + 1]], metric)
             assert subspace_alignment(a, orthonormalize(vecs[:, : j + 1], metric)) < 1e-8
+
+
+def test_span_projections_are_the_basis_coefficients_of_each_block():
+    # the span grows in its last Gram-Schmidt block, so the coefficients
+    # kept from earlier blocks are zero-padded on the later directions
+    metric = fine_metric(_FINE)
+    lf = _multiblock_surrogate()[1]
+    first_block = SnapshotSpan.from_sets(_single_level(lf[:, :_SPAN_BLOCK]), metric)
+    for sets in (_single_level(lf), _multiblock_two_level()):
+        span = SnapshotSpan.from_sets(sets, metric)
+        assert span.rank > first_block.rank
+        blocks = [metric.to_coords(b) for b in mfpod_module._snapshot_blocks(sets)]
+        scale = max(np.linalg.norm(t, axis=0).max() for t in blocks)
+        assert len(span.projections) == len(blocks)
+        for got, t in zip(span.projections, blocks):
+            assert got.shape == (span.rank, t.shape[1])
+            np.testing.assert_allclose(got, span.basis.T @ t, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("width", [1, 7, 50, 10_000])
+def test_mfpod_fixed_does_not_depend_on_the_span_block_width(width, monkeypatch):
+    metric = fine_metric(_FINE)
+    sets = _multiblock_two_level()
+    base = mfpod_fixed(sets, (0.9,), kappa=0.9999, metric=metric)
+    monkeypatch.setattr(mfpod_module, "_SPAN_BLOCK", width)
+    mf = mfpod_fixed(sets, (0.9,), kappa=0.9999, metric=metric)
+    assert (mf.mode_count, mf.selected_dim) == (base.mode_count, base.selected_dim)
+    top = base.corrected_eigvals[0]
+    for got, want in ((mf.corrected_eigvals, base.corrected_eigvals),
+                      (mf.raw_eigvals, base.raw_eigvals)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * top)
 
 
 # -- invariance to snapshot scale and order --------------------------------------

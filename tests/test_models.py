@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mfpod import (
     AdvDiffConfig,
@@ -99,6 +100,69 @@ def test_prolong_and_restrict():
     np.testing.assert_array_equal(prolong(v, 129)[::4], v)  # nodal restriction
     with pytest.raises(ValueError):
         prolong(v, 100)
+
+
+@pytest.mark.parametrize("n_hf", [97, 4097])
+@pytest.mark.parametrize("m", [0, 1, 248])
+def test_block_prolongation_matches_column_by_column(m, n_hf):
+    rng = np.random.default_rng(m)
+    k = (n_hf - 1) // 32  # the formula rounds at the coarse nodes for k = 3, not for 128
+    for block in (rng.standard_normal((33, m)), np.asfortranarray(rng.standard_normal((33, m)))):
+        fine = prolong(block, n_hf)
+        assert fine.shape == (n_hf, m)
+        for j in range(m):
+            np.testing.assert_array_equal(fine[:, j], prolong(block[:, j], n_hf))
+        np.testing.assert_array_equal(fine[::k], block)  # exact coarse nodal values
+
+
+def _interior_system(theta, n, cfg):
+    """Dense interior matrix and right-hand side of the finite element
+    system, assembled from the stencil (1/(theta h)) [-1 2 -1] + (b/2) [-1 0 1]
+    with the Dirichlet values moved to the right."""
+    b = {"boundary_layer": 1.0, "literal": -1.0}[cfg.advection_sign]
+    h = 1.0 / (n - 1)
+    k = n - 2
+    lower, diag, upper = -1.0 / (theta * h) - b / 2, 2.0 / (theta * h), -1.0 / (theta * h) + b / 2
+    a = np.zeros((k, k))
+    i = np.arange(k)
+    a[i, i] = diag
+    a[i[1:], i[:-1]] = lower
+    a[i[:-1], i[1:]] = upper
+    rhs = np.full(k, h)
+    rhs[0] -= lower * cfg.bc[0]
+    rhs[-1] -= upper * cfg.bc[1]
+    return a, rhs
+
+
+@pytest.mark.parametrize("sign", ["boundary_layer", "literal"])
+@pytest.mark.parametrize("n", [17, 129, 4097])
+def test_tridiagonal_solve_matches_dense_solve(n, sign):
+    cfg = AdvDiffConfig(advection_sign=sign)
+    for theta in (1.0, 100.0) if n < 4097 else (100.0,):
+        a, rhs = _interior_system(theta, n, cfg)
+        u = solve_adv_diff(theta, n, cfg)
+        assert (u[0], u[-1]) == cfg.bc
+        x, want = u[1:-1], np.linalg.solve(a, rhs)
+        # backward stable: the residual is at roundoff of the data
+        resid = np.abs(a @ x - rhs).max()
+        assert resid <= 1e-15 * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+        # the interior matrix's condition number grows like n^2 (about 1e7 at
+        # n = 4097), where two stable solvers still agree to about 4e-12
+        tol = 1e-12 if n < 4097 else 1e-11
+        assert np.linalg.norm(x - want) <= tol * np.linalg.norm(want)
+
+
+def test_tridiagonal_solve_failures_raise(monkeypatch):
+    cfg = AdvDiffConfig(n_hf=65, n_lf=33)
+    with pytest.raises(ValueError, match="too small"):
+        solve_adv_diff(1e-310, 65, cfg)  # the stencil overflows
+
+    def failing(dl, d, du, b, *overwrite):
+        return np.zeros_like(dl), d, du, np.zeros_like(b), 5
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", failing)
+    with pytest.raises(ValueError, match="LAPACK info 5"):
+        solve_adv_diff(10.0, 65, cfg)
 
 
 def test_snapshot_shapes_and_determinism():
