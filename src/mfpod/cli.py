@@ -16,9 +16,11 @@ from .core import Metric, SnapshotSet
 from .experiment import (
     StudyConfig,
     _atomic_write,
+    _check_weight_samples,
     _dump_json,
     _fit_mfpod,
     _parse_weight_mode,
+    allocate_budget,
     generate_snapshot_files,
     read_snapshots,
     run_study,
@@ -69,6 +71,13 @@ def _weight_mode(alpha: str) -> str:
     except ValueError:
         raise _CliError(f"bad --alpha {alpha!r}; expected a finite number, 'pilot', or 'adaptive'") from None
     return mode
+
+
+def _require_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
+    try:
+        _check_weight_samples(weight_mode, m0, m1)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def _model_config(args) -> AdvDiffConfig:
@@ -181,6 +190,7 @@ def _cmd_mfpod(args) -> dict:
     m0, m1 = hf.shape[1], lf.shape[1]
     if m1 <= m0:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
+    _require_weight_samples(weight_mode, m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
@@ -201,6 +211,8 @@ def _cmd_study(args) -> dict:
         repeats=args.repeats, master_seed=args.seed, model=_model_config(args),
         reference_size=args.reference_size, report_dims=args.report_dims,
     )
+    costs = ModelCosts.from_config(config.model)
+    _require_weight_samples(config.weight_mode, *allocate_budget(config.budget, costs, config.split))
     report = run_study(config)
     written = write_study(report, args.out)
     return {

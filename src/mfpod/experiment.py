@@ -121,6 +121,18 @@ def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
+def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
+    """Reject a fitted weight (pilot or adaptive) on a multifidelity
+    allocation with one high-fidelity sample: its variance profile is all
+    zeros, so the fitted weight would be 0 and every surrogate snapshot
+    would be discarded without a trace."""
+    kind, _ = _parse_weight_mode(weight_mode)
+    if kind != "fixed" and m0 == 1 and m1 > 0:
+        raise ValueError(f"weight mode {weight_mode!r} fits its weight to the paired samples "
+                         f"and needs m_0 >= 2, got m_0={m0}; use a fixed weight or more "
+                         "high-fidelity samples")
+
+
 def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int, int]:
     """Sample counts (m_0, m_1) that the policy buys under the budget.
 
@@ -317,14 +329,17 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     """Run the configured study and aggregate its repeats.
 
     A precomputed ``reference`` (from build_reference on the same model)
-    can be shared across studies; otherwise one is built here.  A repeat
-    that fails numerically (ValueError, which includes LinAlgError, or
-    ArithmeticError) is recorded and skipped, but more than half failing
-    aborts the study; any other exception propagates.
+    can be shared across studies; otherwise one is built here.  A pilot or
+    adaptive weight on an allocation with m_0 = 1 is rejected (ValueError)
+    before any repeat runs.  A repeat that fails numerically (ValueError,
+    which includes LinAlgError, or ArithmeticError) is recorded and
+    skipped, but more than half failing aborts the study; any other
+    exception propagates.
     """
     model = config.model
     costs = ModelCosts.from_config(model)
     m0, m1 = allocate_budget(config.budget, costs, config.split)
+    _check_weight_samples(config.weight_mode, m0, m1)
     split_kind, _ = _parse_split(config.split)
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))

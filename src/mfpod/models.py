@@ -18,6 +18,7 @@ multifidelity estimator has to tolerate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,23 +77,118 @@ class ModelCosts:
         return cls(high=1.0, low=config.n_lf / config.n_hf)
 
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
+# 128-bit PCG64 multiplier, split into 64-bit halves.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix_rows(rows: np.ndarray, n_rows: int, const: int, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix of each of n_rows rows of a uint32 array (a
+    single row broadcasts to all of them) in turn, with the running hash
+    constant starting at const."""
+    consts = [const]
+    for _ in range(n_rows):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    out = (rows ^ consts[:-1]) * consts[1:]
+    return out ^ out >> 16
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after mixing every seed word, before the spawn
+    key, and the hash constant the spawn word continues with, in Python
+    ints.  With a spawn key the seed's words are zero-padded to the pool
+    size, so the whole seed mixes in ahead of the spawn word."""
+    words = [seed >> 32 * j & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
+        const = const * _MULT_A & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool, const
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """(hi, lo) + (add_hi, add_lo) mod 2^128 on uint64 limbs."""
+    out_lo = lo + add_lo
+    return hi + add_hi + (out_lo < lo), out_lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2^128, on uint64 limbs;
+    the 64 x 64 -> 128 product of the low limbs is split into 32-bit halves."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return _add128(carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO,
+                   inc_hi, inc_lo)
+
+
 def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.ndarray:
     """Uniform parameter draws where sample i depends only on (seed, i).
 
-    The counter-based stream makes prefixes stable: enlarging the count
-    never changes the samples already drawn, so telescoping snapshot sets
-    share their parameters by construction.
+    Draw i is bit-identical to numpy's
+    ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(lo, hi)``;
+    all draws are computed at once by the same SeedSequence hash and PCG64
+    step on arrays.  The counter-based stream makes prefixes stable:
+    enlarging the count never changes the samples already drawn, so
+    telescoping snapshot sets share their parameters by construction.
     """
-    if count < 0:
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if operator.index(count) < 0:
         raise ValueError("count must be nonnegative")
     lo, hi = theta_range
     if not lo < hi:
         raise ValueError("theta_range must be increasing")
-    out = np.empty(count)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        out[i] = rng.uniform(lo, hi)
-    return out
+    lo, hi = float(lo), float(hi)
+    span = hi - lo
+    if not np.isfinite(span):
+        raise OverflowError("theta_range width exceeds the float range")
+
+    # SeedSequence: the spawn word i is the last entropy word; it is mixed
+    # into each of the four pool words in turn.
+    pool, const = _seed_pool(int(seed))
+    spawn = np.arange(count, dtype=np.uint32)
+    pool = np.array([_MIX_L * p & _MASK32 for p in pool], dtype=np.uint32)[:, None]
+    mixed = pool - _MIX_R * _hashmix_rows(spawn, 4, const, _MULT_A)
+    mixed ^= mixed >> 16
+    # generate_state(4, uint64): eight hashed 32-bit words cycling over the pool
+    state = _hashmix_rows(np.concatenate([mixed, mixed]), 8, _INIT_B, _MULT_B).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
+
+    # PCG64 seeding (state 0, step, add the seed, step), then one step and
+    # the XSL-RR output
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi_limb, lo_limb = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    for _ in range(2):
+        hi_limb, lo_limb = _pcg_step(hi_limb, lo_limb, inc_hi, inc_lo)
+    value, rot = hi_limb ^ lo_limb, hi_limb >> 58
+    value = value >> rot | value << (-rot & 63)
+    return lo + span * ((value >> 11) * (1.0 / 9007199254740992.0))
 
 
 def equispaced_parameters(count: int, theta_range=(1.0, 100.0)) -> np.ndarray:
@@ -118,9 +214,12 @@ def solve_adv_diff(theta: float, n_dofs: int, config: AdvDiffConfig = AdvDiffCon
     upper = -diff + b / 2.0
     if not np.isfinite(diag):
         raise ValueError(f"theta {theta} is too small for a mesh of {n} nodes")
-    # Interior system with the Dirichlet lift moved to the right-hand side.
+    # Interior system with the Dirichlet lift moved to the right-hand side;
+    # one buffer holds the three diagonals and the right-hand side.
     k = n - 2
-    rhs = np.full(k, h)
+    system = np.empty((4, k))
+    system.T[:] = (lower, diag, upper, h)
+    rhs = system[3]
     rhs[0] -= lower * config.bc[0]
     rhs[-1] -= upper * config.bc[1]
     if k == 1:  # LAPACK's wrapper rejects the empty off-diagonals of a 1 x 1 system
@@ -128,7 +227,7 @@ def solve_adv_diff(theta: float, n_dofs: int, config: AdvDiffConfig = AdvDiffCon
     else:
         # the tridiagonal LAPACK solver itself, without solve_banded's validation
         *_, interior, info = scipy.linalg.lapack.dgtsv(
-            np.full(k - 1, lower), np.full(k, diag), np.full(k - 1, upper), rhs, 1, 1, 1, 1)
+            system[0, 1:], system[1], system[2, :-1], rhs, 1, 1, 1, 1)
     if info != 0:
         raise ValueError(f"tridiagonal solve failed at theta={theta} (LAPACK info {info})")
     out = np.empty(n)

@@ -170,6 +170,38 @@ def test_runtime_errors_are_json(capsys, tmp_path):
     assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("alpha", ["pilot", "adaptive"])
+def test_study_rejects_a_fitted_weight_on_one_hf_sample(capsys, tmp_path, alpha):
+    argv = ["study", "--budget", "3", "--repeats", "2", "--reference-size", "40",
+            "--n-hf", "129", "--n-lf", "33", "--report-dims", "4"]
+    code, out, err = _run(capsys, *argv, "--alpha", alpha, "--out", str(tmp_path / "s"))
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["kind"] == "usage" and "m_0 >= 2" in payload["error"]
+    assert not (tmp_path / "s").exists()
+    code, out, err = _run(capsys, *argv, "--alpha", "0.5", "--out", str(tmp_path / "f"))
+    assert code == 0, err
+    assert json.loads(out)["m0"] == 1
+
+
+@pytest.mark.parametrize("alpha", ["pilot", "adaptive"])
+def test_mfpod_rejects_a_fitted_weight_on_one_hf_column(capsys, tmp_path, alpha):
+    from mfpod import write_snapshots
+
+    rng = np.random.default_rng(0)
+    hf, lf = tmp_path / "hf.mfp1", tmp_path / "lf.mfp1"
+    write_snapshots(hf, rng.standard_normal((10, 1)))
+    write_snapshots(lf, rng.standard_normal((10, 6)))
+    code, out, err = _run(capsys, "mfpod", "--hf", str(hf), "--lf", str(lf),
+                          "--alpha", alpha, "--out", str(tmp_path / "o"))
+    assert code == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["kind"] == "usage" and "m_0 >= 2" in payload["error"]
+    code, out, err = _run(capsys, "mfpod", "--hf", str(hf), "--lf", str(lf),
+                          "--alpha", "0.5", "--out", str(tmp_path / "f"))
+    assert code == 0, err
+
+
 def test_mfpod_rejects_inconsistent_files(capsys, tmp_path):
     from mfpod import write_snapshots
 

@@ -326,6 +326,34 @@ def test_run_study_mfpod_pipelines_and_aggregates():
             assert col == sorted(col)  # percentile monotonicity per dimension
 
 
+@pytest.mark.parametrize("split", ["fixed_m0:1", "even_split"])
+@pytest.mark.parametrize("mode", ["pilot_alpha", "adaptive"])
+def test_run_study_rejects_a_fitted_weight_on_one_hf_sample(mode, split):
+    # budget 3 buys m_0 = 1 under an even split; a one-sample profile is
+    # all zeros, so the fitted weight would silently drop the surrogate
+    config = StudyConfig(budget=3.0, split=split, weight_mode=mode, repeats=2,
+                         model=_SMALL, reference_size=60, report_dims=4)
+    assert allocate_budget(3.0, ModelCosts.from_config(_SMALL), split)[0] == 1
+    with mock.patch.object(experiment, "build_reference") as build, \
+            mock.patch.object(experiment, "_run_repeat") as repeat:
+        with pytest.raises(ValueError, match="m_0 >= 2"):
+            run_study(config)
+    assert not build.called and not repeat.called
+
+
+def test_run_study_fixed_weight_and_generate_accept_one_hf_sample(tmp_path):
+    config = StudyConfig(budget=3.0, split="fixed_m0:1", weight_mode="fixed:0.5", repeats=2,
+                         model=_SMALL, reference_size=60, report_dims=4)
+    report = run_study(config)
+    assert report.m0 == 1 and not report.failures
+    assert all(rec["alphas"] == [0.5] for rec in report.repeats)
+    # generating files fits no weight, so the default pilot mode is no obstacle
+    written = generate_snapshot_files(StudyConfig(budget=3.0, split="fixed_m0:1", model=_SMALL),
+                                      tmp_path)
+    assert read_snapshots(tmp_path / "snapshots_high.mfp1").shape == (129, 1)
+    assert len(written) == 3
+
+
 def test_run_study_reference_reuse_and_determinism(tmp_path):
     config = StudyConfig(budget=5.0, split="even_split", repeats=2, master_seed=7,
                          model=_SMALL, reference_size=60, report_dims=5)
