@@ -38,10 +38,8 @@ from .models import (
     ModelCosts,
     equispaced_parameters,
     fine_metric,
-    prolong,
     sample_parameters,
     snapshot,
-    solve_adv_diff,
 )
 from .pod import pod
 
@@ -242,16 +240,13 @@ def _draw(model: AdvDiffConfig, m0: int, m1: int, seed: int):
     """Prefix-stable draw of max(m0, m1) parameters with high fidelity solved
     at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
 
-    The surrogate is solved on the coarse mesh and prolonged as one block,
-    which gives the same bits as snapshot(theta, "low") column by column."""
+    The surrogate is solved as one block, which gives the same bits as
+    snapshot(theta, "low") column by column."""
     thetas = sample_parameters(max(m0, m1), seed, model.theta_range)
     hf = np.empty((model.n_hf, m0))
     for j, theta in enumerate(thetas[:m0]):
         hf[:, j] = snapshot(theta, "high", model)
-    coarse = np.empty((model.n_lf, m1))
-    for j, theta in enumerate(thetas[:m1]):
-        coarse[:, j] = solve_adv_diff(theta, model.n_lf, model)
-    return thetas, hf, prolong(coarse, model.n_hf)
+    return thetas, hf, snapshot(thetas[:m1], "low", model)
 
 
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:

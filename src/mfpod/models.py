@@ -18,6 +18,8 @@ multifidelity estimator has to tolerate.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,54 +79,76 @@ class ModelCosts:
         return cls(high=1.0, low=config.n_lf / config.n_hf)
 
 
-# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
-# 128-bit PCG64 multiplier, split into 64-bit halves.
+# numpy's SeedSequence hash constants (pool of four 32-bit words).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _hashmix_rows(rows: np.ndarray, n_rows: int, const: int, mult: int) -> np.ndarray:
-    """SeedSequence's hashmix of each of n_rows rows of a uint32 array (a
-    single row broadcasts to all of them) in turn, with the running hash
-    constant starting at const."""
-    consts = [const]
-    for _ in range(n_rows):
-        consts.append(consts[-1] * mult & _MASK32)
-    consts = np.array(consts, dtype=np.uint32)[:, None]
-    out = (rows ^ consts[:-1]) * consts[1:]
-    return out ^ out >> 16
+def _hash_consts(const: int, mult: int, count: int) -> list[int]:
+    """The running hash constants const, const * mult, ... (mod 2^32) that
+    SeedSequence's hashmix steps through, count + 1 of them."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
+# generate_state(4, uint64) hashes eight 32-bit words cycling over the pool;
+# as (2, 4, 1) arrays the constants line up with the pool word each word hashes.
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+_STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1].reshape(2, 4, 1), _STATE_CONSTS[1:].reshape(2, 4, 1)
+
+# PCG64's state at its first output: seeding (state 0, step, add the seed,
+# step) and the output's own step give, with inc = 2 seq + 1 and multiplier M,
+#     ((inc + seed) M + inc) M + inc = seed M^2 + seq 2B + B  (mod 2^128),
+# B = M^2 + M + 1: one product with a constant each for seed and seq.
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_BIAS = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _MASK128
+_PCG_FACTORS = (_PCG_MULT * _PCG_MULT & _MASK128, 2 * _PCG_BIAS & _MASK128)  # (seed, seq)
+# the factors' high limbs, low limbs and the low limbs' 32-bit halves, one row each
+_FACTOR_HI, _FACTOR_LO, _FACTOR_LO0, _FACTOR_LO1 = (
+    np.array([[f >> shift & mask] for f in _PCG_FACTORS], dtype=np.uint64)
+    for shift, mask in ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32)))
+_BIAS_HI, _BIAS_LO = np.uint64(_PCG_BIAS >> 64), np.uint64(_PCG_BIAS & _MASK64)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_schedule(n_words: int):
+    """SeedSequence's mixing of an n_words seed, zero-padded to at least
+    the pool size: the (xor, mult) hash constants of every step, the
+    (source, pool word) pair each mix step takes in, where sources 0-3 are
+    the pool words and 4 on are the seed words past the fourth, and the
+    spawn word's four xor and four mult constants as a (2, 4, 1) uint32
+    array."""
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * n_words + 4)
+    steps = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    steps += [(src, dst) for src in range(4, n_words) for dst in range(4)]
+    spawn = np.array([consts[-5:-1], consts[-4:]], dtype=np.uint32)[:, :, None]
+    spawn.flags.writeable = False  # shared by every call through the cache
+    return tuple(zip(consts, consts[1:])), tuple(steps), spawn
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """SeedSequence's pool after mixing every seed word, before the spawn
-    key, and the hash constant the spawn word continues with, in Python
-    ints.  With a spawn key the seed's words are zero-padded to the pool
-    size, so the whole seed mixes in ahead of the spawn word."""
+    key, as a (4, 1) uint32 array already multiplied by the mix constant,
+    and the spawn word's hash constants.  With a spawn key the seed's words
+    are zero-padded to the pool size, so the whole seed mixes in ahead of
+    the spawn word."""
     words = [seed >> 32 * j & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
-        const = const * _MULT_A & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool, const
+    consts, steps, spawn = _seed_schedule(len(words))
+    for j in range(4):
+        xor, mult = consts[j]
+        h = (words[j] ^ xor) * mult & _MASK32
+        words[j] = h ^ h >> 16
+    for (src, dst), (xor, mult) in zip(steps, consts[4:]):
+        h = (words[src] ^ xor) * mult & _MASK32
+        x = (_MIX_L * words[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
+        words[dst] = x ^ x >> 16
+    return np.array([[_MIX_L * p & _MASK32] for p in words[:4]], dtype=np.uint32), spawn
 
 
 def _add128(hi, lo, add_hi, add_lo):
@@ -133,16 +157,16 @@ def _add128(hi, lo, add_hi, add_lo):
     return hi + add_hi + (out_lo < lo), out_lo
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2^128, on uint64 limbs;
-    the 64 x 64 -> 128 product of the low limbs is split into 32-bit halves."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return _add128(carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO,
-                   inc_hi, inc_lo)
+def _mul_factors(hi, lo):
+    """(hi, lo) times _PCG_FACTORS mod 2^128 on uint64 limbs, one factor
+    per row; the high half of the 64 x 64 -> 128 product of the low limbs is
+    put together from 32-bit halves."""
+    a0, a1 = lo & _LOW32, lo >> _SHIFT32
+    t = a0 * _FACTOR_LO0
+    u = a1 * _FACTOR_LO0 + (t >> _SHIFT32)
+    v = a0 * _FACTOR_LO1 + (u & _LOW32)
+    carry = a1 * _FACTOR_LO1 + (u >> _SHIFT32) + (v >> _SHIFT32)
+    return carry + lo * _FACTOR_HI + hi * _FACTOR_LO, lo * _FACTOR_LO
 
 
 def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.ndarray:
@@ -166,26 +190,25 @@ def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.nda
         raise ValueError("theta_range must be increasing")
     lo, hi = float(lo), float(hi)
     span = hi - lo
-    if not np.isfinite(span):
+    if not math.isfinite(span):
         raise OverflowError("theta_range width exceeds the float range")
 
-    # SeedSequence: the spawn word i is the last entropy word; it is mixed
-    # into each of the four pool words in turn.
-    pool, const = _seed_pool(int(seed))
-    spawn = np.arange(count, dtype=np.uint32)
-    pool = np.array([_MIX_L * p & _MASK32 for p in pool], dtype=np.uint32)[:, None]
-    mixed = pool - _MIX_R * _hashmix_rows(spawn, 4, const, _MULT_A)
+    # SeedSequence: the spawn word i is the last entropy word; it is hashed
+    # and mixed into each of the four pool words in turn (one column per draw).
+    pool, (xor, mult) = _seed_pool(int(seed))
+    h = (np.arange(count, dtype=np.uint32) ^ xor) * mult
+    mixed = pool - _MIX_R * (h ^ h >> 16)
     mixed ^= mixed >> 16
-    # generate_state(4, uint64): eight hashed 32-bit words cycling over the pool
-    state = _hashmix_rows(np.concatenate([mixed, mixed]), 8, _INIT_B, _MULT_B).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
+    # generate_state(4, uint64): rows seed_hi, seed_lo, seq_hi, seq_lo
+    state = (mixed ^ _STATE_XOR) * _STATE_MULT
+    state ^= state >> 16
+    state = state.reshape(8, count).astype(np.uint64)
+    words = state[0::2] | state[1::2] << _SHIFT32
 
-    # PCG64 seeding (state 0, step, add the seed, step), then one step and
-    # the XSL-RR output
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi_limb, lo_limb = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    for _ in range(2):
-        hi_limb, lo_limb = _pcg_step(hi_limb, lo_limb, inc_hi, inc_lo)
+    # PCG64's state at its first output, then the XSL-RR output
+    hi_limbs, lo_limbs = _mul_factors(words[0::2], words[1::2])
+    hi_limb, lo_limb = _add128(hi_limbs[0], lo_limbs[0], hi_limbs[1], lo_limbs[1])
+    hi_limb, lo_limb = _add128(hi_limb, lo_limb, _BIAS_HI, _BIAS_LO)
     value, rot = hi_limb ^ lo_limb, hi_limb >> 58
     value = value >> rot | value << (-rot & 63)
     return lo + span * ((value >> 11) * (1.0 / 9007199254740992.0))
@@ -199,8 +222,13 @@ def equispaced_parameters(count: int, theta_range=(1.0, 100.0)) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def solve_adv_diff(theta: float, n_dofs: int, config: AdvDiffConfig = AdvDiffConfig()) -> np.ndarray:
-    """Finite element solution at one parameter on a uniform n_dofs mesh."""
+def solve_adv_diff(theta: float | np.ndarray, n_dofs: int,
+                   config: AdvDiffConfig = AdvDiffConfig()) -> np.ndarray:
+    """Finite element solution on a uniform n_dofs mesh at one parameter, or
+    at each of a 1-D array of m parameters as the columns of an (n_dofs, m)
+    block, which has the same bits as solving the columns one by one."""
+    if getattr(theta, "ndim", 0):
+        return _solve_block(theta, n_dofs, config)
     if not (theta > 0 and np.isfinite(theta)):
         raise ValueError(f"theta must be positive and finite, got {theta}")
     if n_dofs < 3:
@@ -234,6 +262,59 @@ def solve_adv_diff(theta: float, n_dofs: int, config: AdvDiffConfig = AdvDiffCon
     out[0] = config.bc[0]
     out[1:-1] = interior
     out[-1] = config.bc[1]
+    return out
+
+
+def _solve_block(thetas: np.ndarray, n: int, config: AdvDiffConfig) -> np.ndarray:
+    """solve_adv_diff at each parameter of a 1-D array, as one dgtsv call on
+    the block-diagonal stack of the m interior systems.
+
+    The couplings between neighbouring blocks are zero, so at every block
+    boundary LAPACK keeps the row order (|d| >= 0), its multiplier is
+    exactly 0 and no value crosses into the next block: each block gets the
+    bits of its own solve, as long as every solution is finite.  A bad
+    parameter raises the error its own solve raises, and a failed pivot
+    names the parameter of its block and its info within that block.
+    """
+    if thetas.ndim != 1:
+        raise ValueError(f"theta must be a scalar or a 1-D array, got shape {thetas.shape}")
+    if n < 3:
+        raise ValueError("need at least 3 mesh nodes")
+    b = _SIGNS[config.advection_sign]
+    h = 1.0 / (n - 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = 1.0 / (thetas * h)
+        diag = 2.0 * diff
+        ok = (thetas > 0) & np.isfinite(thetas) & np.isfinite(diag)
+    if not ok.all():
+        solve_adv_diff(float(thetas[np.argmin(ok)]), n, config)  # raises that parameter's error
+    lower = -diff - b / 2.0
+    upper = -diff + b / 2.0
+    m, k = len(thetas), n - 2
+    system = np.empty((4, m, k))
+    system[:3] = np.stack([lower, diag, upper])[:, :, None]
+    system[3] = h
+    rhs = system[3]
+    rhs[:, 0] -= lower * config.bc[0]
+    rhs[:, -1] -= upper * config.bc[1]
+    if k == 1 or m == 0:  # dgtsv's wrapper rejects empty off-diagonals
+        interior, info = rhs / diag[:, None], 0
+    else:
+        system[0, :, 0] = system[2, :, -1] = 0.0  # no coupling between blocks
+        flat = system.reshape(4, m * k)
+        *_, interior, info = scipy.linalg.lapack.dgtsv(
+            flat[0, 1:], flat[1], flat[2, :-1], flat[3], 1, 1, 1, 1)
+    if info != 0:
+        j, local = divmod(info - 1, k)
+        raise ValueError(f"tridiagonal solve failed at theta={thetas[j]} (LAPACK info {local + 1})")
+    out = np.empty((n, m))
+    out[0] = config.bc[0]
+    out[1:-1] = interior.reshape(m, k).T
+    out[-1] = config.bc[1]
+    if not np.isfinite(out).all():
+        # a non-finite solution would leak NaN across a zero coupling
+        for j, theta in enumerate(thetas):
+            out[:, j] = solve_adv_diff(theta, n, config)
     return out
 
 
@@ -280,8 +361,11 @@ def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     return out
 
 
-def snapshot(theta: float, fidelity: str, config: AdvDiffConfig = AdvDiffConfig()) -> np.ndarray:
-    """One model evaluation in the fine space.
+def snapshot(theta: float | np.ndarray, fidelity: str,
+             config: AdvDiffConfig = AdvDiffConfig()) -> np.ndarray:
+    """One model evaluation in the fine space, or the (n_hf, m) block of
+    evaluations at a 1-D array of m parameters, with the same bits as the
+    columns evaluated one by one.
 
     ``fidelity="high"`` solves on the fine mesh; ``"low"`` solves on the
     coarse mesh and prolongs the result.
@@ -297,12 +381,13 @@ def snapshot(theta: float, fidelity: str, config: AdvDiffConfig = AdvDiffConfig(
 class ModelPair:
     """Callable bundle of a high/low fidelity pair sharing one parameter.
 
-    ``high`` and ``low`` map a parameter to a snapshot in the same space;
+    ``high`` and ``low`` map a parameter to a snapshot in the same space,
+    and a 1-D array of m parameters to the (n, m) block of their snapshots;
     ``sampler(count, seed)`` draws shared parameters prefix-stably.
     """
 
-    high: Callable[[float], np.ndarray]
-    low: Callable[[float], np.ndarray]
+    high: Callable[[float | np.ndarray], np.ndarray]
+    low: Callable[[float | np.ndarray], np.ndarray]
     metric: Metric
     sampler: Callable[[int, int], np.ndarray]
     costs: ModelCosts = field(default_factory=ModelCosts)

@@ -84,7 +84,7 @@ def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alph
         for rep in range(repeats):
             thetas = pair.sampler(q1 * m0, _study_seed(seed, m0, rep))
             hf = np.column_stack([pair.high(t) for t in thetas[:m0]])
-            lf = np.column_stack([pair.low(t) for t in thetas])
+            lf = pair.low(thetas)
             sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
             yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
 

@@ -225,6 +225,84 @@ def test_tridiagonal_solve_failures_raise(monkeypatch):
         solve_adv_diff(10.0, 65, cfg)
 
 
+_EXTREME_THETAS = (1e-3, 1e4, 1.0, 100.0)
+
+
+def _block_thetas(m):
+    """m parameters that open with the extremes and fill up log-uniformly."""
+    return np.resize(np.concatenate([_EXTREME_THETAS, np.geomspace(1e-3, 1e4, 61)]), m)
+
+
+def _assert_same_block(block, columns, n, m):
+    want = np.column_stack(columns) if m else np.empty((n, 0))
+    assert block.shape == (n, m) and block.flags.c_contiguous
+    assert block.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sign", ["boundary_layer", "literal"])
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 33, 129, 4097])
+def test_block_solve_is_bitwise_column_by_column(n, sign):
+    cfg = AdvDiffConfig(advection_sign=sign)
+    for m in (0, 1, 2, 248):
+        thetas = _block_thetas(m)
+        _assert_same_block(solve_adv_diff(thetas, n, cfg),
+                           [solve_adv_diff(t, n, cfg) for t in thetas], n, m)
+
+
+@pytest.mark.parametrize("sign", ["boundary_layer", "literal"])
+@pytest.mark.parametrize("n_hf, n_lf", [(129, 3), (129, 5), (129, 17), (4097, 33), (65, 65)])
+def test_block_snapshot_is_bitwise_column_by_column(n_hf, n_lf, sign):
+    cfg = AdvDiffConfig(n_hf=n_hf, n_lf=n_lf, advection_sign=sign)
+    for fidelity in ("high", "low"):
+        for m in (0, 1, 2, 248):
+            thetas = _block_thetas(m)
+            _assert_same_block(snapshot(thetas, fidelity, cfg),
+                               [snapshot(t, fidelity, cfg) for t in thetas], n_hf, m)
+
+
+def test_block_solve_keeps_a_non_finite_column_to_itself():
+    # lower * bc overflows at theta = 1e-3 only; a NaN there must not reach
+    # the other blocks through their zero couplings
+    cfg = AdvDiffConfig(bc=(1e306, -1e306))
+    thetas = np.array([1e4, 1e-3, 50.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = solve_adv_diff(thetas, 17, cfg)
+        columns = [solve_adv_diff(t, 17, cfg) for t in thetas]
+    assert not np.isfinite(columns[1]).all() and np.isfinite(columns[0]).all()
+    _assert_same_block(block, columns, 17, 3)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, 1e-310])
+def test_block_solve_raises_the_error_of_its_bad_parameter(bad):
+    cfg = AdvDiffConfig(n_hf=65, n_lf=33)
+    with pytest.raises(ValueError) as scalar:
+        solve_adv_diff(bad, 33, cfg)
+    for call in (lambda t: solve_adv_diff(t, 33, cfg), lambda t: snapshot(t, "low", cfg)):
+        with pytest.raises(ValueError) as block:
+            call(np.array([5.0, 7.0, bad, 9.0]))
+        assert str(block.value) == str(scalar.value)
+        assert str(bad) in str(block.value)
+
+
+@pytest.mark.parametrize("info, column, local",
+                         [(5, 0, 5), (63, 0, 63), (63 + 5, 1, 5), (3 * 63, 2, 63)])
+def test_block_solve_failure_names_its_parameter_and_local_info(monkeypatch, info, column, local):
+    cfg = AdvDiffConfig(n_hf=65, n_lf=33)
+    thetas = np.array([3.0, 4.5, 6.25])
+
+    def failing(dl, d, du, b, *overwrite):
+        return np.zeros_like(dl), d, du, np.zeros_like(b), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", failing)
+    with pytest.raises(ValueError, match=rf"theta={thetas[column]} \(LAPACK info {local}\)"):
+        solve_adv_diff(thetas, 65, cfg)
+
+
+def test_solve_rejects_a_parameter_array_of_two_dimensions():
+    with pytest.raises(ValueError, match="1-D"):
+        solve_adv_diff(np.ones((2, 2)), 17)
+
+
 def test_snapshot_shapes_and_determinism():
     cfg = AdvDiffConfig(n_hf=129, n_lf=33)
     hi = snapshot(12.0, "high", cfg)
@@ -266,6 +344,8 @@ def test_model_pair_wiring():
     u = pair.high(thetas[0])
     v = pair.low(thetas[0])
     assert u.shape == v.shape == (129,)
+    assert pair.high(thetas).shape == pair.low(thetas).shape == (129, 3)
+    np.testing.assert_array_equal(pair.low(thetas)[:, 0], v)
     assert pair.costs.low == pytest.approx(33.0 / 129.0)
     assert pair.metric.n == 129
 

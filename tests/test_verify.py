@@ -17,7 +17,7 @@ from mfpod import (
     subspace_alignment,
 )
 from mfpod.core import _CHUNK
-from mfpod.verify import _study_seed
+from mfpod.verify import _grid_draws, _study_seed
 
 from conftest import random_spd_metric
 
@@ -42,10 +42,12 @@ def test_subspace_alignment_identity_and_complement():
 
 
 def _constant_pair(n=6):
-    u = np.ones(n)
+    def constant(theta):  # one snapshot per parameter, an (n, m) block for m of them
+        return np.ones((n,) + np.shape(theta))
+
     return ModelPair(
-        high=lambda t: u.copy(),
-        low=lambda t: u.copy(),
+        high=constant,
+        low=constant,
         metric=Metric.euclidean(n),
         sampler=lambda count, seed: sample_parameters(count, seed, (1.0, 100.0)),
         costs=ModelCosts(1.0, 0.25),
@@ -86,6 +88,24 @@ def test_convergence_study_identical_levels_match_plain_mc():
             mc = (t @ t.T) / (q1 * m0)
             errs[rep] = np.sum((mc - ref) ** 2)
         assert res.mean_sq_errors[k] == pytest.approx(errs.mean(), rel=1e-10)
+
+
+def test_grid_draws_on_surrogate_blocks_match_the_per_theta_route():
+    pair = _small_pair()
+
+    def per_theta(theta):  # the surrogate solved one parameter at a time
+        if np.ndim(theta):
+            return np.column_stack([pair.low(t) for t in theta])
+        return pair.low(theta)
+
+    columns = ModelPair(high=pair.high, low=per_theta, metric=pair.metric,
+                        sampler=pair.sampler, costs=pair.costs)
+    def operators(p):
+        return [[op.tobytes() for op in ops] for _, ops in _grid_draws(p, 4, (2, 4), 30, 6, 1.0)[1]]
+
+    draws = operators(pair)
+    assert [len(ops) for ops in draws] == [30, 30]
+    assert draws == operators(columns)
 
 
 def test_convergence_study_validation():
