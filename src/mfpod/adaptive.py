@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, validate_levels
+from .core import Metric, validate_levels
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
-from .estimator import estimate_profile, optimal_alpha
+from .estimator import VarianceProfile, _profile, optimal_alpha
+from .estimator import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
 
 __all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
@@ -56,6 +57,18 @@ class AdaptiveTrace:
         return tuple(s.residual for s in self.steps)
 
 
+def _span_profile(span: SnapshotSpan, z: np.ndarray) -> VarianceProfile:
+    """estimate_profile at the basis Q z, read off the span coordinates P of
+    the shared columns: their residual energies are the column norms^2 of
+    P - Z (Z^T P), short of the energy of the columns' parts outside the
+    span, which the span's dependence rule keeps below (1e-12)^2 times the
+    largest column energy."""
+    shared = span.projections[:2]  # S_0 and S_1,shared: the m_0 shared draws
+    resids = [p - z @ (z.T @ p) for p in shared]
+    return _profile([np.einsum("ij,ij->j", r, r) for r in resids],
+                    [float(np.einsum("ij,ij->j", p, p).max()) for p in shared])
+
+
 def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, AdaptiveTrace]:
     """Multifidelity POD with the weight re-estimated before every mode.
 
@@ -83,7 +96,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
     # Everything below runs in the fixed snapshot-span coordinates: the
     # operator is B(alpha) = B_hf + alpha * B_corr, a small dense matrix.
     span = SnapshotSpan.from_sets(sets, metric)
-    q, p0, rank = span.basis, span.projections[0], span.rank
+    p0, rank = span.projections[0], span.rank
     norm0 = float(np.linalg.norm(p0))
     z = np.zeros((rank, 0))
     raw, plus, steps = [], [], []
@@ -106,8 +119,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
             return finalize("residual")
         if z.shape[1] >= rank:
             return finalize("rank")
-        current = Basis(metric.from_coords(q @ z), metric)
-        alpha = optimal_alpha(estimate_profile(current, sets))[0]
+        alpha = optimal_alpha(_span_profile(span, z))[0]
         full = span.operator((alpha,))
         b = full
         if z.shape[1]:

@@ -298,18 +298,19 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
     if n != metric.n:
         raise ValueError(f"vectors live in R^{n} but metric has n={metric.n}")
     scale = float(np.sqrt(metric.norms_sq(v).max())) if k else 0.0
-    q = np.empty((n, k))
+    # Q^T by rows, so that each projection is a contiguous matrix-vector product
+    qt = np.empty((k, n))
     kept = 0
     for j in range(k):
         w = v[:, j].copy()
         for _ in range(2):
             if kept:
-                w -= q[:, :kept] @ (q[:, :kept].T @ metric.apply(w))
+                w -= qt[:kept].T @ (qt[:kept] @ metric.apply(w))
         nw = metric.norm(w)
         if nw > tol * scale:
-            q[:, kept] = w / nw
+            qt[kept] = w / nw
             kept += 1
-    return Basis(q[:, :kept].copy(), metric).check(1e-9)
+    return Basis(qt[:kept].T.copy(), metric).check(1e-9)
 
 
 # Snapshot columns per chunk of a streamed second moment, so that at most an

@@ -142,15 +142,22 @@ def estimate_profile(basis: Basis, sets) -> VarianceProfile:
     """
     validate_levels(sets)
     m0 = sets[0].count
-    xs = []
-    for s in sets:
-        cols = s.shared[:, :m0]
-        e = _residual_energies(basis, cols)
-        # residual energies at roundoff level are exact zeros in disguise;
-        # without the clamp a fully captured level gets a garbage variance
-        e[e <= 1e-24 * max(float(basis.metric.norms_sq(cols).max()), 1e-300)] = 0.0
-        xs.append(e)
-    levels = len(sets)
+    cols = [s.shared[:, :m0] for s in sets]
+    return _profile(
+        [_residual_energies(basis, c) for c in cols],
+        [float(basis.metric.norms_sq(c).max()) for c in cols],
+    )
+
+
+def _profile(energies, scales) -> VarianceProfile:
+    """Moments of the per-level residual energies on the m_0 shared samples,
+    each level's energies clamped against ``scales[ell]``, the largest
+    squared norm of its shared columns."""
+    m0 = len(energies[0])
+    # residual energies at roundoff level are exact zeros in disguise;
+    # without the clamp a fully captured level gets a garbage variance
+    xs = [np.where(e <= 1e-24 * max(scale, 1e-300), 0.0, e) for e, scale in zip(energies, scales)]
+    levels = len(xs)
     sigma2 = np.zeros(levels)
     cov0 = np.zeros(levels - 1)
     if m0 > 1:

@@ -147,8 +147,9 @@ class SnapshotSpan:
     @classmethod
     def from_sets(cls, sets, metric: Metric) -> "SnapshotSpan":
         sets = _check_sets(sets, metric)
-        coords = [metric.to_coords(s) for s in _snapshot_blocks(sets)]
-        stacked = np.hstack(coords)
+        blocks = _snapshot_blocks(sets)
+        # one transform of all blocks: it maps each column by itself
+        stacked = metric.to_coords(np.hstack(blocks))
         scale = float(np.sqrt(Metric.euclidean(metric.n).norms_sq(stacked).max(initial=0.0)))
         q, coeffs = np.zeros((metric.n, 0)), []
         for start in range(0, stacked.shape[1], _SPAN_BLOCK):
@@ -157,7 +158,7 @@ class SnapshotSpan:
         # Earlier blocks lie in the span they grew up to the dependence
         # rule, so their coefficients on later directions are zero.
         p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs])
-        splits = np.cumsum([t.shape[1] for t in coords])[:-1]
+        splits = np.cumsum([b.shape[1] for b in blocks])[:-1]
         return cls(q, tuple(np.split(p, splits, axis=1)), tuple(s.count for s in sets), metric)
 
     @property

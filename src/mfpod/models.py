@@ -236,7 +236,9 @@ def solve_adv_diff(theta: float | np.ndarray, n_dofs: int,
     b = _SIGNS[config.advection_sign]
     n = n_dofs
     h = 1.0 / (n - 1)
-    diff = 1.0 / (theta * h)
+    # in Python floats, whose overflow to inf raises no numpy warning ahead
+    # of the ValueError below
+    diff = 1.0 / (float(theta) * h)
     lower = -diff - b / 2.0
     diag = 2.0 * diff
     upper = -diff + b / 2.0
@@ -334,6 +336,10 @@ def fine_metric(config: AdvDiffConfig) -> Metric:
     return Metric.from_weight(mass_matrix(config.n_hf))
 
 
+# Fine-mesh entries per group of coarse intervals that prolong fills at once.
+_PROLONG_GROUP = 1 << 15
+
+
 def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     """Linear interpolation onto the nested fine mesh, of one coarse vector
     or of each column of an (n_lf, m) block.
@@ -353,9 +359,17 @@ def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
         return c.copy()
     cols = c.shape[1:]
     s = np.arange(k).reshape((k,) + (1,) * len(cols))
-    segs = (c[:-1, None] * (k - s) + c[1:, None] * s) / k
     out = np.empty((n_hf,) + cols)
-    out[:-1] = segs.reshape((n_hf - 1,) + cols)
+    # (c_i (k - s) + c_{i+1} s) / k, written in place into out group by group
+    # of coarse intervals, so that a group's temporary stays cache-sized
+    segs = out[:-1].reshape((n_lf - 1, k) + cols)
+    group = max(1, _PROLONG_GROUP // (k * max(1, c.size // n_lf)))
+    for a in range(0, n_lf - 1, group):
+        b = min(a + group, n_lf - 1)
+        seg = segs[a:b]
+        np.multiply(c[a:b, None], k - s, out=seg)
+        seg += c[a + 1:b + 1, None] * s
+        seg /= k
     out[-1] = c[-1]
     out[::k] = c  # exact nodal values regardless of rounding
     return out

@@ -115,6 +115,22 @@ def test_orthonormalize_random_satisfies_basis_invariant():
     assert b.orthonormality_defect() < 1e-10
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_orthonormalize_graded_input_stays_orthonormal_and_spans_every_column(weighted):
+    # singular values fall from 1 to 1e-14, so the trailing columns are
+    # nearly dependent and the first Gram-Schmidt pass cancels heavily
+    rng = np.random.default_rng(8)
+    n, k = 300, 40
+    u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = (u * np.logspace(0, -14, k)) @ v.T
+    metric = Metric.from_weight(mass_matrix(n)) if weighted else Metric.euclidean(n)
+    basis = orthonormalize(a, metric)
+    assert basis.orthonormality_defect() <= 1e-9
+    resid = np.sqrt(metric.norms_sq(a - project(basis, a)))
+    assert resid.max() <= 4 * 1e-12 * np.sqrt(metric.norms_sq(a).max())
+
+
 def test_basis_defect_and_check():
     m = Metric.euclidean(4)
     good = Basis(np.eye(4)[:, :2], m)

@@ -222,8 +222,8 @@ def test_correction_counters_on_negative_spectrum():
     assert (mf.corrected_eigvals >= 0).all()
 
 
-def test_one_span_orthonormalization_and_one_transform_per_block(monkeypatch):
-    calls = {"orthonormalize": 0, "to_coords": 0}
+def test_one_span_orthonormalization_and_each_column_transformed_once(monkeypatch):
+    calls = {"orthonormalize": 0, "transformed_columns": 0}
     original_orth, original_coords = orthonormalize, Metric.to_coords
 
     def counted_orth(*args, **kwargs):
@@ -231,7 +231,7 @@ def test_one_span_orthonormalization_and_one_transform_per_block(monkeypatch):
         return original_orth(*args, **kwargs)
 
     def counted_coords(self, x):
-        calls["to_coords"] += 1
+        calls["transformed_columns"] += np.asarray(x).shape[1]
         return original_coords(self, x)
 
     for name in ("core", "solver", "mfpod", "adaptive", "pod"):
@@ -241,13 +241,14 @@ def test_one_span_orthonormalization_and_one_transform_per_block(monkeypatch):
     rng = np.random.default_rng(10)
     metric = random_spd_metric(rng, 12)
     sets = random_instance(rng, 12, 2, 6, metric)
+    columns = sets[0].count + sets[1].count  # every snapshot column of the span
     mf = mfpod_fixed(sets, (5.0,), kappa=0.99, metric=metric)
     assert mf.correction_count >= 1  # the repair path ran
-    assert calls == {"orthonormalize": 1, "to_coords": 3}
+    assert calls == {"orthonormalize": 1, "transformed_columns": columns}
 
-    calls.update(orthonormalize=0, to_coords=0)
+    calls.update(orthonormalize=0, transformed_columns=0)
     mfpod_adaptive(sets, kappa=0.99, metric=metric)
-    assert calls == {"orthonormalize": 1, "to_coords": 3}
+    assert calls == {"orthonormalize": 1, "transformed_columns": columns}
 
 
 # -- the span across several Gram-Schmidt blocks -------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from mfpod import (
     snapshot,
     solve_adv_diff,
 )
+import mfpod.models as models
 
 
 def _analytic_boundary_layer(x, theta):
@@ -175,6 +178,33 @@ def test_block_prolongation_matches_column_by_column(m, n_hf):
         np.testing.assert_array_equal(fine[::k], block)  # exact coarse nodal values
 
 
+def _one_expression_prolong(c, n_hf):
+    """Linear interpolation as a single expression over all coarse intervals."""
+    n_lf, cols = c.shape[0], c.shape[1:]
+    k = (n_hf - 1) // (n_lf - 1)
+    s = np.arange(k).reshape((k,) + (1,) * len(cols))
+    out = np.empty((n_hf,) + cols)
+    out[:-1] = ((c[:-1, None] * (k - s) + c[1:, None] * s) / k).reshape((n_hf - 1,) + cols)
+    out[-1] = c[-1]
+    out[::k] = c
+    return out
+
+
+@pytest.mark.parametrize("n_lf, n_hf, m", [
+    (33, 4097, None), (17, 17, 5), (17, 129, 0), (17, 129, 1), (17, 129, 8), (17, 129, 128),
+    (33, 4097, 0), (33, 4097, 1), (33, 4097, 248), (33, 4097, 620), (33, 4097, 50), (17, 129, 300),
+])
+def test_prolong_is_bytewise_the_one_expression_formula(n_lf, n_hf, m):
+    rng = np.random.default_rng(n_hf + (m or 0))
+    c = rng.standard_normal((n_lf,) if m is None else (n_lf, m))
+    if m in (50, 300):  # a block whose last group of coarse intervals is partial
+        k = (n_hf - 1) // (n_lf - 1)
+        assert (n_lf - 1) % (models._PROLONG_GROUP // (k * m)) != 0
+    fine = prolong(c, n_hf)
+    assert fine.shape == (n_hf,) + c.shape[1:]
+    assert fine.tobytes() == _one_expression_prolong(c, n_hf).tobytes()
+
+
 def _interior_system(theta, n, cfg):
     """Dense interior matrix and right-hand side of the finite element
     system, assembled from the stencil (1/(theta h)) [-1 2 -1] + (b/2) [-1 0 1]
@@ -210,6 +240,14 @@ def test_tridiagonal_solve_matches_dense_solve(n, sign):
         # n = 4097), where two stable solvers still agree to about 4e-12
         tol = 1e-12 if n < 4097 else 1e-11
         assert np.linalg.norm(x - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("theta", [1e-310, np.float64(1e-310), np.array([5.0, 1e-310])])
+def test_too_small_theta_raises_without_a_warning(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small for a mesh of 33 nodes"):
+            solve_adv_diff(theta, 33)
 
 
 def test_tridiagonal_solve_failures_raise(monkeypatch):
