@@ -30,7 +30,7 @@ from .experiment import (
 from .mfpod import select_dim
 from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
 from .pod import pod
-from .verify import convergence_study, eigenvalue_sum_mse, reference_matrix
+from .verify import _check_grid, _check_r, convergence_study, eigenvalue_sum_mse, reference_matrix
 
 _SPLITS = {"even": "even_split", "hf-only": "hf_only", "lf-only": "lf_only"}
 _MODELS = {"literal": "literal", "boundary-layer": "boundary_layer"}
@@ -76,6 +76,14 @@ def _weight_mode(alpha: str) -> str:
 def _require_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
     try:
         _check_weight_samples(weight_mode, m0, m1)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
+
+
+def _study_config(args, **fields) -> StudyConfig:
+    try:
+        return StudyConfig(budget=args.budget, split=_split_policy(args.split),
+                           master_seed=args.seed, model=_model_config(args), **fields)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 
@@ -148,10 +156,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> dict:
-    config = StudyConfig(
-        budget=args.budget, split=_split_policy(args.split),
-        master_seed=args.seed, model=_model_config(args),
-    )
+    config = _study_config(args)
     written = generate_snapshot_files(config, args.out)
     return {"written": written}
 
@@ -205,10 +210,8 @@ def _cmd_mfpod(args) -> dict:
 
 
 def _cmd_study(args) -> dict:
-    config = StudyConfig(
-        budget=args.budget, split=_split_policy(args.split),
-        weight_mode=_weight_mode(args.alpha), kappa=args.kappa,
-        repeats=args.repeats, master_seed=args.seed, model=_model_config(args),
+    config = _study_config(
+        args, weight_mode=_weight_mode(args.alpha), kappa=args.kappa, repeats=args.repeats,
         reference_size=args.reference_size, report_dims=args.report_dims,
     )
     costs = ModelCosts.from_config(config.model)
@@ -226,8 +229,13 @@ def _cmd_study(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    grid = tuple(int(x) for x in args.m0_grid.split(","))
-    pair = make_model_pair(_model_config(args))
+    try:  # every flag before the reference build, the slow part
+        pair = make_model_pair(_model_config(args))
+        grid = _check_grid(args.q1, args.m0_grid.split(","), args.repeats)
+        if args.check != "convergence":
+            _check_r(args.r, pair.metric.n)
+    except ValueError as exc:
+        raise _CliError(f"bad flag value: {exc}") from None
     out: dict = {"m0_grid": list(grid), "q1": args.q1, "alpha": args.alpha}
     reference = reference_matrix(pair, args.reference_size, args.seed)
     conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed, alpha=args.alpha,

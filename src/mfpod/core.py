@@ -290,8 +290,11 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
 
     One reorthogonalization pass restores orthogonality lost to cancellation.
     Columns whose residual norm falls to tol times the largest input column
-    norm are treated as dependent and dropped, so the result's dimension is
-    the numerical rank of the input.
+    norm are treated as dependent and dropped.  The result's dimension can
+    exceed the numerical rank of the input by a few directions: a direction
+    found from a residual near the smallest singular value is known only to
+    about eps / sigma_min, so later columns of a graded set can leave
+    roundoff residuals above the rule, and those directions are kept.
     """
     v = _as_matrix(vectors)
     n, k = v.shape

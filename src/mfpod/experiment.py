@@ -36,11 +36,13 @@ from .mfpod import _SPAN_BLOCK, MfBasis, _extend_span, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
+    _draw,
     equispaced_parameters,
     fine_metric,
-    sample_parameters,
+    make_model_pair,
     snapshot,
 )
+from .models import sample_parameters  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .pod import pod
 
 __all__ = [
@@ -236,19 +238,6 @@ def _repeat_seed(master_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=(rep,)).generate_state(1)[0])
 
 
-def _draw(model: AdvDiffConfig, m0: int, m1: int, seed: int):
-    """Prefix-stable draw of max(m0, m1) parameters with high fidelity solved
-    at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
-
-    The surrogate is solved as one block, which gives the same bits as
-    snapshot(theta, "low") column by column."""
-    thetas = sample_parameters(max(m0, m1), seed, model.theta_range)
-    hf = np.empty((model.n_hf, m0))
-    for j, theta in enumerate(thetas[:m0]):
-        hf[:, j] = snapshot(theta, "high", model)
-    return thetas, hf, snapshot(thetas[:m1], "low", model)
-
-
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
     """Multifidelity basis under a StudyConfig weight mode, with the weights
     used and, for the adaptive mode, why its mode search stopped."""
@@ -302,22 +291,10 @@ def _jsonable(obj):
     return obj
 
 
-def _nearest_rank(sorted_vals: np.ndarray, p: float) -> float:
-    n = len(sorted_vals)
-    k = max(1, math.ceil(p / 100.0 * n))
-    return float(sorted_vals[k - 1])
-
-
 def _percentile_rows(matrix: np.ndarray) -> dict:
     """Nearest-rank percentiles per column of a repeats x dims matrix."""
-    out = {}
-    for p in _PERCENTILES:
-        row = []
-        for j in range(matrix.shape[1]):
-            col = np.sort(matrix[:, j])
-            row.append(_nearest_rank(col, p))
-        out[f"p{p}"] = row
-    return out
+    rows = np.percentile(matrix, _PERCENTILES, axis=0, method="inverted_cdf")
+    return {f"p{p}": row.tolist() for p, row in zip(_PERCENTILES, rows)}
 
 
 def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyReport:
@@ -332,8 +309,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     exception propagates.
     """
     model = config.model
-    costs = ModelCosts.from_config(model)
-    m0, m1 = allocate_budget(config.budget, costs, config.split)
+    pair = make_model_pair(model)
+    m0, m1 = allocate_budget(config.budget, pair.costs, config.split)
     _check_weight_samples(config.weight_mode, m0, m1)
     split_kind, _ = _parse_split(config.split)
     if reference is None:
@@ -348,7 +325,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         seed = _repeat_seed(config.master_seed, rep)
         started = time.perf_counter()
         try:
-            records.append(_run_repeat(rep, seed, costs, metric, m0, m1, pipeline,
+            records.append(_run_repeat(rep, seed, pair, metric, m0, m1, pipeline,
                                        config, reference))
         except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
@@ -376,12 +353,12 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     )
 
 
-def _run_repeat(rep, seed, costs, metric, m0, m1, pipeline, config, reference) -> dict:
-    model, dims = config.model, config.report_dims
+def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) -> dict:
+    dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
-    _, hf, lf = _draw(model, m0, m1, seed)
+    _, hf, lf = _draw(pair, m0, m1, seed)
     if pipeline == "mfpod":
-        sets = SnapshotSet.two_level(hf, lf, costs.high, costs.low)
+        sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
         mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
         record.update(weights)
         record.update({
@@ -469,9 +446,9 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
     the split, and manifest.json describing the draw.
     """
     model = config.model
-    costs = ModelCosts.from_config(model)
-    m0, m1 = allocate_budget(config.budget, costs, config.split)
-    thetas, hf, lf = _draw(model, m0, m1, config.master_seed)
+    pair = make_model_pair(model)
+    m0, m1 = allocate_budget(config.budget, pair.costs, config.split)
+    thetas, hf, lf = _draw(pair, m0, m1, config.master_seed)
     os.makedirs(outdir, exist_ok=True)
     written = []
     manifest = {
@@ -481,7 +458,7 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
         "master_seed": config.master_seed,
         "m0": m0,
         "m1": m1,
-        "costs": {"high": costs.high, "low": costs.low},
+        "costs": {"high": pair.costs.high, "low": pair.costs.low},
         "thetas": list(thetas),
         "format": "MFP1",
     }

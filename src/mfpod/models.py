@@ -86,18 +86,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_consts(const: int, mult: int, count: int) -> list[int]:
-    """The running hash constants const, const * mult, ... (mod 2^32) that
-    SeedSequence's hashmix steps through, count + 1 of them."""
-    out = [const]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hash_consts(const: int, mult: int, steps) -> np.ndarray:
+    """The running hash constant const * mult^j (mod 2^32) of each step j
+    that SeedSequence's hashmix steps through, as a uint32 array."""
+    return np.array([const * pow(mult, j, 1 << 32) & _MASK32 for j in steps], dtype=np.uint32)
 
 
 # generate_state(4, uint64) hashes eight 32-bit words cycling over the pool;
 # as (2, 4, 1) arrays the constants line up with the pool word each word hashes.
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, range(9))
 _STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1].reshape(2, 4, 1), _STATE_CONSTS[1:].reshape(2, 4, 1)
 
 # PCG64's state at its first output: seeding (state 0, step, add the seed,
@@ -117,38 +114,16 @@ _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 @functools.lru_cache(maxsize=None)
-def _seed_schedule(n_words: int):
-    """SeedSequence's mixing of an n_words seed, zero-padded to at least
-    the pool size: the (xor, mult) hash constants of every step, the
-    (source, pool word) pair each mix step takes in, where sources 0-3 are
-    the pool words and 4 on are the seed words past the fourth, and the
-    spawn word's four xor and four mult constants as a (2, 4, 1) uint32
-    array."""
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * n_words + 4)
-    steps = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    steps += [(src, dst) for src in range(4, n_words) for dst in range(4)]
-    spawn = np.array([consts[-5:-1], consts[-4:]], dtype=np.uint32)[:, :, None]
+def _spawn_consts(n_words: int) -> np.ndarray:
+    """The hash constants of the spawn word that follows an n_words seed
+    (n_words >= 4), as a (2, 4, 1) uint32 array of four xor and four mult
+    constants.  The pool takes 4 hash steps, its cross-mixing 12 and each
+    seed word past the fourth 4, so the spawn word's four steps are
+    4 n_words ... 4 n_words + 3."""
+    consts = _hash_consts(_INIT_A, _MULT_A, range(4 * n_words, 4 * n_words + 5))
+    spawn = np.stack([consts[:-1], consts[1:]])[:, :, None]
     spawn.flags.writeable = False  # shared by every call through the cache
-    return tuple(zip(consts, consts[1:])), tuple(steps), spawn
-
-
-def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """SeedSequence's pool after mixing every seed word, before the spawn
-    key, as a (4, 1) uint32 array already multiplied by the mix constant,
-    and the spawn word's hash constants.  With a spawn key the seed's words
-    are zero-padded to the pool size, so the whole seed mixes in ahead of
-    the spawn word."""
-    words = [seed >> 32 * j & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
-    consts, steps, spawn = _seed_schedule(len(words))
-    for j in range(4):
-        xor, mult = consts[j]
-        h = (words[j] ^ xor) * mult & _MASK32
-        words[j] = h ^ h >> 16
-    for (src, dst), (xor, mult) in zip(steps, consts[4:]):
-        h = (words[src] ^ xor) * mult & _MASK32
-        x = (_MIX_L * words[dst] - _MIX_R * (h ^ h >> 16)) & _MASK32
-        words[dst] = x ^ x >> 16
-    return np.array([[_MIX_L * p & _MASK32] for p in words[:4]], dtype=np.uint32), spawn
+    return spawn
 
 
 def _add128(hi, lo, add_hi, add_lo):
@@ -193,9 +168,14 @@ def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.nda
     if not math.isfinite(span):
         raise OverflowError("theta_range width exceeds the float range")
 
-    # SeedSequence: the spawn word i is the last entropy word; it is hashed
-    # and mixed into each of the four pool words in turn (one column per draw).
-    pool, (xor, mult) = _seed_pool(int(seed))
+    # SeedSequence: with a spawn key the seed is zero-padded to the pool size,
+    # which leaves the pool of SeedSequence(seed) as it is, and the spawn word
+    # i, the last entropy word, is hashed and mixed into each of the four pool
+    # words in turn (one column per draw).
+    seed = int(seed)
+    pool = np.array([[_MIX_L * int(p) & _MASK32] for p in np.random.SeedSequence(seed).pool],
+                    dtype=np.uint32)
+    xor, mult = _spawn_consts(max(4, -(-seed.bit_length() // 32)))
     h = (np.arange(count, dtype=np.uint32) ^ xor) * mult
     mixed = pool - _MIX_R * (h ^ h >> 16)
     mixed ^= mixed >> 16
@@ -332,8 +312,16 @@ def mass_matrix(n_dofs: int) -> scipy.sparse.csr_matrix:
 
 
 def fine_metric(config: AdvDiffConfig) -> Metric:
-    """L^2 inner product on the fine mesh."""
-    return Metric.from_weight(mass_matrix(config.n_hf))
+    """L^2 inner product on the fine mesh, shared by every config with the
+    same n_hf."""
+    return _mass_metric(config.n_hf)
+
+
+@functools.lru_cache(maxsize=16)
+def _mass_metric(n: int) -> Metric:
+    # keyed on the node count, not the config, which a list theta_range
+    # makes unhashable; a Metric is never modified after its factorization
+    return Metric.from_weight(mass_matrix(n))
 
 
 # Fine-mesh entries per group of coarse intervals that prolong fills at once.
@@ -416,3 +404,17 @@ def make_model_pair(config: AdvDiffConfig) -> ModelPair:
         sampler=lambda count, seed: sample_parameters(count, seed, config.theta_range),
         costs=ModelCosts.from_config(config),
     )
+
+
+def _draw(pair: ModelPair, m0: int, m1: int, seed: int):
+    """Prefix-stable draw of max(m0, m1) shared parameters with high fidelity
+    solved at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
+
+    High fidelity is solved one parameter at a time into a C-ordered array,
+    the surrogate as one block, which has the bits of its columns solved one
+    by one; a zero count gives an (n, 0) array."""
+    thetas = pair.sampler(max(m0, m1), seed)
+    hf = np.empty((pair.metric.n, m0))
+    for j, theta in enumerate(thetas[:m0]):
+        hf[:, j] = pair.high(theta)
+    return thetas, hf, pair.low(thetas[:m1])

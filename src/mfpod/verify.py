@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .core import Basis, Metric, SnapshotSet, _second_moment, project
 from .mfpod import _DENSE_CAP, build_operator
-from .models import ModelPair
+from .models import ModelPair, _draw
 
 __all__ = [
     "ConvergenceStudyResult",
@@ -68,10 +68,8 @@ def _study_seed(seed: int, m0: int, rep: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(m0, rep)).generate_state(1)[0])
 
 
-def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):
-    """Validate a study's m_0 grid, repeats and q1, then return the grid and,
-    per grid point, a lazy stream of the assembled operators (in metric
-    coordinates) of its repeats' prefix-stable draws with m_1 = q1 * m_0."""
+def _check_grid(q1: int, m0_grid, repeats: int) -> tuple[int, ...]:
+    """A study's m_0 grid as a tuple, after checking it, repeats and q1."""
     grid = tuple(int(m) for m in m0_grid)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ValueError("m0_grid must be strictly increasing with at least two points")
@@ -79,12 +77,26 @@ def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alph
         raise ValueError("need at least 30 repeats per grid point")
     if q1 < 2:
         raise ValueError("q1 must be at least 2 so that m_1 > m_0")
+    return grid
+
+
+def _check_r(r: int, n: int) -> None:
+    """Check an eigenvalue-sum dimension r against the ambient dimension n."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if r >= n:
+        raise ValueError("r must be smaller than the ambient dimension")
+
+
+def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):
+    """Check a study's m_0 grid, repeats and q1, then return the grid and,
+    per grid point, a lazy stream of the assembled operators (in metric
+    coordinates) of its repeats' prefix-stable draws with m_1 = q1 * m_0."""
+    grid = _check_grid(q1, m0_grid, repeats)
 
     def draws(m0):
         for rep in range(repeats):
-            thetas = pair.sampler(q1 * m0, _study_seed(seed, m0, rep))
-            hf = np.column_stack([pair.high(t) for t in thetas[:m0]])
-            lf = pair.low(thetas)
+            _, hf, lf = _draw(pair, m0, q1 * m0, _study_seed(seed, m0, rep))
             sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
             yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
 
@@ -192,11 +204,8 @@ def eigenvalue_sum_mse(
     convergence study against it.
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_r(r, len(reference))
     ref_vals, ref_vecs = _descending_eigh(reference)
-    if r >= len(ref_vals):
-        raise ValueError("r must be smaller than the ambient dimension")
     ref_sum = float(ref_vals[:r].sum())
     ref_trace = float(ref_vals.sum())
     gap = float(ref_vals[r - 1] - ref_vals[r])

@@ -157,6 +157,40 @@ def test_non_finite_alpha_is_a_usage_error(capsys, tmp_path, alpha):
     assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
 
 
+_SMALL_MODEL = ("--n-hf", "65", "--n-lf", "17")
+
+
+@pytest.mark.parametrize("argv", [
+    ("study", "--budget", "-1"),
+    ("study", "--budget", "5", "--kappa", "2"),
+    ("study", "--budget", "5", "--split", "m0=abc"),
+    ("study", "--budget", "5", "--n-lf", "2"),
+    ("generate", "--budget", "5", "--split", "m0=0"),
+    ("verify", "--m0-grid", "2,a"),
+    ("verify", "--m0-grid", "4,2"),
+    ("verify", "--repeats", "5"),
+    ("verify", "--q1", "1"),
+    ("verify", "--r", "0"),
+    ("verify", "--r", "65"),
+])
+def test_malformed_flag_values_are_usage_errors_before_any_reference(capsys, monkeypatch,
+                                                                     tmp_path, argv):
+    import mfpod.experiment as experiment
+    import mfpod.verify as verify
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reference was built for a malformed command")
+
+    monkeypatch.setattr(verify, "reference_matrix", unreachable)
+    monkeypatch.setattr("mfpod.cli.reference_matrix", unreachable, raising=False)
+    monkeypatch.setattr(experiment, "build_reference", unreachable)
+    out = () if argv[0] == "verify" else ("--out", str(tmp_path / "o"))
+    code, _, err = _run(capsys, argv[0], *_SMALL_MODEL, *argv[1:], *out)
+    assert code == 2, err
+    assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
+    assert not (tmp_path / "o").exists()
+
+
 def test_runtime_errors_are_json(capsys, tmp_path):
     code, out, err = _run(capsys, "pod", "--input", str(tmp_path / "missing.mfp1"),
                           "--out", str(tmp_path))

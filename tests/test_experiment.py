@@ -12,6 +12,7 @@ import mfpod.experiment as experiment
 import mfpod.mfpod as mfpod_module
 from mfpod import (
     AdvDiffConfig,
+    Metric,
     MfpFileError,
     ModelCosts,
     StudyConfig,
@@ -369,6 +370,26 @@ def test_run_study_reference_reuse_and_determinism(tmp_path):
         if name == "timings.csv":
             continue
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_repeated_studies_and_snapshot_files_factor_no_further_metric(monkeypatch, tmp_path):
+    # a list theta_range makes the model config unhashable, which the
+    # metric cache must not mind
+    model = AdvDiffConfig(theta_range=[1.0, 100.0], n_hf=129, n_lf=33)
+    config = StudyConfig(budget=5.0, split="even_split", repeats=2, master_seed=4,
+                         model=model, reference_size=40, report_dims=4)
+    first = run_study(config)  # factors the metric unless an earlier test did
+    factored = []
+    original = Metric._factorize
+
+    def counted(self, weight):
+        factored.append(self.n)
+        return original(self, weight)
+
+    monkeypatch.setattr(Metric, "_factorize", counted)
+    assert run_study(config).to_payload() == first.to_payload()
+    generate_snapshot_files(config, tmp_path)
+    assert factored == []
 
 
 def test_run_study_records_partial_failures(monkeypatch):

@@ -87,8 +87,11 @@ def test_sample_parameters_bit_identical_to_generator_loop(seed, count, lo_exp, 
     assert sample_parameters(prefix, seed, (lo, hi)).tobytes() == draws[:prefix].tobytes()
 
 
+# 2**128 is the first seed of five 32-bit words, where the spawn word's hash
+# constants move from step 16 to step 20.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17, np.uint64(2**63 + 5)])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17, np.uint64(2**63 + 5),
+                                  2**96, 2**128 - 1, 2**128, 2**160])
 def test_sample_parameters_seed_word_boundaries(seed):
     want = _sample_parameters_loop(40, seed, (1.0, 100.0))
     assert sample_parameters(40, seed, (1.0, 100.0)).tobytes() == want.tobytes()
@@ -386,6 +389,29 @@ def test_model_pair_wiring():
     np.testing.assert_array_equal(pair.low(thetas)[:, 0], v)
     assert pair.costs.low == pytest.approx(33.0 / 129.0)
     assert pair.metric.n == 129
+
+
+@pytest.mark.parametrize("m0, m1", [(0, 6), (4, 0), (3, 7), (0, 0)])
+def test_draw_solves_high_fidelity_per_parameter_and_the_surrogate_as_one_block(m0, m1):
+    cfg = AdvDiffConfig(n_hf=65, n_lf=17)
+    calls = []
+
+    def solver(fidelity):
+        def solve(theta):
+            calls.append((fidelity, np.ndim(theta)))
+            return snapshot(theta, fidelity, cfg)
+        return solve
+
+    pair = models.ModelPair(high=solver("high"), low=solver("low"), metric=fine_metric(cfg),
+                            sampler=lambda count, seed: sample_parameters(count, seed, (1.0, 100.0)))
+    thetas, hf, lf = models._draw(pair, m0, m1, 9)
+    assert calls == [("high", 0)] * m0 + [("low", 1)]
+    assert thetas.tobytes() == sample_parameters(max(m0, m1), 9, (1.0, 100.0)).tobytes()
+    assert hf.shape == (65, m0) and lf.shape == (65, m1)
+    assert hf.flags.c_contiguous and lf.flags.c_contiguous
+    for block, fidelity in ((hf, "high"), (lf, "low")):
+        for j in range(block.shape[1]):
+            assert block[:, j].tobytes() == snapshot(thetas[j], fidelity, cfg).tobytes()
 
 
 def test_invalid_theta_rejected():
