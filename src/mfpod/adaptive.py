@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Metric, validate_levels
+from .core import Metric
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
-from .estimator import VarianceProfile, _profile, optimal_alpha
+from .estimator import optimal_alpha
 from .estimator import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
 
@@ -57,18 +57,6 @@ class AdaptiveTrace:
         return tuple(s.residual for s in self.steps)
 
 
-def _span_profile(span: SnapshotSpan, z: np.ndarray) -> VarianceProfile:
-    """estimate_profile at the basis Q z, read off the span coordinates P of
-    the shared columns: their residual energies are the column norms^2 of
-    P - Z (Z^T P), short of the energy of the columns' parts outside the
-    span, which the span's dependence rule keeps below (1e-12)^2 times the
-    largest column energy."""
-    shared = span.projections[:2]  # S_0 and S_1,shared: the m_0 shared draws
-    resids = [p - z @ (z.T @ p) for p in shared]
-    return _profile([np.einsum("ij,ij->j", r, r) for r in resids],
-                    [float(np.einsum("ij,ij->j", p, p).max()) for p in shared])
-
-
 def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, AdaptiveTrace]:
     """Multifidelity POD with the weight re-estimated before every mode.
 
@@ -87,7 +75,6 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         Modes reordered by corrected eigenvalue with the energy criterion
         applied, plus the per-iteration extraction record.
     """
-    validate_levels(sets)
     if len(sets) != 2:
         raise ValueError("the adaptive loop handles exactly two fidelity levels")
     if not 0 < kappa <= 1:
@@ -100,10 +87,6 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
     norm0 = float(np.linalg.norm(p0))
     z = np.zeros((rank, 0))
     raw, plus, steps = [], [], []
-
-    def residual_norm(zmat):
-        resid = p0 - zmat @ (zmat.T @ p0)
-        return float(np.linalg.norm(resid))
 
     def finalize(termination, diagnostic=None):
         basis = _finalize_basis(span, np.array(raw), np.array(plus), z, kappa,
@@ -119,7 +102,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
             return finalize("residual")
         if z.shape[1] >= rank:
             return finalize("rank")
-        alpha = optimal_alpha(_span_profile(span, z))[0]
+        alpha = optimal_alpha(span.profile(z))[0]
         full = span.operator((alpha,))
         b = full
         if z.shape[1]:
@@ -138,7 +121,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
             zj = zj / np.linalg.norm(zj)
         lam_plus = span.repair(lam, zj)
         z = np.hstack([z, zj[:, None]])
-        new_resid = residual_norm(z)
+        new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
         raw.append(lam)
         plus.append(lam_plus)
         steps.append(AdaptiveStep(

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .core import Metric, SnapshotSet
+from .core import Basis, Metric, SnapshotSet
+from .estimator import estimate_profile, optimal_alpha
 from .experiment import (
     StudyConfig,
     _atomic_write,
@@ -198,6 +200,8 @@ def _cmd_mfpod(args) -> dict:
     _require_weight_samples(weight_mode, m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
+    if weight_mode == "pilot_alpha":  # the files' own columns, so the output keeps its bits
+        weight_mode = f"fixed:{optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]!r}"
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
     summary.update({
         "written": _write_modes(args.out, mf.vectors, raw=mf.raw_eigvals,
@@ -234,6 +238,8 @@ def _cmd_verify(args) -> dict:
         grid = _check_grid(args.q1, args.m0_grid.split(","), args.repeats)
         if args.check != "convergence":
             _check_r(args.r, pair.metric.n)
+        if not math.isfinite(args.alpha) or args.reference_size < 1:
+            raise ValueError("--alpha must be finite and --reference-size positive")
     except ValueError as exc:
         raise _CliError(f"bad flag value: {exc}") from None
     out: dict = {"m0_grid": list(grid), "q1": args.q1, "alpha": args.alpha}

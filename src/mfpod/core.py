@@ -145,6 +145,8 @@ class SnapshotSet:
     ``shared`` block holds the columns evaluated at the previous level's
     parameter samples (all of them, in the same order) and ``extra`` holds
     the additional samples unique to this level.
+    With an (n, k) ``lift`` both blocks hold k coefficients per column,
+    standing for the snapshots ``lift @ block``.
     """
 
     level: int
@@ -152,6 +154,7 @@ class SnapshotSet:
     extra: np.ndarray
     sample_ids: tuple[int, ...]
     cost_per_sample: float
+    lift: np.ndarray | None = None
 
     def __post_init__(self):
         shared = _as_matrix(self.shared)
@@ -163,6 +166,10 @@ class SnapshotSet:
             raise ValueError("level must be nonnegative")
         if extra.shape[0] != shared.shape[0]:
             raise ValueError("shared and extra blocks must have the same row count")
+        if self.lift is not None:
+            object.__setattr__(self, "lift", _as_matrix(self.lift))  # keeps a float array's id
+            if self.lift.shape[1] != shared.shape[0]:
+                raise ValueError("lift columns must match the coefficient rows")
         if self.level == 0 and extra.shape[1] != 0:
             raise ValueError("level 0 carries no extra block")
         if len(self.sample_ids) != shared.shape[1] + extra.shape[1]:
@@ -175,34 +182,36 @@ class SnapshotSet:
             raise ValueError("snapshot entries must be finite")
 
     @classmethod
-    def two_level(cls, hf, lf, cost_high: float, cost_low: float) -> tuple:
+    def two_level(cls, hf, lf, cost_high: float, cost_low: float, lift=None) -> tuple:
         """High-fidelity columns plus surrogate columns at the same draws.
 
         The first ``hf.shape[1]`` surrogate columns are the shared ones; the
         rest are the surrogate's extra samples.  Sample ids are the column
-        indices of ``lf``.
+        indices of ``lf``, whose columns are coefficients of ``lift`` if given.
         """
         hf, lf = _as_matrix(hf), _as_matrix(lf)
         m0, ids = hf.shape[1], tuple(range(lf.shape[1]))
         return (
             cls(0, hf, np.zeros((hf.shape[0], 0)), ids[:m0], cost_high),
-            cls(1, lf[:, :m0], lf[:, m0:], ids, cost_low),
+            cls(1, lf[:, :m0], lf[:, m0:], ids, cost_low, lift),
         )
 
     @property
     def dim(self) -> int:
-        return self.shared.shape[0]
+        return self.shared.shape[0] if self.lift is None else self.lift.shape[0]
 
     @property
     def count(self) -> int:
         return self.shared.shape[1] + self.extra.shape[1]
 
+    def snapshots(self, block: np.ndarray) -> np.ndarray:
+        """The snapshot columns a block of this level stands for."""
+        return block if self.lift is None else self.lift @ block
+
     @property
     def columns(self) -> np.ndarray:
         """All snapshots of this level, shared columns first."""
-        if self.extra.shape[1] == 0:
-            return self.shared
-        return np.hstack([self.shared, self.extra])
+        return self.snapshots(np.hstack([self.shared, self.extra]))
 
 
 def validate_levels(sets) -> None:

@@ -142,7 +142,7 @@ def estimate_profile(basis: Basis, sets) -> VarianceProfile:
     """
     validate_levels(sets)
     m0 = sets[0].count
-    cols = [s.shared[:, :m0] for s in sets]
+    cols = [s.snapshots(s.shared[:, :m0]) for s in sets]
     return _profile(
         [_residual_energies(basis, c) for c in cols],
         [float(basis.metric.norms_sq(c).max()) for c in cols],

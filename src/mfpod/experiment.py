@@ -30,9 +30,10 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, _as_matrix, _snapshot_chunks
-from .estimator import estimate_profile, optimal_alpha
-from .mfpod import _SPAN_BLOCK, MfBasis, _extend_span, mfpod_fixed, select_dim
+from .core import Metric, SnapshotSet, _as_matrix, _snapshot_chunks
+from .estimator import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
+from .estimator import optimal_alpha
+from .mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan, _extend_span, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -240,14 +241,16 @@ def _repeat_seed(master_seed: int, rep: int) -> int:
 
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
     """Multifidelity basis under a StudyConfig weight mode, with the weights
-    used and, for the adaptive mode, why its mode search stopped."""
+    used and, for the adaptive mode, why its mode search stopped.  The
+    pilot weight is read off the span that the fit then uses."""
     kind, alpha = _parse_weight_mode(weight_mode)
     if kind == "adaptive":
         mf, trace = mfpod_adaptive(sets, kappa, metric)
         return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
+    span = SnapshotSpan.from_sets(sets, metric)
     if kind == "pilot_alpha":
-        alpha = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
-    return mfpod_fixed(sets, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
+        alpha = optimal_alpha(span.profile(np.zeros((span.rank, 0))))[0]
+    return mfpod_fixed(span, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
 
 
 @dataclass
@@ -356,9 +359,9 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
 def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) -> dict:
     dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
-    _, hf, lf = _draw(pair, m0, m1, seed)
+    _, hf, lf = _draw(pair, m0, m1, seed, lifted=True)  # lf in the coarse space of pair.lift
     if pipeline == "mfpod":
-        sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
+        sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low, pair.lift)
         mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
         record.update(weights)
         record.update({
@@ -371,8 +374,7 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) ->
             "captured_energy": _energy_curve(mf.vectors[:, :dims], reference, dims),
         })
         return record
-    snaps = hf if pipeline == "pod_hf" else lf
-    res = pod(snaps, metric)
+    res = pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)
     record.update({
         "alphas": [],
         "mode_count": res.basis.dim,

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Basis, Metric, _as_matrix, orthonormalize, validate_levels
+from .core import Basis, Metric, SnapshotSet, _as_matrix, orthonormalize, validate_levels
+from .estimator import VarianceProfile, _profile
 from .solver import _fix_signs, lowrank_eig
 
 __all__ = [
@@ -127,6 +128,25 @@ def _extend_span(q: np.ndarray, t: np.ndarray, scale: float) -> tuple[np.ndarray
     return np.hstack([q, new]), np.vstack([coeff, new.T @ t])
 
 
+# Spans of read-only lifts by (lift, metric) identity; an entry keeps both ids taken.
+_LIFT_SPANS: dict = {}
+
+
+def _lift_span(lift: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """Q and Q^T L, the span of one dense block L = F^T lift; cached for a read-only lift."""
+    key = (id(lift), id(metric))
+    if key in _LIFT_SPANS:
+        return _LIFT_SPANS[key][2:]
+    level = SnapshotSet(0, lift, np.zeros((len(lift), 0)), range(lift.shape[1]), 1.0)
+    span = SnapshotSpan.from_sets((level,), metric)
+    if not lift.flags.writeable:
+        if len(_LIFT_SPANS) >= 16:
+            _LIFT_SPANS.clear()
+        span.basis.flags.writeable = span.projections[0].flags.writeable = False
+        _LIFT_SPANS[key] = (lift, metric, span.basis, span.projections[0])
+    return span.basis, span.projections[0]
+
+
 @dataclass(frozen=True)
 class SnapshotSpan:
     """The snapshot span, on which every multifidelity eigenproblem lives.
@@ -136,7 +156,8 @@ class SnapshotSpan:
     _extend_span, and ``projections`` holds Q^T T for each block in
     operator order, as that growth computes it, so that the operator
     restricted to the span is the small symmetric matrix
-    sum c (Q^T T)(Q^T T)^T for any weights.
+    sum c (Q^T T)(Q^T T)^T for any weights.  A lifted block C projects as
+    (Q^T L) C, where the span starts from the lift's own span Q_L.
     """
 
     basis: np.ndarray
@@ -148,18 +169,30 @@ class SnapshotSpan:
     def from_sets(cls, sets, metric: Metric) -> "SnapshotSpan":
         sets = _check_sets(sets, metric)
         blocks = _snapshot_blocks(sets)
-        # one transform of all blocks: it maps each column by itself
-        stacked = metric.to_coords(np.hstack(blocks))
-        scale = float(np.sqrt(Metric.euclidean(metric.n).norms_sq(stacked).max(initial=0.0)))
-        q, coeffs = np.zeros((metric.n, 0)), []
+        lifts = [sets[0].lift] + [s.lift for s in sets[1:] for _ in (0, 1)]  # per block
+        if len({id(lift) for lift in lifts if lift is not None}) > 1:
+            raise ValueError("lifted levels must share one lift")
+        order = sorted(range(len(blocks)), key=lambda i: lifts[i] is not None)  # dense first
+        dense = [blocks[i] for i in order if lifts[i] is None]
+        q, lifted = np.zeros((metric.n, 0)), []
+        if len(dense) < len(blocks):
+            q, coeff = _lift_span(lifts[order[-1]], metric)
+            lifted = [coeff @ blocks[i] for i in order[len(dense):]]
+        # one transform of all dense blocks: it maps each column by itself
+        stacked = metric.to_coords(np.hstack(dense)) if dense else np.zeros((metric.n, 0))
+        scale = float(np.sqrt(max(np.einsum("ij,ij->j", t, t).max(initial=0.0)
+                                  for t in [stacked] + lifted)))
+        coeffs = [np.zeros((q.shape[1], 0))]
         for start in range(0, stacked.shape[1], _SPAN_BLOCK):
             q, coeff = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
             coeffs.append(coeff)
-        # Earlier blocks lie in the span they grew up to the dependence
-        # rule, so their coefficients on later directions are zero.
-        p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs])
-        splits = np.cumsum([b.shape[1] for b in blocks])[:-1]
-        return cls(q, tuple(np.split(p, splits, axis=1)), tuple(s.count for s in sets), metric)
+        # Earlier blocks and the lift lie in the span they grew up to the
+        # dependence rule, so their coefficients on later directions are zero.
+        p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs + lifted])
+        splits = np.cumsum([b.shape[1] for b in dense + lifted])[:-1]
+        parts = dict(zip(order, np.split(p, splits, axis=1)))
+        return cls(q, tuple(parts[i] for i in range(len(blocks))), tuple(s.count for s in sets),
+                   metric)
 
     @property
     def rank(self) -> int:
@@ -171,6 +204,17 @@ class SnapshotSpan:
         for c, p in zip(_coefficients(self.counts, alphas), self.projections):
             b += c * (p @ p.T)
         return (b + b.T) * 0.5
+
+    def profile(self, z: np.ndarray) -> VarianceProfile:
+        """estimate_profile at the basis Q z from the span coordinates P of
+        each level's m_0 shared columns: their residual energies are the
+        column norms^2 of P - Z (Z^T P), short of their parts outside the
+        span, below (1e-12)^2 times the largest energy by the dependence rule."""
+        m0 = self.counts[0]
+        shared = [self.projections[0]] + [p[:, :m0] for p in self.projections[1::2]]
+        resids = [p - z @ (z.T @ p) for p in shared]
+        return _profile([np.einsum("ij,ij->j", r, r) for r in resids],
+                        [float(np.einsum("ij,ij->j", p, p).max()) for p in shared])
 
     def repair(self, lam: float, y: np.ndarray) -> float:
         """Corrected eigenvalue of the mode Q y: lam if positive, else the
@@ -296,7 +340,7 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
 
     Parameters
     ----------
-    sets : sequence of SnapshotSet
+    sets : sequence of SnapshotSet, or their SnapshotSpan
         Telescoping snapshot hierarchy (level 0 is high fidelity).
     alphas : sequence of float
         One weight per lower-fidelity level.
@@ -305,7 +349,7 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     metric : Metric
         Inner product of the ambient space.
     """
-    span = SnapshotSpan.from_sets(sets, metric)
+    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, metric)
     pairs = lowrank_eig(span.operator(alphas))
     plus = [span.repair(float(lam), pairs.vectors[:, j]) for j, lam in enumerate(pairs.values)]
     return _finalize_basis(span, pairs.values, plus, pairs.vectors, kappa)

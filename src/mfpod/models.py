@@ -385,7 +385,9 @@ class ModelPair:
 
     ``high`` and ``low`` map a parameter to a snapshot in the same space,
     and a 1-D array of m parameters to the (n, m) block of their snapshots;
-    ``sampler(count, seed)`` draws shared parameters prefix-stably.
+    ``sampler(count, seed)`` draws shared parameters prefix-stably.  An
+    (n, k) ``lift`` comes with a ``coarse`` solve to k coefficients (a (k, m)
+    block for m parameters) such that ``low`` is ``lift @ coarse`` up to roundoff.
     """
 
     high: Callable[[float | np.ndarray], np.ndarray]
@@ -393,28 +395,41 @@ class ModelPair:
     metric: Metric
     sampler: Callable[[int, int], np.ndarray]
     costs: ModelCosts = field(default_factory=ModelCosts)
+    lift: np.ndarray | None = None
+    coarse: Callable[[float | np.ndarray], np.ndarray] | None = None
+
+
+@functools.lru_cache(maxsize=16)
+def _prolongation(n_hf: int, n_lf: int) -> np.ndarray:
+    """prolong as one read-only (n_hf, n_lf) matrix per mesh pair."""
+    lift = prolong(np.eye(n_lf), n_hf)
+    lift.flags.writeable = False
+    return lift
 
 
 def make_model_pair(config: AdvDiffConfig) -> ModelPair:
-    """The advection-diffusion pair with its fine-mesh L^2 metric."""
+    """The advection-diffusion pair with its fine-mesh L^2 metric and the prolongation as lift."""
     return ModelPair(
         high=lambda theta: snapshot(theta, "high", config),
         low=lambda theta: snapshot(theta, "low", config),
         metric=fine_metric(config),
         sampler=lambda count, seed: sample_parameters(count, seed, config.theta_range),
         costs=ModelCosts.from_config(config),
+        lift=_prolongation(config.n_hf, config.n_lf),
+        coarse=lambda theta: solve_adv_diff(theta, config.n_lf, config),
     )
 
 
-def _draw(pair: ModelPair, m0: int, m1: int, seed: int):
+def _draw(pair: ModelPair, m0: int, m1: int, seed: int, lifted: bool = False):
     """Prefix-stable draw of max(m0, m1) shared parameters with high fidelity
     solved at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
 
     High fidelity is solved one parameter at a time into a C-ordered array,
-    the surrogate as one block, which has the bits of its columns solved one
-    by one; a zero count gives an (n, 0) array."""
+    the surrogate (pair.coarse if ``lifted`` and the pair has a lift) as one
+    block, with the bits of its columns solved one by one; zero gives (n, 0)."""
     thetas = pair.sampler(max(m0, m1), seed)
     hf = np.empty((pair.metric.n, m0))
     for j, theta in enumerate(thetas[:m0]):
         hf[:, j] = pair.high(theta)
-    return thetas, hf, pair.low(thetas[:m1])
+    low = pair.coarse if lifted and pair.lift is not None else pair.low
+    return thetas, hf, low(thetas[:m1])

@@ -40,13 +40,14 @@ class PodResult:
         return float(self.eigvals[max(0, r):].sum())
 
 
-def pod(snapshots, metric: Metric) -> PodResult:
+def pod(snapshots, metric: Metric, lift=None) -> PodResult:
     """POD of the snapshot columns in the given metric.
 
     Parameters
     ----------
     snapshots : (n, m) array
-        Snapshot columns.  At least one column is required.
+        Snapshot columns, or their (k, m) coefficients of the (n, k) ``lift``
+        (see SnapshotSet).  At least one column is required.
     metric : Metric
         Inner product of the snapshot space and the returned basis.
 
@@ -61,7 +62,7 @@ def pod(snapshots, metric: Metric) -> PodResult:
     m = s.shape[1]
     if m == 0:
         raise ValueError("snapshot set is empty")
-    level = SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(m)), 1.0)
+    level = SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(m)), 1.0, lift)
     mf = mfpod_fixed((level,), (), 1.0, metric)
     eigvals = np.zeros(m)
     eigvals[: mf.mode_count] = mf.corrected_eigvals

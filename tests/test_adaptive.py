@@ -16,8 +16,9 @@ from mfpod import (
     pod,
     subspace_alignment,
 )
-from mfpod.adaptive import _span_profile
 from mfpod.mfpod import SnapshotSpan
+
+_span_profile = SnapshotSpan.profile
 
 from conftest import random_instance, random_spd_metric
 

@@ -172,6 +172,9 @@ _SMALL_MODEL = ("--n-hf", "65", "--n-lf", "17")
     ("verify", "--q1", "1"),
     ("verify", "--r", "0"),
     ("verify", "--r", "65"),
+    ("verify", "--alpha", "nan"),
+    ("verify", "--alpha", "inf"),
+    ("verify", "--reference-size", "0"),
 ])
 def test_malformed_flag_values_are_usage_errors_before_any_reference(capsys, monkeypatch,
                                                                      tmp_path, argv):

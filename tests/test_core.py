@@ -193,3 +193,17 @@ def test_from_columns_constructor():
     np.testing.assert_array_equal(s0.columns, hf)
     np.testing.assert_array_equal(s1.columns, cols)
     assert s1.shared.shape == (5, 2) and s1.sample_ids == (0, 1, 2, 3)
+
+
+def test_lifted_snapshot_set_stands_for_its_lifted_columns():
+    rng = np.random.default_rng(10)
+    lift, coeffs = rng.standard_normal((7, 3)), rng.standard_normal((3, 5))
+    hf = rng.standard_normal((7, 2))
+    s0, s1 = SnapshotSet.two_level(hf, coeffs, 1.0, 0.5, lift)
+    validate_levels((s0, s1))
+    assert s0.lift is None and s1.lift is lift
+    assert (s1.dim, s1.count, s1.shared.shape) == (7, 5, (3, 2))
+    np.testing.assert_array_equal(s1.columns, lift @ coeffs)
+    np.testing.assert_array_equal(s1.snapshots(s1.extra), lift @ coeffs[:, 2:])
+    with pytest.raises(ValueError, match="lift columns"):
+        SnapshotSet(1, coeffs, np.zeros((3, 0)), range(5), 0.5, lift[:, :2])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -10,19 +11,23 @@ from hypothesis import strategies as st
 
 import mfpod.experiment as experiment
 import mfpod.mfpod as mfpod_module
+import mfpod.models as models
 from mfpod import (
     AdvDiffConfig,
     Metric,
     MfpFileError,
     ModelCosts,
+    SnapshotSet,
     StudyConfig,
     allocate_budget,
     build_reference,
     equispaced_parameters,
     fine_metric,
     generate_snapshot_files,
+    make_model_pair,
     orthonormalize,
     pod,
+    prolong,
     read_snapshots,
     run_study,
     sample_parameters,
@@ -32,6 +37,7 @@ from mfpod import (
     write_study,
 )
 from mfpod.core import _CHUNK
+from mfpod.mfpod import SnapshotSpan
 
 _SMALL = AdvDiffConfig(n_hf=129, n_lf=33)
 # Reference sizes below and above the dimension n = 129 of _SMALL, and one
@@ -497,3 +503,114 @@ def test_reference_energy_curve_monotone():
     curve = ref.energy_curve(10)
     assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
     assert curve[-1] <= 100.0 + 1e-9
+
+
+# -- the surrogate kept in its coarse space ------------------------------------
+
+_LIFTED_MODELS = (AdvDiffConfig(n_hf=129, n_lf=17), AdvDiffConfig(n_hf=257, n_lf=17))
+_STUDY_PIPELINES = (("even_split", "pilot_alpha"), ("even_split", "adaptive"),
+                    ("lf_only", "pilot_alpha"))
+
+
+def _agree(got, want, top) -> None:
+    """Same mode count and selected r, corrected eigenvalues within 1e-11 top."""
+    assert (got[0], got[1]) == (want[0], want[1])
+    np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-11 * top)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(model=st.sampled_from(_LIFTED_MODELS), seed=st.integers(0, 2**32 - 1),
+       m0=st.integers(2, 6), extra=st.integers(1, 150), alpha=st.floats(0.0, 1.2))
+def test_lifted_surrogate_matches_its_prolonged_columns(model, seed, m0, extra, alpha):
+    # the same draws as coarse coefficients of the pair's lift and as
+    # prolonged dense columns, through every study fit and through pod
+    pair = make_model_pair(model)
+    metric = pair.metric
+    _, hf, coarse = models._draw(pair, m0, m0 + extra, seed, lifted=True)
+    lf = prolong(coarse, model.n_hf)
+    lifted = SnapshotSet.two_level(hf, coarse, 1.0, 0.1, pair.lift)
+    dense = SnapshotSet.two_level(hf, lf, 1.0, 0.1)
+    for mode in ("pilot_alpha", f"fixed:{alpha!r}", "adaptive"):
+        got, want = (experiment._fit_mfpod(s, mode, 0.9999, metric)[0] for s in (lifted, dense))
+        _agree((got.mode_count, got.selected_dim, got.corrected_eigvals),
+               (want.mode_count, want.selected_dim, want.corrected_eigvals),
+               want.corrected_eigvals[0])
+    got, want = pod(coarse, metric, pair.lift), pod(lf, metric)
+    _agree((got.basis.dim, select_dim(got.eigvals, 0.9999), got.eigvals),
+           (want.basis.dim, select_dim(want.eigvals, 0.9999), want.eigvals), want.eigvals[0])
+
+
+def _lifted_study(split, weight_mode, reference, master_seed=6):
+    model = _LIFTED_MODELS[1]
+    return run_study(StudyConfig(budget=5.0, split=split, weight_mode=weight_mode, repeats=3,
+                                 master_seed=master_seed, model=model, reference_size=60,
+                                 report_dims=8), reference)
+
+
+def test_a_model_pair_without_a_lift_runs_the_dense_route(monkeypatch):
+    reference = build_reference(_LIFTED_MODELS[1], 60, 40)
+    lifted = [_lifted_study(split, mode, reference) for split, mode in _STUDY_PIPELINES]
+    monkeypatch.setattr(experiment, "make_model_pair", lambda model: dataclasses.replace(
+        make_model_pair(model), lift=None, coarse=None))
+    for (split, mode), want in zip(_STUDY_PIPELINES, lifted):
+        got = _lifted_study(split, mode, reference)
+        assert not got.failures and len(got.repeats) == len(want.repeats) == 3
+        for a, b in zip(got.repeats, want.repeats):
+            assert (a["mode_count"], a["selected_r"]) == (b["mode_count"], b["selected_r"])
+            np.testing.assert_allclose(a["captured_energy"], b["captured_energy"], rtol=1e-9)
+
+
+def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
+    model = _LIFTED_MODELS[1]
+    reference = build_reference(model, 60, 40)
+    make_model_pair(model)  # the built-in lift is prolonged once per mesh pair, here if at all
+    calls, lift_growths, ranks = {"prolong": 0, "low": 0}, [], []
+    prolong_, extend, from_sets = models.prolong, mfpod_module._extend_span, SnapshotSpan.from_sets
+
+    def counted_prolong(*args):
+        calls["prolong"] += 1
+        return prolong_(*args)
+
+    def counted_pair(model):
+        pair = make_model_pair(model)
+
+        def low(theta):
+            calls["low"] += 1
+            return pair.low(theta)
+        return dataclasses.replace(pair, low=low)
+
+    def recorded_extend(q, t, scale):
+        if q.shape[1] == 0:  # a span grown from nothing: in a lifted study, only the lift's
+            lift_growths.append(t.shape)
+        return extend(q, t, scale)
+
+    def recorded_span(cls, sets, metric):
+        span = from_sets.__func__(cls, sets, metric)
+        ranks.append(span.rank)
+        return span
+
+    monkeypatch.setattr(models, "prolong", counted_prolong)
+    monkeypatch.setattr(experiment, "make_model_pair", counted_pair)
+    monkeypatch.setattr(mfpod_module, "_LIFT_SPANS", {})
+    monkeypatch.setattr(mfpod_module, "_extend_span", recorded_extend)
+    monkeypatch.setattr(SnapshotSpan, "from_sets", classmethod(recorded_span))
+    for master_seed in (6, 7):  # two studies of each pipeline on one mesh pair
+        for split, mode in _STUDY_PIPELINES:
+            assert not _lifted_study(split, mode, reference, master_seed).failures
+    assert calls == {"prolong": 0, "low": 0}
+    assert lift_growths == [(model.n_hf, model.n_lf)]
+    m0 = allocate_budget(5.0, ModelCosts.from_config(model), "even_split")[0]
+    assert ranks and max(ranks) <= model.n_lf + m0
+
+
+def test_a_writeable_lift_is_grown_afresh():
+    # only a read-only lift's span is cached, so changing a writeable one
+    # in place changes the next POD
+    pair = make_model_pair(_LIFTED_MODELS[0])
+    lift = np.array(pair.lift)
+    coarse = pair.coarse(sample_parameters(40, 3, _LIFTED_MODELS[0].theta_range))
+    before = pod(coarse, pair.metric, lift)
+    lift *= 2.0
+    after = pod(coarse, pair.metric, lift)
+    np.testing.assert_allclose(after.eigvals, 4.0 * before.eigvals, rtol=0,
+                               atol=1e-12 * after.eigvals[0])
