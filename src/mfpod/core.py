@@ -330,22 +330,17 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
 _CHUNK = 2500
 
 
-def _snapshot_chunks(solve, thetas, metric: Metric):
-    """Yield t_i = F^T solve(theta_i), the snapshots in metric coordinates,
-    as blocks of at most _CHUNK columns in parameter order."""
+def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
+    """S = (1/N) sum_i t_i t_i^T, the second moment of the N snapshots
+    t_i = F^T solve(theta_i) in metric coordinates, accumulated over chunks of
+    at most _CHUNK columns filled one parameter at a time."""
+    second = np.zeros((metric.n, metric.n))
     for start in range(0, len(thetas), _CHUNK):
         chunk = thetas[start:start + _CHUNK]
         block = np.empty((metric.n, len(chunk)))
         for j, theta in enumerate(chunk):
             block[:, j] = solve(theta)
-        yield metric.to_coords(block)
-
-
-def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
-    """S = (1/N) sum_i t_i t_i^T, the second moment of N snapshots in metric
-    coordinates, accumulated chunk by chunk."""
-    second = np.zeros((metric.n, metric.n))
-    for t in _snapshot_chunks(solve, thetas, metric):
+        t = metric.to_coords(block)
         second += t @ t.T
     second /= len(thetas)
     return second

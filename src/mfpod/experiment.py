@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Metric, SnapshotSet, _as_matrix, _snapshot_chunks
+from .core import Metric, SnapshotSet, _as_matrix
 from .estimator import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .estimator import optimal_alpha
 from .mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan, _extend_span, mfpod_fixed, select_dim
@@ -196,24 +196,26 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     eigenvalues, zero below the roundoff floor.
 
     The n x n second moment S = (1/size) sum_i t_i t_i^T is never formed.
-    The snapshots stream through the span's block Gram-Schmidt, which grows
-    a Euclidean-orthonormal basis Q of their span in metric coordinates,
-    while M = Q^T S Q accumulates, so the eigenpairs of S are Q Y from one k x k
-    eigh of M, where k is the span dimension."""
+    The snapshots are solved _SPAN_BLOCK parameters at a time and stream
+    through the span's block Gram-Schmidt, which grows a Euclidean-orthonormal
+    basis Q of their span in metric coordinates, while M = Q^T S Q accumulates,
+    so the eigenpairs of S are Q Y from one k x k eigh of M, where k is the span
+    dimension.  Each block's dependence rule takes its scale from the largest
+    snapshot norm seen so far, and only one block of snapshots is held at a
+    time."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
     euclid = Metric.euclidean(metric.n)
     q, moment, energy, scale = np.zeros((metric.n, 0)), np.zeros((0, 0)), 0.0, 0.0
-    for chunk in _snapshot_chunks(lambda t: snapshot(t, "high", model), thetas, metric):
-        for start in range(0, chunk.shape[1], _SPAN_BLOCK):
-            t = chunk[:, start:start + _SPAN_BLOCK]
-            norms_sq = euclid.norms_sq(t)
-            energy += float(norms_sq.sum())
-            scale = max(scale, float(np.sqrt(norms_sq.max())))
-            q, coeff = _extend_span(q, t, scale)
-            # earlier snapshots lie in span(Q) up to the dependence rule
-            moment = np.pad(moment, (0, q.shape[1] - len(moment)))
-            moment += coeff @ coeff.T
+    for start in range(0, size, _SPAN_BLOCK):
+        t = metric.to_coords(snapshot(thetas[start:start + _SPAN_BLOCK], "high", model))
+        norms_sq = euclid.norms_sq(t)
+        energy += float(norms_sq.sum())
+        scale = max(scale, float(np.sqrt(norms_sq.max())))
+        q, coeff = _extend_span(q, t, scale)
+        # earlier snapshots lie in span(Q) up to the dependence rule
+        moment = np.pad(moment, (0, q.shape[1] - len(moment)))
+        moment += coeff @ coeff.T
     trace = energy / size
     if not trace > 0.0:
         raise ValueError("reference snapshots carry no energy")

@@ -36,13 +36,12 @@ from mfpod import (
     write_snapshots,
     write_study,
 )
-from mfpod.core import _CHUNK
-from mfpod.mfpod import SnapshotSpan
+from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan
 
 _SMALL = AdvDiffConfig(n_hf=129, n_lf=33)
 # Reference sizes below and above the dimension n = 129 of _SMALL, and one
-# that spans three snapshot chunks, the last one partial.
-_REFERENCE_SIZES = [60, 300, 2 * _CHUNK + 17]
+# that spans a hundred span blocks and a partial one.
+_REFERENCE_SIZES = [60, 300, 100 * _SPAN_BLOCK + 17]
 
 
 def test_allocate_budget_even_split_examples():
@@ -144,27 +143,44 @@ def test_reference_leading_modes_reproduce_energy_curve(size):
     np.testing.assert_allclose(got, ref.energy_curve(20), rtol=0, atol=1e-10)
 
 
-def test_reference_span_grows_across_chunks():
-    # directions still join the span in a later chunk, after earlier chunks
-    # have been accumulated, so the moment's zero padding is exercised
-    chunks, growth = [], []
-    stream, orthonormalize_ = experiment._snapshot_chunks, mfpod_module.orthonormalize
+def test_reference_span_grows_across_blocks():
+    # the reference is solved one span block at a time, and directions still
+    # join the span in the last block, after earlier blocks' moments have
+    # been accumulated, so the moment's zero padding is exercised
+    widths, growth = [], []
+    orthonormalize_ = mfpod_module.orthonormalize
 
-    def counted_chunks(*args):
-        for chunk in stream(*args):
-            chunks.append(chunk.shape[1])
-            yield chunk
+    def counted(thetas, fidelity, model):
+        widths.append(len(thetas))
+        return snapshot(thetas, fidelity, model)
 
     def recorded(vectors, metric, tol=1e-12):
         basis = orthonormalize_(vectors, metric, tol)
-        growth.append((len(chunks), basis.dim))
+        growth.append((len(widths), basis.dim))
         return basis
 
-    with mock.patch.object(experiment, "_snapshot_chunks", counted_chunks), \
+    with mock.patch.object(experiment, "snapshot", counted), \
             mock.patch.object(mfpod_module, "orthonormalize", recorded):
-        build_reference(_SMALL, 2 * _CHUNK + 17, 40)
-    assert chunks == [_CHUNK, _CHUNK, 17]
-    assert max(index for index, dim in growth if dim) >= 2
+        build_reference(_SMALL, 2 * _SPAN_BLOCK + 17, 40)
+    assert widths == [_SPAN_BLOCK, _SPAN_BLOCK, 17]
+    assert max(index for index, dim in growth if dim) == 3
+
+
+@pytest.mark.parametrize("n_hf, size", [(129, 60), (129, 2 * _SPAN_BLOCK + 17), (129, 300),
+                                        (4097, 3 * _SPAN_BLOCK + 17)])
+def test_reference_is_bitwise_the_per_theta_reference(n_hf, size):
+    # block-solved snapshots carry the bits of their one-by-one solves, and
+    # so does everything the reference derives from them
+    def per_theta(thetas, fidelity, model):
+        return np.column_stack([snapshot(float(t), fidelity, model) for t in thetas])
+
+    model = AdvDiffConfig(n_hf=n_hf, n_lf=33)
+    blocked = build_reference(model, size, 40)
+    with mock.patch.object(experiment, "snapshot", per_theta):
+        oracle = build_reference(model, size, 40)
+    for got, want in [(blocked.weighted, oracle.weighted), (blocked.eigvals, oracle.eigvals),
+                      (np.float64(blocked.trace), np.float64(oracle.trace))]:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reference_build_holds_no_n_by_n_matrix():
@@ -176,6 +192,21 @@ def test_reference_build_holds_no_n_by_n_matrix():
     finally:
         tracemalloc.stop()
     assert peak < model.n_hf ** 2 * 8 / 4
+
+
+def test_reference_build_memory_does_not_grow_with_size():
+    # one span block of snapshots is held at a time, whatever the size
+    model = AdvDiffConfig(n_hf=4097, n_lf=33)
+    peaks = []
+    for size in (3 * _SPAN_BLOCK + 17, 40 * _SPAN_BLOCK):
+        tracemalloc.start()
+        try:
+            build_reference(model, size, 40)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks)
+    assert max(peaks) < 40 * model.n_hf * _SPAN_BLOCK * 8
 
 
 def _scores(ref, bases) -> np.ndarray:
