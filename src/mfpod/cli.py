@@ -13,8 +13,7 @@ import math
 import os
 import sys
 
-from .core import Basis, Metric, SnapshotSet
-from .estimator import estimate_profile, optimal_alpha
+from .core import Metric, SnapshotSet
 from .experiment import (
     StudyConfig,
     _atomic_write,
@@ -30,7 +29,7 @@ from .experiment import (
     write_study,
 )
 from .mfpod import select_dim
-from .models import AdvDiffConfig, ModelCosts, make_model_pair, mass_matrix
+from .models import AdvDiffConfig, ModelCosts, _mass_metric, make_model_pair
 from .pod import pod
 from .verify import _check_grid, _check_r, convergence_study, eigenvalue_sum_mse, reference_matrix
 
@@ -55,7 +54,7 @@ def _emit_error(message: str, kind: str) -> None:
 
 
 def _print(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dump_json(payload))
 
 
 def _split_policy(text: str) -> str:
@@ -97,7 +96,7 @@ def _model_config(args) -> AdvDiffConfig:
 def _metric_for(n: int, kind: str) -> Metric:
     if kind == "euclidean":
         return Metric.euclidean(n)
-    return Metric.from_weight(mass_matrix(n))
+    return _mass_metric(n)
 
 
 def _add_model_flags(p, n_hf=4097, n_lf=33):
@@ -200,8 +199,6 @@ def _cmd_mfpod(args) -> dict:
     _require_weight_samples(weight_mode, m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
-    if weight_mode == "pilot_alpha":  # the files' own columns, so the output keeps its bits
-        weight_mode = f"fixed:{optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]!r}"
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
     summary.update({
         "written": _write_modes(args.out, mf.vectors, raw=mf.raw_eigvals,

@@ -324,23 +324,3 @@ def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
             kept += 1
     return Basis(qt[:kept].T.copy(), metric).check(1e-9)
 
-
-# Snapshot columns per chunk of a streamed second moment, so that at most an
-# n x _CHUNK block of snapshots is held at once.
-_CHUNK = 2500
-
-
-def _second_moment(solve, thetas, metric: Metric) -> np.ndarray:
-    """S = (1/N) sum_i t_i t_i^T, the second moment of the N snapshots
-    t_i = F^T solve(theta_i) in metric coordinates, accumulated over chunks of
-    at most _CHUNK columns filled one parameter at a time."""
-    second = np.zeros((metric.n, metric.n))
-    for start in range(0, len(thetas), _CHUNK):
-        chunk = thetas[start:start + _CHUNK]
-        block = np.empty((metric.n, len(chunk)))
-        for j, theta in enumerate(chunk):
-            block[:, j] = solve(theta)
-        t = metric.to_coords(block)
-        second += t @ t.T
-    second /= len(thetas)
-    return second

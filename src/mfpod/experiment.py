@@ -37,6 +37,7 @@ from .mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan, _extend_span, mfpod_fixed
 from .models import (
     AdvDiffConfig,
     ModelCosts,
+    _child_seed,
     _draw,
     equispaced_parameters,
     fine_metric,
@@ -237,10 +238,6 @@ def _percent_curve(energies: np.ndarray, trace: float, dims: int) -> list[float]
     return [100.0 * float(cum[min(r, len(cum) - 1)] / trace) for r in range(1, dims + 1)]
 
 
-def _repeat_seed(master_seed: int, rep: int) -> int:
-    return int(np.random.SeedSequence(master_seed, spawn_key=(rep,)).generate_state(1)[0])
-
-
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
     """Multifidelity basis under a StudyConfig weight mode, with the weights
     used and, for the adaptive mode, why its mode search stopped.  The
@@ -327,7 +324,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
 
     records, failures, timings = [], [], []
     for rep in range(config.repeats):
-        seed = _repeat_seed(config.master_seed, rep)
+        seed = _child_seed(config.master_seed, rep)
         started = time.perf_counter()
         try:
             records.append(_run_repeat(rep, seed, pair, metric, m0, m1, pipeline,

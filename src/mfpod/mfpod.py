@@ -16,7 +16,6 @@ energy criterion selects the reduced dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,19 +81,16 @@ class MfOperator:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         _coefficients([s.count for s in sets], self.alphas)
 
-    @cached_property
-    def blocks(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """(coefficient, columns in metric coordinates) with C = sum c T T^T."""
-        coeffs = _coefficients([s.count for s in self.sets], self.alphas)
-        return tuple(zip(coeffs, (self.metric.to_coords(s) for s in _snapshot_blocks(self.sets))))
-
     def assemble_transformed(self) -> np.ndarray:
-        """Dense symmetric operator matrix in metric coordinates."""
+        """Dense symmetric operator matrix sum c T T^T in metric coordinates,
+        T each snapshot block in metric coordinates."""
         n = self.metric.n
         if n > _DENSE_CAP:
             raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
         out = np.zeros((n, n))
-        for c, t in self.blocks:
+        coeffs = _coefficients([s.count for s in self.sets], self.alphas)
+        for c, block in zip(coeffs, _snapshot_blocks(self.sets)):
+            t = self.metric.to_coords(block)
             out += c * (t @ t.T)
         return out
 

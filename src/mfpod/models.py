@@ -420,16 +420,26 @@ def make_model_pair(config: AdvDiffConfig) -> ModelPair:
     )
 
 
+def _child_seed(seed: int, *key: int) -> int:
+    """The seed of the sub-stream of ``seed`` named by the integers ``key``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
+def _solve_each(solve, thetas, n: int) -> np.ndarray:
+    """The (n, m) C-ordered block of solve(theta) at each of m parameters, one at a time."""
+    out = np.empty((n, len(thetas)))
+    for j, theta in enumerate(thetas):
+        out[:, j] = solve(theta)
+    return out
+
+
 def _draw(pair: ModelPair, m0: int, m1: int, seed: int, lifted: bool = False):
     """Prefix-stable draw of max(m0, m1) shared parameters with high fidelity
     solved at the first m0 and the surrogate at the first m1, as (thetas, hf, lf).
 
-    High fidelity is solved one parameter at a time into a C-ordered array,
-    the surrogate (pair.coarse if ``lifted`` and the pair has a lift) as one
-    block, with the bits of its columns solved one by one; zero gives (n, 0)."""
+    High fidelity is solved one parameter at a time, the surrogate
+    (pair.coarse if ``lifted`` and the pair has a lift) as one block, with
+    the bits of its columns solved one by one; zero gives (n, 0)."""
     thetas = pair.sampler(max(m0, m1), seed)
-    hf = np.empty((pair.metric.n, m0))
-    for j, theta in enumerate(thetas[:m0]):
-        hf[:, j] = pair.high(theta)
     low = pair.coarse if lifted and pair.lift is not None else pair.low
-    return thetas, hf, low(thetas[:m1])
+    return thetas, _solve_each(pair.high, thetas[:m0], pair.metric.n), low(thetas[:m1])

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, SnapshotSet, _second_moment, project
+from .core import Basis, Metric, SnapshotSet, project
 from .mfpod import _DENSE_CAP, build_operator
-from .models import ModelPair, _draw
+from .models import ModelPair, _child_seed, _draw, _solve_each
 
 __all__ = [
     "ConvergenceStudyResult",
@@ -48,24 +48,32 @@ def subspace_alignment(v: Basis, vstar: Basis) -> float:
     return max(0.0, v.dim - float(np.sum(cross * cross)))
 
 
+# High-fidelity snapshots per chunk of the reference's second moment, so
+# that at most an n x _CHUNK block of snapshots is held at once.
+_CHUNK = 2500
+
+
 def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
     """Surrogate-truth second-moment matrix in metric coordinates.
 
-    Averages size independent high-fidelity snapshots, streamed in chunks
-    through the same routine as the study reference; the result is the
-    declared truth that study errors are measured against, so size should
-    dwarf every study sample count.
+    Averages t t^T over size independent high-fidelity snapshots t in
+    metric coordinates, accumulated over chunks of at most _CHUNK columns
+    solved one parameter at a time; the result is the declared truth that
+    study errors are measured against, so size should dwarf every study
+    sample count.
     """
     if size < 1:
         raise ValueError("reference size must be positive")
     n = pair.metric.n
     if n > _DENSE_CAP:
         raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
-    return _second_moment(pair.high, pair.sampler(size, seed), pair.metric)
-
-
-def _study_seed(seed: int, m0: int, rep: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(m0, rep)).generate_state(1)[0])
+    thetas = pair.sampler(size, seed)
+    second = np.zeros((n, n))
+    for start in range(0, size, _CHUNK):
+        t = pair.metric.to_coords(_solve_each(pair.high, thetas[start:start + _CHUNK], n))
+        second += t @ t.T
+    second /= size
+    return second
 
 
 def _check_grid(q1: int, m0_grid, repeats: int) -> tuple[int, ...]:
@@ -96,7 +104,7 @@ def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alph
 
     def draws(m0):
         for rep in range(repeats):
-            _, hf, lf = _draw(pair, m0, q1 * m0, _study_seed(seed, m0, rep))
+            _, hf, lf = _draw(pair, m0, q1 * m0, _child_seed(seed, m0, rep))
             sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
             yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
 

@@ -16,6 +16,7 @@ from mfpod import (
     read_snapshots,
 )
 from mfpod.cli import main
+from mfpod.mfpod import SnapshotSpan
 
 
 def _run(capsys, *argv):
@@ -80,7 +81,11 @@ def test_mfpod_adaptive_flag(capsys, tmp_path, alpha):
         want, trace = mfpod_adaptive(sets, 0.9999, metric)
         assert summary["alphas"] == list(trace.alphas) and len(trace.alphas) >= 1
     else:
-        pilot = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
+        # files fit as a study repeat does: the pilot weight is read off the span
+        span = SnapshotSpan.from_sets(sets, metric)
+        pilot = optimal_alpha(span.profile(np.zeros((span.rank, 0))))[0]
+        columns = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
+        assert pilot == pytest.approx(columns, rel=1e-9)  # the column route stays the oracle
         weight = pilot if alpha == "pilot" else 0.7
         assert summary["alphas"] == [weight]
         want = mfpod_fixed(sets, (weight,), 0.9999, metric)

@@ -44,3 +44,16 @@ def test_tracer_only_imports_name_a_tracing_hook():
     imports, stray = _tracer_only_imports()
     assert stray == []
     assert [pair for pair in imports if pair not in hooks] == []
+
+
+def test_no_module_calls_the_column_space_profile():
+    # every profile in the library is read off a snapshot span; the column
+    # route survives as the tests' oracle and as names the tracer resolves,
+    # which are import aliases, not references
+    refs = []
+    for path in sorted((_ROOT / "src" / "mfpod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == "estimate_profile":
+                refs.append(f"{path.name}:{node.lineno}")
+    assert refs == []

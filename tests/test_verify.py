@@ -16,8 +16,8 @@ from mfpod import (
     sample_parameters,
     subspace_alignment,
 )
-from mfpod.core import _CHUNK
-from mfpod.verify import _grid_draws, _study_seed
+from mfpod.models import _child_seed
+from mfpod.verify import _CHUNK, _grid_draws
 
 from conftest import random_spd_metric
 
@@ -82,7 +82,7 @@ def test_convergence_study_identical_levels_match_plain_mc():
     for k, m0 in enumerate(grid):
         errs = np.empty(repeats)
         for rep in range(repeats):
-            thetas = pair.sampler(q1 * m0, _study_seed(seed, m0, rep))
+            thetas = pair.sampler(q1 * m0, _child_seed(seed, m0, rep))
             u = np.column_stack([pair.high(t) for t in thetas])
             t = pair.metric.to_coords(u)
             mc = (t @ t.T) / (q1 * m0)
