@@ -178,12 +178,16 @@ class SnapshotSpan:
         stacked = metric.to_coords(np.hstack(dense)) if dense else np.zeros((metric.n, 0))
         scale = float(np.sqrt(max(np.einsum("ij,ij->j", t, t).max(initial=0.0)
                                   for t in [stacked] + lifted)))
+        starts = range(0, stacked.shape[1], _SPAN_BLOCK)
         coeffs = [np.zeros((q.shape[1], 0))]
-        for start in range(0, stacked.shape[1], _SPAN_BLOCK):
+        for start in starts:
             q, coeff = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
             coeffs.append(coeff)
-        # Earlier blocks and the lift lie in the span they grew up to the
-        # dependence rule, so their coefficients on later directions are zero.
+        # An earlier block lies in the span it grew only up to the dependence
+        # rule, so its coefficients on later directions are computed, not
+        # zeroed; the lift is spanned by its own cached span, zero-padded.
+        coeffs[1:] = [np.vstack([c, q[:, len(c):].T @ stacked[:, s:s + _SPAN_BLOCK]])
+                      for s, c in zip(starts, coeffs[1:])]
         p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs + lifted])
         splits = np.cumsum([b.shape[1] for b in dense + lifted])[:-1]
         parts = dict(zip(order, np.split(p, splits, axis=1)))

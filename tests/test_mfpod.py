@@ -256,11 +256,11 @@ def test_one_span_orthonormalization_and_each_column_transformed_once(monkeypatc
 _COARSE, _FINE = AdvDiffConfig(n_hf=129, n_lf=9), AdvDiffConfig(n_hf=129, n_lf=17)
 
 
-def _multiblock_surrogate():
+def _multiblock_surrogate(seed=4):
     """2 * _SPAN_BLOCK + 17 prolonged surrogate snapshots at n = 129: two
     blocks from a 9-node surrogate, then 17 from a 17-node one, whose
     extra directions can join the span only in the third block."""
-    thetas = sample_parameters(2 * _SPAN_BLOCK + 17, 4, _FINE.theta_range)
+    thetas = sample_parameters(2 * _SPAN_BLOCK + 17, seed, _FINE.theta_range)
     return thetas, np.column_stack([
         snapshot(t, "low", _COARSE if j < 2 * _SPAN_BLOCK else _FINE) for j, t in enumerate(thetas)
     ])
@@ -270,8 +270,8 @@ def _single_level(s) -> tuple:
     return (SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(s.shape[1])), 1.0),)
 
 
-def _multiblock_two_level():
-    thetas, lf = _multiblock_surrogate()
+def _multiblock_two_level(seed=4):
+    thetas, lf = _multiblock_surrogate(seed)
     hf = np.column_stack([snapshot(t, "high", _FINE) for t in thetas[:8]])
     return SnapshotSet.two_level(hf, lf, 1.0, 17 / 129)
 
@@ -324,13 +324,14 @@ def test_mfpod_fixed_across_blocks_matches_dense_oracle():
             assert subspace_alignment(a, orthonormalize(vecs[:, : j + 1], metric)) < 1e-8
 
 
-def test_span_projections_are_the_basis_coefficients_of_each_block():
-    # the span grows in its last Gram-Schmidt block, so the coefficients
-    # kept from earlier blocks are zero-padded on the later directions
+@pytest.mark.parametrize("seed", range(40))
+def test_span_projections_are_the_basis_coefficients_of_each_block(seed):
+    # the span grows in its last Gram-Schmidt block, so the coefficients of
+    # earlier blocks on the later directions must be computed, not zeroed
     metric = fine_metric(_FINE)
-    lf = _multiblock_surrogate()[1]
+    lf = _multiblock_surrogate(seed)[1]
     first_block = SnapshotSpan.from_sets(_single_level(lf[:, :_SPAN_BLOCK]), metric)
-    for sets in (_single_level(lf), _multiblock_two_level()):
+    for sets in (_single_level(lf), _multiblock_two_level(seed)):
         span = SnapshotSpan.from_sets(sets, metric)
         assert span.rank > first_block.rank
         blocks = [metric.to_coords(b) for b in mfpod_module._snapshot_blocks(sets)]
