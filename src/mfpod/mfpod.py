@@ -52,6 +52,11 @@ def _snapshot_blocks(sets) -> tuple[np.ndarray, ...]:
     return (sets[0].shared,) + tuple(b for s in sets[1:] for b in (s.shared, s.extra))
 
 
+def _block_levels(sets) -> tuple:
+    """The level each of _snapshot_blocks' blocks belongs to."""
+    return (sets[0],) + tuple(s for s in sets[1:] for _ in (0, 1))
+
+
 def _coefficients(counts, alphas) -> tuple[float, ...]:
     """Weights c so that C_mf = sum c S S^T W over the snapshot blocks."""
     alphas = tuple(float(a) for a in alphas)
@@ -89,8 +94,8 @@ class MfOperator:
             raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
         out = np.zeros((n, n))
         coeffs = _coefficients([s.count for s in self.sets], self.alphas)
-        for c, block in zip(coeffs, _snapshot_blocks(self.sets)):
-            t = self.metric.to_coords(block)
+        for c, level, block in zip(coeffs, _block_levels(self.sets), _snapshot_blocks(self.sets)):
+            t = self.metric.to_coords(level.snapshots(block))
             out += c * (t @ t.T)
         return out
 
@@ -165,7 +170,7 @@ class SnapshotSpan:
     def from_sets(cls, sets, metric: Metric) -> "SnapshotSpan":
         sets = _check_sets(sets, metric)
         blocks = _snapshot_blocks(sets)
-        lifts = [sets[0].lift] + [s.lift for s in sets[1:] for _ in (0, 1)]  # per block
+        lifts = [s.lift for s in _block_levels(sets)]
         if len({id(lift) for lift in lifts if lift is not None}) > 1:
             raise ValueError("lifted levels must share one lift")
         order = sorted(range(len(blocks)), key=lambda i: lifts[i] is not None)  # dense first
@@ -183,9 +188,8 @@ class SnapshotSpan:
         for start in starts:
             q, coeff = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
             coeffs.append(coeff)
-        # An earlier block lies in the span it grew only up to the dependence
-        # rule, so its coefficients on later directions are computed, not
-        # zeroed; the lift is spanned by its own cached span, zero-padded.
+        # An earlier block lies in the span it grew only up to the dependence rule,
+        # so its rows on later directions are computed; the lift's are zero-padded.
         coeffs[1:] = [np.vstack([c, q[:, len(c):].T @ stacked[:, s:s + _SPAN_BLOCK]])
                       for s, c in zip(starts, coeffs[1:])]
         p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs + lifted])

@@ -19,7 +19,6 @@ multifidelity estimator has to tolerate.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -79,80 +78,13 @@ class ModelCosts:
         return cls(high=1.0, low=config.n_lf / config.n_hf)
 
 
-# numpy's SeedSequence hash constants (pool of four 32-bit words).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(const: int, mult: int, steps) -> np.ndarray:
-    """The running hash constant const * mult^j (mod 2^32) of each step j
-    that SeedSequence's hashmix steps through, as a uint32 array."""
-    return np.array([const * pow(mult, j, 1 << 32) & _MASK32 for j in steps], dtype=np.uint32)
-
-
-# generate_state(4, uint64) hashes eight 32-bit words cycling over the pool;
-# as (2, 4, 1) arrays the constants line up with the pool word each word hashes.
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, range(9))
-_STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1].reshape(2, 4, 1), _STATE_CONSTS[1:].reshape(2, 4, 1)
-
-# PCG64's state at its first output: seeding (state 0, step, add the seed,
-# step) and the output's own step give, with inc = 2 seq + 1 and multiplier M,
-#     ((inc + seed) M + inc) M + inc = seed M^2 + seq 2B + B  (mod 2^128),
-# B = M^2 + M + 1: one product with a constant each for seed and seq.
-_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_BIAS = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _MASK128
-_PCG_FACTORS = (_PCG_MULT * _PCG_MULT & _MASK128, 2 * _PCG_BIAS & _MASK128)  # (seed, seq)
-# the factors' high limbs, low limbs and the low limbs' 32-bit halves, one row each
-_FACTOR_HI, _FACTOR_LO, _FACTOR_LO0, _FACTOR_LO1 = (
-    np.array([[f >> shift & mask] for f in _PCG_FACTORS], dtype=np.uint64)
-    for shift, mask in ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32)))
-_BIAS_HI, _BIAS_LO = np.uint64(_PCG_BIAS >> 64), np.uint64(_PCG_BIAS & _MASK64)
-_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
-
-
-@functools.lru_cache(maxsize=None)
-def _spawn_consts(n_words: int) -> np.ndarray:
-    """The hash constants of the spawn word that follows an n_words seed
-    (n_words >= 4), as a (2, 4, 1) uint32 array of four xor and four mult
-    constants.  The pool takes 4 hash steps, its cross-mixing 12 and each
-    seed word past the fourth 4, so the spawn word's four steps are
-    4 n_words ... 4 n_words + 3."""
-    consts = _hash_consts(_INIT_A, _MULT_A, range(4 * n_words, 4 * n_words + 5))
-    spawn = np.stack([consts[:-1], consts[1:]])[:, :, None]
-    spawn.flags.writeable = False  # shared by every call through the cache
-    return spawn
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    """(hi, lo) + (add_hi, add_lo) mod 2^128 on uint64 limbs."""
-    out_lo = lo + add_lo
-    return hi + add_hi + (out_lo < lo), out_lo
-
-
-def _mul_factors(hi, lo):
-    """(hi, lo) times _PCG_FACTORS mod 2^128 on uint64 limbs, one factor
-    per row; the high half of the 64 x 64 -> 128 product of the low limbs is
-    put together from 32-bit halves."""
-    a0, a1 = lo & _LOW32, lo >> _SHIFT32
-    t = a0 * _FACTOR_LO0
-    u = a1 * _FACTOR_LO0 + (t >> _SHIFT32)
-    v = a0 * _FACTOR_LO1 + (u & _LOW32)
-    carry = a1 * _FACTOR_LO1 + (u >> _SHIFT32) + (v >> _SHIFT32)
-    return carry + lo * _FACTOR_HI + hi * _FACTOR_LO, lo * _FACTOR_LO
-
-
 def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.ndarray:
-    """Uniform parameter draws where sample i depends only on (seed, i).
+    """Uniform parameter draws, the first count of numpy's PCG64 stream for
+    the seed: ``default_rng(seed).uniform(lo, hi, count)``.
 
-    Draw i is bit-identical to numpy's
-    ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(lo, hi)``;
-    all draws are computed at once by the same SeedSequence hash and PCG64
-    step on arrays.  The counter-based stream makes prefixes stable:
-    enlarging the count never changes the samples already drawn, so
-    telescoping snapshot sets share their parameters by construction.
+    The stream fills the draws in order, so enlarging the count never
+    changes the samples already drawn, and telescoping snapshot sets share
+    their parameters by construction.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
@@ -163,35 +95,9 @@ def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.nda
     lo, hi = theta_range
     if not lo < hi:
         raise ValueError("theta_range must be increasing")
-    lo, hi = float(lo), float(hi)
-    span = hi - lo
-    if not math.isfinite(span):
+    if not np.isfinite(float(hi) - float(lo)):
         raise OverflowError("theta_range width exceeds the float range")
-
-    # SeedSequence: with a spawn key the seed is zero-padded to the pool size,
-    # which leaves the pool of SeedSequence(seed) as it is, and the spawn word
-    # i, the last entropy word, is hashed and mixed into each of the four pool
-    # words in turn (one column per draw).
-    seed = int(seed)
-    pool = np.array([[_MIX_L * int(p) & _MASK32] for p in np.random.SeedSequence(seed).pool],
-                    dtype=np.uint32)
-    xor, mult = _spawn_consts(max(4, -(-seed.bit_length() // 32)))
-    h = (np.arange(count, dtype=np.uint32) ^ xor) * mult
-    mixed = pool - _MIX_R * (h ^ h >> 16)
-    mixed ^= mixed >> 16
-    # generate_state(4, uint64): rows seed_hi, seed_lo, seq_hi, seq_lo
-    state = (mixed ^ _STATE_XOR) * _STATE_MULT
-    state ^= state >> 16
-    state = state.reshape(8, count).astype(np.uint64)
-    words = state[0::2] | state[1::2] << _SHIFT32
-
-    # PCG64's state at its first output, then the XSL-RR output
-    hi_limbs, lo_limbs = _mul_factors(words[0::2], words[1::2])
-    hi_limb, lo_limb = _add128(hi_limbs[0], lo_limbs[0], hi_limbs[1], lo_limbs[1])
-    hi_limb, lo_limb = _add128(hi_limb, lo_limb, _BIAS_HI, _BIAS_LO)
-    value, rot = hi_limb ^ lo_limb, hi_limb >> 58
-    value = value >> rot | value << (-rot & 63)
-    return lo + span * ((value >> 11) * (1.0 / 9007199254740992.0))
+    return np.random.default_rng(seed).uniform(lo, hi, count)
 
 
 def equispaced_parameters(count: int, theta_range=(1.0, 100.0)) -> np.ndarray:

@@ -36,6 +36,8 @@ from mfpod import (
     write_study,
 )
 
+import mfpod.experiment as experiment
+
 from conftest import dense_mf_oracle, random_instance, random_spd_metric
 
 
@@ -219,13 +221,19 @@ def desk_reports():
     return reports, time.perf_counter() - started
 
 
+def _paired_repeats(a, b) -> list:
+    """(a, b) records of the repeats both studies kept, paired by repeat index,
+    so that a failed repeat drops its own pair and shifts no other."""
+    kept = {rec["repeat"]: rec for rec in b.repeats}
+    return [(rec, kept[rec["repeat"]]) for rec in a.repeats if rec["repeat"] in kept]
+
+
 def test_acceptance_6_budget_study_ordering(desk_reports):
     reports, elapsed = desk_reports
     mf, hf, lf = (reports[k] for k in ("even_split", "hf_only", "lf_only"))
 
     hf_counts = [rec["mode_count"] for rec in hf.repeats]
-    mf_counts = [rec["mode_count"] for rec in mf.repeats]
-    wins = sum(a > b for a, b in zip(mf_counts, hf_counts))
+    wins = sum(a["mode_count"] > b["mode_count"] for a, b in _paired_repeats(mf, hf))
     mf_med = mf.aggregates["captured_energy"]["p50"]
     hf_med = hf.aggregates["captured_energy"]["p50"]
     lf_med = lf.aggregates["captured_energy"]["p50"]
@@ -239,10 +247,31 @@ def test_acceptance_6_budget_study_ordering(desk_reports):
     ok = ok_a and ok_b and ok_c and ok_d and elapsed < 600.0
     assert _line(6, "budget-study ordering", ok,
                  f"hf modes max {max(hf_counts)} (<= 5: {ok_a}), "
-                 f"mf>hf modes in {wins}/100 (>= 90: {ok_b}), "
+                 f"mf>hf modes in {wins}/100 paired repeats (>= 90: {ok_b}), "
                  f"mf median energy >= hf at r<=5: {ok_c}, "
                  f"lf plateau {plateau_late:.2e} < {plateau_early:.2e}: {ok_d}, "
                  f"{elapsed:.0f}s (< 600s)")
+
+
+def test_a_failed_repeat_drops_only_its_own_pair(monkeypatch):
+    run_repeat = experiment._run_repeat
+
+    def failing(rep, seed, pair, metric, m0, m1, pipeline, *args):
+        if pipeline == "pod_hf" and rep == 2:
+            raise ValueError("synthetic failure")
+        return run_repeat(rep, seed, pair, metric, m0, m1, pipeline, *args)
+
+    monkeypatch.setattr(experiment, "_run_repeat", failing)
+    model = AdvDiffConfig(n_hf=129, n_lf=17)
+    reference = build_reference(model, 200, 10)
+    mf, hf = (run_study(StudyConfig(model=model, budget=5.0, split=split, repeats=6,
+                                    master_seed=4, report_dims=10), reference)
+              for split in ("even_split", "hf_only"))
+    assert [f["repeat"] for f in hf.failures] == [2] and not mf.failures
+    pairs = _paired_repeats(mf, hf)
+    assert [a["repeat"] for a, _ in pairs] == [0, 1, 3, 4, 5]
+    # paired repeats share their seed, hence their high-fidelity draws
+    assert all(a["seed"] == b["seed"] for a, b in pairs)
 
 
 # -- 7: degenerate weights reduce the method to plain POD --------------------

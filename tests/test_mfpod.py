@@ -15,6 +15,7 @@ from mfpod import (
     fine_metric,
     j_mf,
     jmf_plus,
+    make_model_pair,
     mfpod_adaptive,
     mfpod_fixed,
     orthonormalize,
@@ -340,6 +341,17 @@ def test_span_projections_are_the_basis_coefficients_of_each_block(seed):
         for got, t in zip(span.projections, blocks):
             assert got.shape == (span.rank, t.shape[1])
             np.testing.assert_allclose(got, span.basis.T @ t, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("seed, m0, m1", [(0, 2, 9), (3, 4, 30), (7, 5, 6)])
+def test_dense_operator_of_lifted_sets_is_that_of_their_prolonged_twin(seed, m0, m1):
+    pair = make_model_pair(_FINE)
+    thetas = sample_parameters(m1, seed, _FINE.theta_range)
+    hf, coarse = pair.high(thetas[:m0]), pair.coarse(thetas)
+    lifted = SnapshotSet.two_level(hf, coarse, 1.0, 0.1, pair.lift)
+    dense = SnapshotSet.two_level(hf, pair.lift @ coarse, 1.0, 0.1)
+    got, want = (build_operator(s, (0.8,), pair.metric).assemble_transformed() for s in (lifted, dense))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("width", [1, 7, 50, 10_000])

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,10 @@ def test_no_module_calls_the_column_space_profile():
             if isinstance(node, (ast.Name, ast.Attribute)) and name == "estimate_profile":
                 refs.append(f"{path.name}:{node.lineno}")
     assert refs == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.DOTALL)
+    assert blocks
+    for i, code in enumerate(blocks):
+        exec(compile(code, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
