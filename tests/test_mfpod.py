@@ -325,22 +325,24 @@ def test_mfpod_fixed_across_blocks_matches_dense_oracle():
             assert subspace_alignment(a, orthonormalize(vecs[:, : j + 1], metric)) < 1e-8
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_span_projections_are_the_basis_coefficients_of_each_block(seed):
+def test_span_projections_are_the_basis_coefficients_of_each_block():
     # the span grows in its last Gram-Schmidt block, so the coefficients of
-    # earlier blocks on the later directions must be computed, not zeroed
+    # earlier blocks on the later directions must be computed, not zeroed;
+    # zero-padding passed some seeds and failed others, so every seed of 0-39 runs
     metric = fine_metric(_FINE)
-    lf = _multiblock_surrogate(seed)[1]
-    first_block = SnapshotSpan.from_sets(_single_level(lf[:, :_SPAN_BLOCK]), metric)
-    for sets in (_single_level(lf), _multiblock_two_level(seed)):
-        span = SnapshotSpan.from_sets(sets, metric)
-        assert span.rank > first_block.rank
-        blocks = [metric.to_coords(b) for b in mfpod_module._snapshot_blocks(sets)]
-        scale = max(np.linalg.norm(t, axis=0).max() for t in blocks)
-        assert len(span.projections) == len(blocks)
-        for got, t in zip(span.projections, blocks):
-            assert got.shape == (span.rank, t.shape[1])
-            np.testing.assert_allclose(got, span.basis.T @ t, rtol=0, atol=1e-13 * scale)
+    for seed in range(40):
+        lf = _multiblock_surrogate(seed)[1]
+        first_block = SnapshotSpan.from_sets(_single_level(lf[:, :_SPAN_BLOCK]), metric)
+        for sets in (_single_level(lf), _multiblock_two_level(seed)):
+            span = SnapshotSpan.from_sets(sets, metric)
+            assert span.rank > first_block.rank, seed
+            blocks = [metric.to_coords(b) for b in mfpod_module._snapshot_blocks(sets)]
+            scale = max(np.linalg.norm(t, axis=0).max() for t in blocks)
+            assert len(span.projections) == len(blocks), seed
+            for got, t in zip(span.projections, blocks):
+                assert got.shape == (span.rank, t.shape[1]), seed
+                np.testing.assert_allclose(got, span.basis.T @ t, rtol=0, atol=1e-13 * scale,
+                                           err_msg=f"seed {seed}")
 
 
 @pytest.mark.parametrize("seed, m0, m1", [(0, 2, 9), (3, 4, 30), (7, 5, 6)])
