@@ -92,12 +92,12 @@ class MfOperator:
         n = self.metric.n
         if n > _DENSE_CAP:
             raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
-        out = np.zeros((n, n))
+        blocks = [level.snapshots(block)
+                  for level, block in zip(_block_levels(self.sets), _snapshot_blocks(self.sets))]
         coeffs = _coefficients([s.count for s in self.sets], self.alphas)
-        for c, level, block in zip(coeffs, _block_levels(self.sets), _snapshot_blocks(self.sets)):
-            t = self.metric.to_coords(level.snapshots(block))
-            out += c * (t @ t.T)
-        return out
+        # one transform and one product: each block's weight scales its columns
+        t = self.metric.to_coords(np.hstack(blocks))
+        return (t * np.repeat(coeffs, [b.shape[1] for b in blocks])) @ t.T
 
 
 def build_operator(sets, alphas, metric: Metric) -> MfOperator:

@@ -88,6 +88,17 @@ def _check_grid(q1: int, m0_grid, repeats: int) -> tuple[int, ...]:
     return grid
 
 
+def _check_reference(reference: np.ndarray, n: int) -> None:
+    """Check that a study reference is a finite symmetric n x n matrix."""
+    shape = np.shape(reference)
+    if shape != (n, n):
+        raise ValueError(f"reference has shape {shape}, the metric needs {(n, n)}")
+    if not np.isfinite(reference).all():
+        raise ValueError(f"reference of shape {shape} has non-finite entries")
+    if np.linalg.norm(reference - reference.T) > 1e-12 * np.linalg.norm(reference):
+        raise ValueError(f"reference of shape {shape} is not symmetric within 1e-12 relative")
+
+
 def _check_r(r: int, n: int) -> None:
     """Check an eigenvalue-sum dimension r against the ambient dimension n."""
     if r < 1:
@@ -111,11 +122,10 @@ def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alph
     return grid, ((m0, draws(m0)) for m0 in grid)
 
 
-def _descending_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix, largest eigenvalue first."""
-    vals, vecs = scipy.linalg.eigh(mat)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+def _descending_eigh(mat: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top eigenpairs of a symmetric matrix, largest (signed) eigenvalue first."""
+    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[len(mat) - top, len(mat) - 1])
+    return vals[::-1], vecs[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -153,6 +163,7 @@ def convergence_study(
     with ``exact=True`` and an undefined slope.
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
+    _check_reference(reference, pair.metric.n)
     means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
              for _, mats in points]
     means_arr = np.array(means)
@@ -212,10 +223,12 @@ def eigenvalue_sum_mse(
     convergence study against it.
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
+    _check_reference(reference, pair.metric.n)
     _check_r(r, len(reference))
-    ref_vals, ref_vecs = _descending_eigh(reference)
+    # lambda_{r+1} for the gap; traces off the diagonal, so no draw needs its full spectrum
+    ref_vals, ref_vecs = _descending_eigh(reference, r + 1)
     ref_sum = float(ref_vals[:r].sum())
-    ref_trace = float(ref_vals.sum())
+    ref_trace = float(np.trace(reference))
     gap = float(ref_vals[r - 1] - ref_vals[r])
     gap_degenerate = not gap > 1e-12 * max(abs(ref_vals[0]), 1e-300)
     euclid = Metric.euclidean(pair.metric.n)
@@ -231,12 +244,12 @@ def eigenvalue_sum_mse(
             float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
         )
         for rep, mat in enumerate(mats):
-            vals, vecs = _descending_eigh(mat)
-            dsum[rep] = vals[:r].sum() - ref_sum
-            trace = vals.sum()
-            ratios[rep] = vals[:r].sum() / trace if abs(trace) > 1e-300 else float("nan")
+            vals, vecs = _descending_eigh(mat, r)
+            dsum[rep] = vals.sum() - ref_sum
+            trace = np.trace(mat)
+            ratios[rep] = vals.sum() / trace if abs(trace) > 1e-300 else float("nan")
             if not gap_degenerate:
-                v = Basis(vecs[:, :r], euclid)
+                v = Basis(vecs, euclid)
                 forward = float(euclid.norms_sq(vstar.vectors - project(v, vstar.vectors)).sum())
                 backward = float(euclid.norms_sq(v.vectors - project(vstar, v.vectors)).sum())
                 symmetry_max = max(symmetry_max, abs(forward - backward))

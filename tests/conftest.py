@@ -31,15 +31,25 @@ def random_instance(rng: np.random.Generator, n: int, m0: int, m1: int,
     )
 
 
-def assemble_mf_matrix(sets, alpha: float) -> np.ndarray:
-    """Explicit sum-of-outer-products form of the two-level operator."""
-    s0 = sets[0].shared
-    s1s, s1e = sets[1].shared, sets[1].extra
-    m0, m1 = sets[0].count, sets[1].count
-    c = (1.0 / m0) * (s0 @ s0.T)
-    c += alpha * (1.0 / m1 - 1.0 / m0) * (s1s @ s1s.T)
-    c += (alpha / m1) * (s1e @ s1e.T)
+def assemble_mf_matrix(sets, alpha) -> np.ndarray:
+    """Explicit sum-of-outer-products form of the operator; ``alpha`` is one
+    weight per lower-fidelity level, or one weight for all of them."""
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (len(sets) - 1,))
+    s0 = sets[0].snapshots(sets[0].shared)
+    c = (1.0 / sets[0].count) * (s0 @ s0.T)
+    for a, prev, level in zip(alphas, sets, sets[1:]):
+        shared, extra = level.snapshots(level.shared), level.snapshots(level.extra)
+        c += a * (1.0 / level.count - 1.0 / prev.count) * (shared @ shared.T)
+        c += (a / level.count) * (extra @ extra.T)
     return c
+
+
+def transformed_mf_matrix(sets, alpha, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """F^T C F and F for the explicit operator C, with W = F F^T by Cholesky."""
+    w = metric.weight if metric.weight is not None else np.eye(sets[0].dim)
+    w = np.asarray(w.todense()) if hasattr(w, "todense") else np.asarray(w)
+    f = np.linalg.cholesky(w)
+    return f.T @ assemble_mf_matrix(sets, alpha) @ f, f
 
 
 def dense_mf_oracle(sets, alpha: float, metric: Metric, drop_tol: float = 1e-12):
@@ -47,12 +57,7 @@ def dense_mf_oracle(sets, alpha: float, metric: Metric, drop_tol: float = 1e-12)
 
     Eigenvectors are returned metric-orthonormal, in original coordinates.
     """
-    n = sets[0].dim
-    c = assemble_mf_matrix(sets, alpha)
-    w = metric.weight if metric.weight is not None else np.eye(n)
-    w = np.asarray(w.todense()) if hasattr(w, "todense") else np.asarray(w)
-    f = np.linalg.cholesky(w)
-    sym = f.T @ c @ f
+    sym, f = transformed_mf_matrix(sets, alpha, metric)
     vals, vecs = scipy.linalg.eigh((sym + sym.T) / 2.0)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

@@ -28,7 +28,8 @@ from mfpod import (
 import mfpod.mfpod as mfpod_module
 from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan, build_operator
 
-from conftest import assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric
+from conftest import (assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric,
+                      transformed_mf_matrix)
 
 
 def _alloc(sets, alpha):
@@ -354,6 +355,36 @@ def test_dense_operator_of_lifted_sets_is_that_of_their_prolonged_twin(seed, m0,
     dense = SnapshotSet.two_level(hf, pair.lift @ coarse, 1.0, 0.1)
     got, want = (build_operator(s, (0.8,), pair.metric).assemble_transformed() for s in (lifted, dense))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def _oracle_case(case, rng, n, metric):
+    """Snapshot sets and weights of one assembly case; a lifted case also
+    returns its prolonged dense twin."""
+    if case == "two-level":
+        return random_instance(rng, n, 4, 11, metric), (0.8,), None
+    if case == "three-level":
+        counts, sets = (3, 7, 16), []
+        for ell, (m, cost) in enumerate(zip(counts, (1.0, 0.25, 0.05))):
+            u, shared = rng.standard_normal((n, m)), counts[ell - 1] if ell else m
+            sets.append(SnapshotSet(ell, u[:, :shared], u[:, shared:], range(m), cost))
+        return tuple(sets), (0.7, 1.2), None
+    lift, hf, coarse = (rng.standard_normal(shape) for shape in ((n, 6), (n, 4), (6, 11)))
+    return (SnapshotSet.two_level(hf, coarse, 1.0, 0.1, lift), (0.8,),
+            SnapshotSet.two_level(hf, lift @ coarse, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("case", ["two-level", "three-level", "lifted"])
+def test_assembled_operator_is_the_transformed_explicit_sum(case):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        metric = random_spd_metric(rng, 23)
+        sets, alphas, twin = _oracle_case(case, rng, 23, metric)
+        got = build_operator(sets, alphas, metric).assemble_transformed()
+        want = transformed_mf_matrix(sets, alphas, metric)[0]
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), seed
+        if twin is not None:
+            dense = build_operator(twin, alphas, metric).assemble_transformed()
+            assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense), seed
 
 
 @pytest.mark.parametrize("width", [1, 7, 50, 10_000])

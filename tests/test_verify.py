@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpod import (
     AdvDiffConfig,
@@ -16,8 +18,9 @@ from mfpod import (
     sample_parameters,
     subspace_alignment,
 )
+import mfpod.verify as verify
 from mfpod.models import _child_seed
-from mfpod.verify import _CHUNK, _grid_draws
+from mfpod.verify import _CHUNK, _descending_eigh, _grid_draws
 
 from conftest import random_spd_metric
 
@@ -196,3 +199,97 @@ def test_reference_matrix_streams_chunks_exactly():
         reference_matrix(pair, 0, 9)
     with pytest.raises(ValueError):
         reference_matrix(make_model_pair(AdvDiffConfig(n_hf=4097 + 4096, n_lf=33)), 1, 9)
+
+
+def _broken_references(n):
+    ref = np.eye(n)
+    nan = ref.copy()
+    nan[3, 3] = np.nan
+    asym = ref.copy()
+    asym[0, 1] = 1e-6
+    return {"nan": (nan, "non-finite"), "asymmetric": (asym, "not symmetric"),
+            "missized": (np.eye(n - 1), r"shape \(64, 64\), the metric needs \(65, 65\)")}
+
+
+@pytest.mark.parametrize("case", ["nan", "asymmetric", "missized"])
+def test_studies_reject_a_broken_reference_before_any_draw(case, monkeypatch):
+    pair = _small_pair()
+    reference, message = _broken_references(pair.metric.n)[case]
+
+    def no_draw(*args):
+        raise AssertionError("a draw was assembled before the reference was checked")
+
+    monkeypatch.setattr(verify, "build_operator", no_draw)
+    with pytest.raises(ValueError, match=message):
+        convergence_study(pair, 4, (2, 4), 30, 0, reference=reference)
+    with pytest.raises(ValueError, match=message):
+        eigenvalue_sum_mse(pair, 3, (2, 4), 30, 0, gamma_hat=1.0, reference=reference)
+
+
+def _full_descending(mat):
+    vals, vecs = scipy.linalg.eigh(mat)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 40), log_scale=st.floats(-6.0, 6.0),
+       data=st.data())
+def test_descending_eigh_is_the_top_of_the_full_signed_spectrum(seed, n, log_scale, data):
+    top = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal(n)
+    lam[:2] = -abs(lam[0]), abs(lam[1])  # indefinite
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mat = (q * (10.0**log_scale * lam)) @ q.T
+    mat = (mat + mat.T) / 2.0
+    vals, vecs = _descending_eigh(mat, top)
+    full_vals, full_vecs = _full_descending(mat)
+    assert vals.shape == (top,) and vecs.shape == (n, top)
+    scale = np.abs(full_vals).max()
+    np.testing.assert_allclose(vals, full_vals[:top], rtol=0, atol=1e-12 * scale)
+    if full_vals[top - 1] - full_vals[top] > 1e-4 * scale:  # the top subspace is well defined
+        got, want = vecs @ vecs.T, full_vecs[:, :top] @ full_vecs[:, :top].T
+        assert np.linalg.norm(got - want) <= 1e-8
+    assert abs(np.trace(mat) - full_vals.sum()) <= 1e-12 * np.abs(full_vals).sum()
+
+
+def test_eigenvalue_sum_solves_only_the_top_pairs_and_matches_full_solves(monkeypatch):
+    pair = _small_pair()
+    r, grid, repeats, seed = 3, (2, 4), 30, 11
+    reference = reference_matrix(pair, 400, seed)
+    calls = []
+    full_eigh = scipy.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append((a is reference, kwargs.get("subset_by_index")))
+        return full_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(verify.scipy.linalg, "eigh", recording_eigh)
+    study = eigenvalue_sum_mse(pair, r, grid, repeats, seed, gamma_hat=1.0, reference=reference)
+    monkeypatch.undo()
+    assert not study.gap_degenerate
+    assert len(calls) == 1 + len(grid) * repeats
+    for is_reference, subset in calls:
+        assert subset is not None
+        lo, hi = subset
+        assert hi == pair.metric.n - 1 and hi - lo + 1 <= (r + 1 if is_reference else r)
+    assert sum(is_reference for is_reference, _ in calls) == 1
+
+    # the same statistics from full eigensolves of the same operators
+    ref_vals, ref_vecs = _full_descending(reference)
+    vstar = ref_vecs[:, :r]
+    mse, align, ratios = [], [], []
+    for _, mats in _grid_draws(pair, 4, grid, repeats, seed, 1.0)[1]:
+        dsum, asq, ratio = [], [], []
+        for mat in mats:
+            vals, vecs = _full_descending(mat)
+            dsum.append(vals[:r].sum() - ref_vals[:r].sum())
+            asq.append((r - np.sum((vecs[:, :r].T @ vstar) ** 2)) ** 2)
+            ratio.append(vals[:r].sum() / vals.sum())
+        mse.append(np.mean(np.square(dsum)))
+        align.append(np.mean(asq))
+        ratios.append(np.median(ratio))
+    np.testing.assert_allclose(study.mse, mse, rtol=1e-10)
+    np.testing.assert_allclose(study.alignment_mean_sq, align, rtol=1e-10)
+    np.testing.assert_allclose(study.energy_ratio_medians, ratios, rtol=1e-10)
