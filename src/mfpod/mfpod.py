@@ -16,6 +16,7 @@ energy criterion selects the reduced dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -202,11 +203,18 @@ class SnapshotSpan:
     def rank(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def _grams(self) -> tuple[np.ndarray, ...]:
+        return tuple(p @ p.T for p in self.projections)
+
     def operator(self, alphas) -> np.ndarray:
-        """k x k matrix Q^T C_mf Q of the operator with the given weights."""
+        """k x k matrix Q^T C_mf Q of the operator with the given weights.
+
+        Each block's Gram P P^T is formed on the first call and cached on
+        the span, so further weights cost one k x k sum per block."""
         b = np.zeros((self.rank, self.rank))
-        for c, p in zip(_coefficients(self.counts, alphas), self.projections):
-            b += c * (p @ p.T)
+        for c, g in zip(_coefficients(self.counts, alphas), self._grams):
+            b += c * g
         return (b + b.T) * 0.5
 
     def profile(self, z: np.ndarray) -> VarianceProfile:

@@ -1,14 +1,18 @@
-"""Shared helpers: random weighted metrics, two-level instances, dense oracles.
+"""Shared helpers: random weighted metrics, two-level instances, oracles.
 
 The dense oracle assembles the multifidelity operator explicitly with plain
 numpy/scipy and eigensolves it in Cholesky-transformed coordinates, entirely
-independent of the package's low-rank path.
+independent of the package's low-rank path.  The adaptive oracle runs the
+adaptive loop with deflation by two-sided projection of the full span
+operator, the route the package replaced by restriction.
 """
 
 import numpy as np
 import scipy.linalg
 
-from mfpod import Metric, SnapshotSet
+from mfpod import AdaptiveStep, AdaptiveTrace, Metric, SnapshotSet, optimal_alpha
+from mfpod.adaptive import _RESIDUAL_TOL, _STAGNATION_TOL
+from mfpod.mfpod import SnapshotSpan, _finalize_basis
 
 
 def random_spd_metric(rng: np.random.Generator, n: int) -> Metric:
@@ -65,3 +69,65 @@ def dense_mf_oracle(sets, alpha: float, metric: Metric, drop_tol: float = 1e-12)
     keep = np.abs(vals) > drop_tol * top
     vecs = scipy.linalg.solve_triangular(f.T, vecs[:, keep], lower=False)
     return vals[keep], vecs
+
+
+def adaptive_oracle(sets, kappa: float, metric: Metric):
+    """mfpod_adaptive with each step's full k x k span operator projected
+    onto the complement of the modes found and every new mode
+    re-orthogonalized against them.
+
+    Returns the MfBasis, the AdaptiveTrace, each step's selection gap
+    |lambda| - max |other eigenvalue of the projected operator| and each
+    step's variance profile, from which its weight was fitted.
+    """
+    span = SnapshotSpan.from_sets(sets, metric)
+    p0, rank = span.projections[0], span.rank
+    norm0 = float(np.linalg.norm(p0))
+    z = np.zeros((rank, 0))
+    steps, gaps, profiles = [], [], []
+
+    def finalize(termination, diagnostic=None):
+        basis = _finalize_basis(span, [s.raw_eigval for s in steps],
+                                [s.corrected_eigval for s in steps], z, kappa,
+                                diagnostic=diagnostic)
+        return basis, AdaptiveTrace(tuple(steps), termination), gaps, profiles
+
+    if norm0 == 0.0:
+        return finalize("residual", diagnostic="high-fidelity snapshots are all zero")
+    resid = norm0
+    while True:
+        if resid <= _RESIDUAL_TOL * norm0:
+            return finalize("residual")
+        if z.shape[1] >= rank:
+            return finalize("rank")
+        profiles.append(span.profile(z))
+        alpha = optimal_alpha(profiles[-1])[0]
+        full = span.operator((alpha,))
+        b = full
+        if z.shape[1]:
+            b = b - z @ (z.T @ b)
+            b = b - (b @ z) @ z.T
+            b = (b + b.T) * 0.5
+        vals, vecs = scipy.linalg.eigh(b)
+        j = int(np.abs(vals).argmax())
+        lam = float(vals[j])
+        if abs(lam) <= 1e-14 * max(float(np.abs(full).max()), 1e-300):
+            return finalize("exhausted",
+                            diagnostic="deflated operator has no remaining eigenvalues")
+        gaps.append(abs(lam) - np.delete(np.abs(vals), j).max(initial=0.0))
+        zj = vecs[:, j]
+        if z.shape[1]:
+            zj = zj - z @ (z.T @ zj)
+            zj = zj / np.linalg.norm(zj)
+        lam_plus = span.repair(lam, zj)
+        z = np.hstack([z, zj[:, None]])
+        new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
+        steps.append(AdaptiveStep(
+            index=len(steps) + 1, alpha=float(alpha), raw_eigval=lam,
+            corrected_eigval=float(lam_plus), residual=new_resid,
+            corrected=lam <= 0,
+        ))
+        if resid - new_resid <= _STAGNATION_TOL * norm0:
+            return finalize("stagnation",
+                            diagnostic="mode failed to reduce the high-fidelity residual")
+        resid = new_resid

@@ -1,5 +1,8 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
+    adaptive,
     estimate_profile,
     mfpod_adaptive,
     mfpod_fixed,
@@ -20,7 +24,7 @@ from mfpod.mfpod import SnapshotSpan
 
 _span_profile = SnapshotSpan.profile
 
-from conftest import random_instance, random_spd_metric
+from conftest import adaptive_oracle, random_instance, random_spd_metric
 
 
 def _identical_level_sets(rng, n, m0, m1, spread=True):
@@ -183,3 +187,103 @@ def test_zero_hf_terminates_immediately():
     mf, trace = mfpod_adaptive(sets, kappa=0.9, metric=Metric.euclidean(n))
     assert trace.termination == "residual"
     assert len(trace.steps) == 0 and mf.mode_count == 0
+
+
+def _extraction_order(mf, trace):
+    """The modes of mf in the order the loop found them, up to the first
+    one that _finalize_basis truncated."""
+    cols = []
+    for step in trace.steps:
+        match = np.flatnonzero(mf.raw_eigvals == step.raw_eigval)
+        if len(match) != 1:
+            break
+        cols.append(match[0])
+    return mf.vectors[:, cols]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), m0=st.integers(2, 6),
+       extra=st.integers(1, 40), bandwidth=st.integers(0, 3))
+def test_restricted_loop_matches_the_projected_deflation_oracle(seed, n, m0, extra, bandwidth):
+    rng = np.random.default_rng(seed)
+    metric = Metric.euclidean(n) if bandwidth == 0 else _banded_metric(rng, n, bandwidth)
+    sets = random_instance(rng, n, m0, m0 + extra, metric)
+    mf, trace = mfpod_adaptive(sets, 0.9999, metric)
+    mf_o, trace_o, gaps, profiles = adaptive_oracle(sets, 0.9999, metric)
+    assert (len(trace.steps), trace.termination) == (len(trace_o.steps), trace_o.termination)
+    if not trace.steps:
+        return
+    span = SnapshotSpan.from_sets(sets, metric)
+    energy = max(float(np.einsum("ij,ij->j", p, p).max())
+                 for p in (span.projections[0], span.projections[1][:, :m0]))
+    corr = np.linalg.norm(span.operator((1.0,)) - span.operator((0.0,)), 2)
+    top = max(abs(s.raw_eigval) for s in trace_o.steps)
+    for s, s_o, prof in zip(trace.steps, trace_o.steps, profiles):
+        # alpha = cov / sigma_lf^2 is fitted to residual energies known to
+        # roundoff of their scale, so where the surrogate's residual energies
+        # barely spread (sigma_lf small) both loops' weights are that uncertain
+        sd_hf, sd_lf = np.sqrt(prof.sigma2)
+        a = s_o.alpha
+        cond = energy * (sd_hf + (1 + 2 * abs(a)) * sd_lf) / max(sd_lf**2, 1e-300)
+        tol_alpha = 1e-9 * max(1.0, abs(a)) + 1e-12 * cond
+        assert abs(s.alpha - a) <= tol_alpha, (s, s_o)
+        tol = 1e-10 * top + tol_alpha * corr
+        assert abs(s.raw_eigval - s_o.raw_eigval) <= tol, (s, s_o)
+        assert abs(s.corrected_eigval - s_o.corrected_eigval) <= tol, (s, s_o)
+    # the first j modes span the same subspace while every step up to j had a clear winner
+    v, v_o = _extraction_order(mf, trace), _extraction_order(mf_o, trace_o)
+    guarded = np.flatnonzero(np.minimum.accumulate(gaps) > 1e-4 * top)
+    for j in guarded[guarded < min(v.shape[1], v_o.shape[1])] + 1:
+        va, vb = v[:, :j], v_o[:, :j]
+        outside = vb - va @ (va.T @ metric.apply(vb))
+        assert np.sqrt(metric.norms_sq(outside).max()) <= 1e-8, j
+
+
+def _exhausting_instance():
+    """Identical shared columns and the weights to fit at each step: at weight 0
+    the first mode is e_1, and m_1 / (m_1 - m_0) then cancels the shared
+    columns' operator, leaving only the extra column e_1, already found."""
+    n, m0, m1 = 8, 3, 4
+    hf = np.zeros((n, m0))
+    hf[0, 0], hf[1, 1], hf[2, 2] = 3.0, 2.0, 1.0
+    extra = np.zeros((n, 1))
+    extra[0, 0] = 1.0
+    ids = tuple(range(m1))
+    sets = (SnapshotSet(0, hf, np.zeros((n, 0)), ids[:m0], 1.0),
+            SnapshotSet(1, hf, extra, ids, 0.5))
+    return sets, Metric.euclidean(n), (0.0, m1 / (m1 - m0))
+
+
+@pytest.mark.parametrize("case", ["random", "exhausted"])
+def test_each_step_solves_one_shrinking_restriction(monkeypatch, case):
+    # guards against a per-step rebuild of the operator or a full-size deflated solve
+    if case == "random":
+        rng = np.random.default_rng(9)
+        metric = random_spd_metric(rng, 30)
+        sets, weights = random_instance(rng, 30, 4, 20, metric), None
+    else:
+        sets, metric, weights = _exhausting_instance()
+        fitted = iter(weights)
+        monkeypatch.setattr(adaptive, "optimal_alpha", lambda profile: (next(fitted),))
+    shapes, grams = [], []
+    real_eigh, real_grams = scipy.linalg.eigh, SnapshotSpan._grams.func
+
+    def eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    def counted_grams(span):
+        grams.append(span)
+        return real_grams(span)
+
+    counted = cached_property(counted_grams)
+    counted.__set_name__(SnapshotSpan, "_grams")
+    monkeypatch.setattr(adaptive.scipy.linalg, "eigh", eigh)
+    monkeypatch.setattr(SnapshotSpan, "_grams", counted)
+    _, trace = mfpod_adaptive(sets, 0.9999, metric)
+    k = SnapshotSpan.from_sets(sets, metric).rank
+    solves = len(trace.steps) + (trace.termination == "exhausted")
+    assert trace.termination == ("exhausted" if weights else "residual")
+    assert solves >= 2
+    assert shapes == [(k - j, k - j) for j in range(solves)]
+    assert len(grams) == 1
