@@ -7,16 +7,7 @@ expected projection error.  See the README for the CLI and study tools.
 
 from .adaptive import AdaptiveStep, AdaptiveTrace, mfpod_adaptive
 from .core import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
-from .estimator import (
-    Allocation,
-    VarianceProfile,
-    estimate_profile,
-    j_mf,
-    mf_mse,
-    min_mse,
-    optimal_alpha,
-    usefulness,
-)
+from .estimator import Allocation, VarianceProfile, mf_mse, min_mse, optimal_alpha, usefulness
 from .experiment import (
     MfpFileError,
     Reference,
@@ -30,7 +21,7 @@ from .experiment import (
     write_snapshots,
     write_study,
 )
-from .mfpod import MfBasis, jmf_plus, mfpod_fixed, select_dim
+from .mfpod import MfBasis, estimate_profile, j_mf, jmf_plus, mfpod_fixed, select_dim
 from .models import (
     AdvDiffConfig,
     ModelCosts,
@@ -44,7 +35,7 @@ from .models import (
     snapshot,
     solve_adv_diff,
 )
-from .pod import PodResult, pod, pod_projection_error
+from .pod import PodResult, pod
 from .verify import (
     ConvergenceStudyResult,
     EigenSumStudy,
@@ -94,7 +85,6 @@ __all__ = [
     "optimal_alpha",
     "orthonormalize",
     "pod",
-    "pod_projection_error",
     "project",
     "prolong",
     "read_snapshots",

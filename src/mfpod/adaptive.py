@@ -19,8 +19,8 @@ import scipy.linalg
 from .core import Metric
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .estimator import optimal_alpha
-from .estimator import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
+from .mfpod import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 
 __all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
 

@@ -1,4 +1,4 @@
-"""Control-variate estimation of the expected projection error.
+"""Moment algebra of the control-variate estimate of the projection error.
 
 The multifidelity estimate telescopes cheap low-fidelity residual energies
 against the high-fidelity ones computed on shared parameter samples:
@@ -9,7 +9,8 @@ against the high-fidelity ones computed on shared parameter samples:
 
 with e_ell,i = ||u_ell(theta_i) - proj_V u_ell(theta_i)||^2.  Sample
 variances and covariances of the residual energies drive the weight choice
-and the mean squared error bookkeeping.
+and the mean squared error bookkeeping here; the energies, ``j_mf`` and
+``estimate_profile`` are read off the snapshot span in ``mfpod.mfpod``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, project, validate_levels
-
 __all__ = [
     "VarianceProfile",
     "Allocation",
-    "j_mf",
-    "estimate_profile",
     "optimal_alpha",
     "mf_mse",
     "min_mse",
@@ -101,52 +98,6 @@ class Allocation:
     @property
     def total_cost(self) -> float:
         return float(sum(m * c for m, c in zip(self.counts, self.costs)))
-
-
-def _residual_energies(basis: Basis, columns: np.ndarray) -> np.ndarray:
-    resid = columns - project(basis, columns)
-    return basis.metric.norms_sq(resid)
-
-
-def _check_alloc(sets, alloc: Allocation) -> None:
-    counts = tuple(s.count for s in sets)
-    if counts != alloc.counts:
-        raise ValueError(f"allocation counts {alloc.counts} do not match snapshot counts {counts}")
-
-
-def j_mf(basis: Basis, sets, alloc: Allocation) -> float:
-    """Multifidelity estimate of the expected squared projection error.
-
-    The high-fidelity term is averaged over the m_0 shared samples; each
-    lower level contributes its weighted telescoping difference.  The value
-    is unbiased for the high-fidelity mean but, unlike the plain Monte Carlo
-    mean, may be negative for unlucky draws.
-    """
-    validate_levels(sets)
-    _check_alloc(sets, alloc)
-    energies = [_residual_energies(basis, s.columns) for s in sets]
-    total = float(energies[0].mean())
-    for ell in range(1, len(sets)):
-        m_prev = sets[ell - 1].count
-        e = energies[ell]
-        total += alloc.alphas[ell - 1] * float(e.mean() - e[:m_prev].mean())
-    return total
-
-
-def estimate_profile(basis: Basis, sets) -> VarianceProfile:
-    """Sample variances/covariances of residual energies on shared samples.
-
-    Uses the first m_0 columns of every level (the shared parameter draws)
-    and the unbiased (m_0 - 1) divisor; a single shared sample yields an
-    all-zero profile.
-    """
-    validate_levels(sets)
-    m0 = sets[0].count
-    cols = [s.snapshots(s.shared[:, :m0]) for s in sets]
-    return _profile(
-        [_residual_energies(basis, c) for c in cols],
-        [float(basis.metric.norms_sq(c).max()) for c in cols],
-    )
 
 
 def _profile(energies, scales) -> VarianceProfile:

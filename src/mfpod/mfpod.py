@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Basis, Metric, SnapshotSet, _as_matrix, orthonormalize, validate_levels
-from .estimator import VarianceProfile, _profile
+from .estimator import Allocation, VarianceProfile, _profile
 from .solver import _fix_signs, lowrank_eig
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
     "mfpod_fixed",
     "jmf_plus",
     "select_dim",
+    "j_mf",
+    "estimate_profile",
 ]
 
 # Corrected eigenvalues below this fraction of the largest are truncated.
@@ -207,6 +209,16 @@ class SnapshotSpan:
     def _grams(self) -> tuple[np.ndarray, ...]:
         return tuple(p @ p.T for p in self.projections)
 
+    @cached_property
+    def _shared(self) -> tuple[np.ndarray, ...]:
+        m0 = self.counts[0]
+        return (self.projections[0],) + tuple(p[:, :m0] for p in self.projections[1::2])
+
+    @cached_property
+    def _scales(self) -> tuple[float, ...]:
+        """Each level's largest shared-column energy, the scale _profile clamps against."""
+        return tuple(float(np.einsum("ij,ij->j", p, p).max()) for p in self._shared)
+
     def operator(self, alphas) -> np.ndarray:
         """k x k matrix Q^T C_mf Q of the operator with the given weights.
 
@@ -217,16 +229,39 @@ class SnapshotSpan:
             b += c * g
         return (b + b.T) * 0.5
 
+    def _basis_coords(self, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+        """G = V~^T Q and H = V~_perp^T V~_perp of a metric-orthonormal basis V,
+        V~ = F^T V and V~_perp = V~ - Q G^T its part outside the span."""
+        if basis.metric is not self.metric:
+            raise ValueError("the basis and the span must share one metric")
+        vt = self.metric.to_coords(basis.vectors)
+        g = vt.T @ self.basis
+        perp = vt - self.basis @ g.T
+        return g, perp.T @ perp
+
+    @staticmethod
+    def _energies(g: np.ndarray, h: np.ndarray | None, blocks) -> list[np.ndarray]:
+        """Residual energies ||p - G^T G p||^2 + (G p)^T H (G p) of each block's
+        columns p, the parts inside and outside the span (none if h is None)."""
+        out = []
+        for p in blocks:
+            gp = g @ p
+            r = p - g.T @ gp
+            e = np.einsum("ij,ij->j", r, r)
+            out.append(e if h is None else e + np.einsum("ij,ij->j", gp, h @ gp))
+        return out
+
+    def residual_energies(self, basis: Basis) -> tuple[np.ndarray, ...]:
+        """||u - proj_V u||^2 of each level's snapshots u, shared columns first, at
+        a metric-orthonormal V, which may leave the span; u counts by its span
+        coordinates, short of a part below 1e-12 times the largest column norm."""
+        e = self._energies(*self._basis_coords(basis), self.projections)
+        return (e[0],) + tuple(np.concatenate(e[i:i + 2]) for i in range(1, len(e), 2))
+
     def profile(self, z: np.ndarray) -> VarianceProfile:
-        """estimate_profile at the basis Q z from the span coordinates P of
-        each level's m_0 shared columns: their residual energies are the
-        column norms^2 of P - Z (Z^T P), short of their parts outside the
-        span, below (1e-12)^2 times the largest energy by the dependence rule."""
-        m0 = self.counts[0]
-        shared = [self.projections[0]] + [p[:, :m0] for p in self.projections[1::2]]
-        resids = [p - z @ (z.T @ p) for p in shared]
-        return _profile([np.einsum("ij,ij->j", r, r) for r in resids],
-                        [float(np.einsum("ij,ij->j", p, p).max()) for p in shared])
+        """estimate_profile at the basis Q z inside the span (z orthonormal k x r):
+        the energies of the m_0 shared columns with G = z^T and no H term."""
+        return _profile(self._energies(z.T, None, self._shared), self._scales)
 
     def repair(self, lam: float, y: np.ndarray) -> float:
         """Corrected eigenvalue of the mode Q y: lam if positive, else the
@@ -381,3 +416,34 @@ def jmf_plus(mf: MfBasis, candidate: Basis) -> float:
     coeff = candidate.vectors.T @ mf.metric.apply(mf.vectors)
     captured = np.einsum("ij,ij->j", coeff, coeff)
     return float(np.sum(mf.corrected_eigvals * np.maximum(0.0, 1.0 - captured)))
+
+
+def j_mf(basis: Basis, sets, alloc: Allocation) -> float:
+    """Multifidelity estimate of the expected squared projection error.
+
+    The high-fidelity term is averaged over the m_0 shared samples; each
+    lower level contributes its weighted telescoping difference.  The value
+    is unbiased for the high-fidelity mean but, unlike the plain Monte Carlo
+    mean, may be negative for unlucky draws.  ``sets`` may be their
+    SnapshotSpan in the basis' metric.
+    """
+    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, basis.metric)
+    if span.counts != alloc.counts:
+        raise ValueError(f"allocation counts {alloc.counts} do not match {span.counts}")
+    energies = span.residual_energies(basis)
+    total = float(energies[0].mean())
+    for ell in range(1, len(energies)):
+        e = energies[ell]
+        total += alloc.alphas[ell - 1] * float(e.mean() - e[:span.counts[ell - 1]].mean())
+    return total
+
+
+def estimate_profile(basis: Basis, sets) -> VarianceProfile:
+    """Sample variances/covariances of residual energies on shared samples.
+
+    Uses the first m_0 columns of every level (the shared parameter draws),
+    read off their span like j_mf, and the unbiased (m_0 - 1) divisor; a
+    single shared sample yields an all-zero profile.
+    """
+    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, basis.metric)
+    return _profile(span._energies(*span._basis_coords(basis), span._shared), span._scales)

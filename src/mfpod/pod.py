@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, Metric, SnapshotSet, _as_matrix, project
+from .core import Basis, Metric, SnapshotSet, _as_matrix
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .mfpod import mfpod_fixed
 
-__all__ = ["PodResult", "pod", "pod_projection_error"]
+__all__ = ["PodResult", "pod"]
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,3 @@ def pod(snapshots, metric: Metric, lift=None) -> PodResult:
     eigvals = np.zeros(m)
     eigvals[: mf.mode_count] = mf.corrected_eigvals
     return PodResult(eigvals, mf.full_basis)
-
-
-def pod_projection_error(basis: Basis, snapshots) -> float:
-    """Mean squared projection error (1/m) sum_i ||u_i - proj_V u_i||^2."""
-    s = _as_matrix(snapshots)
-    if s.shape[1] == 0:
-        raise ValueError("snapshot set is empty")
-    resid = s - project(basis, s)
-    return float(basis.metric.norms_sq(resid).mean())

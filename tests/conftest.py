@@ -4,14 +4,19 @@ The dense oracle assembles the multifidelity operator explicitly with plain
 numpy/scipy and eigensolves it in Cholesky-transformed coordinates, entirely
 independent of the package's low-rank path.  The adaptive oracle runs the
 adaptive loop with deflation by two-sided projection of the full span
-operator, the route the package replaced by restriction.
+operator, the route the package replaced by restriction.  The column
+oracles compute residual energies, variance profiles and J_mf from the
+n-dimensional snapshot columns, the route the package replaced by the
+snapshot span.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from mfpod import AdaptiveStep, AdaptiveTrace, Metric, SnapshotSet, optimal_alpha
 from mfpod.adaptive import _RESIDUAL_TOL, _STAGNATION_TOL
+from mfpod.estimator import _profile
 from mfpod.mfpod import SnapshotSpan, _finalize_basis
 
 
@@ -20,6 +25,14 @@ def random_spd_metric(rng: np.random.Generator, n: int) -> Metric:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.exp(rng.uniform(-0.7, 1.1, size=n))
     return Metric.from_weight((q * d) @ q.T)
+
+
+def banded_metric(rng: np.random.Generator, n: int, bandwidth: int) -> Metric:
+    """Random diagonally dominant (so SPD) weight with the given bandwidth."""
+    offs = [rng.uniform(-0.4, 0.4, n - d) / bandwidth for d in range(1, bandwidth + 1)]
+    main = rng.uniform(1.0, 2.0, n)
+    return Metric.from_weight(scipy.sparse.diags(offs[::-1] + [main] + offs,
+                                                 range(-bandwidth, bandwidth + 1)))
 
 
 def random_instance(rng: np.random.Generator, n: int, m0: int, m1: int,
@@ -33,6 +46,35 @@ def random_instance(rng: np.random.Generator, n: int, m0: int, m1: int,
         SnapshotSet(0, hf, np.zeros((n, 0)), ids[:m0], 1.0),
         SnapshotSet(1, lf[:, :m0], lf[:, m0:], ids, 0.125),
     )
+
+
+def column_energies(basis, cols) -> np.ndarray:
+    """Residual energies ||u - proj_V u||^2 of n-dimensional snapshot columns."""
+    resid = cols - basis.vectors @ (basis.vectors.T @ basis.metric.apply(cols))
+    return basis.metric.norms_sq(resid)
+
+
+def mc_projection_error(basis, snapshots) -> float:
+    """Plain Monte Carlo projection error (1/m) sum_i ||u_i - proj_V u_i||^2."""
+    return float(column_energies(basis, snapshots).mean())
+
+
+def column_profile(basis, sets):
+    """Variance profile from each level's m_0 shared snapshot columns, each
+    level clamped against the largest squared norm of those columns."""
+    m0 = sets[0].count
+    cols = [s.snapshots(s.shared[:, :m0]) for s in sets]
+    return _profile([column_energies(basis, c) for c in cols],
+                    [float(basis.metric.norms_sq(c).max()) for c in cols])
+
+
+def column_j_mf(basis, sets, alloc) -> float:
+    """J_mf from the residual energies of every level's snapshot columns."""
+    energies = [column_energies(basis, s.columns) for s in sets]
+    total = float(energies[0].mean())
+    for a, prev, e in zip(alloc.alphas, sets, energies[1:]):
+        total += a * float(e.mean() - e[:prev.count].mean())
+    return total
 
 
 def assemble_mf_matrix(sets, alpha) -> np.ndarray:

@@ -3,7 +3,6 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +23,8 @@ from mfpod.mfpod import SnapshotSpan
 
 _span_profile = SnapshotSpan.profile
 
-from conftest import adaptive_oracle, random_instance, random_spd_metric
+from conftest import (adaptive_oracle, banded_metric, column_profile, random_instance,
+                      random_spd_metric)
 
 
 def _identical_level_sets(rng, n, m0, m1, spread=True):
@@ -71,28 +71,20 @@ def test_adaptive_weight_matches_covariance_ratio():
     assert optimal_alpha(estimate_profile(basis, sets))[0] == pytest.approx(expected, rel=1e-10)
 
 
-def _banded_metric(rng, n, bandwidth):
-    """Random diagonally dominant (so SPD) weight with the given bandwidth."""
-    offs = [rng.uniform(-0.4, 0.4, n - d) / bandwidth for d in range(1, bandwidth + 1)]
-    main = rng.uniform(1.0, 2.0, n)
-    return Metric.from_weight(scipy.sparse.diags(offs[::-1] + [main] + offs,
-                                                 range(-bandwidth, bandwidth + 1)))
-
-
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), m0=st.integers(1, 5),
        extra=st.integers(1, 25), bandwidth=st.integers(0, 3), steps=st.integers(0, 40))
 def test_span_profile_matches_estimate_profile_at_the_lifted_basis(seed, n, m0, extra,
                                                                    bandwidth, steps):
     # the adaptive loop's weights come from span coordinates; they must be
-    # the profile of the n-dimensional basis F^-T Q Z up to roundoff
+    # the column oracle's profile of the n-dimensional basis F^-T Q Z up to roundoff
     rng = np.random.default_rng(seed)
-    metric = Metric.euclidean(n) if bandwidth == 0 else _banded_metric(rng, n, bandwidth)
+    metric = Metric.euclidean(n) if bandwidth == 0 else banded_metric(rng, n, bandwidth)
     sets = random_instance(rng, n, m0, m0 + extra, metric)
     span = SnapshotSpan.from_sets(sets, metric)
     z, _ = np.linalg.qr(rng.standard_normal((span.rank, min(steps, span.rank))))
     got = _span_profile(span, z)
-    want = estimate_profile(Basis(metric.from_coords(span.basis @ z), metric), sets)
+    want = column_profile(Basis(metric.from_coords(span.basis @ z), metric), sets)
     scale = max(float(want.sigma2.max()), 1e-300)
     np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=1e-10, atol=1e-10 * scale)
     np.testing.assert_allclose(got.cov0, want.cov0, rtol=1e-10, atol=1e-10 * scale)
@@ -206,7 +198,7 @@ def _extraction_order(mf, trace):
        extra=st.integers(1, 40), bandwidth=st.integers(0, 3))
 def test_restricted_loop_matches_the_projected_deflation_oracle(seed, n, m0, extra, bandwidth):
     rng = np.random.default_rng(seed)
-    metric = Metric.euclidean(n) if bandwidth == 0 else _banded_metric(rng, n, bandwidth)
+    metric = Metric.euclidean(n) if bandwidth == 0 else banded_metric(rng, n, bandwidth)
     sets = random_instance(rng, n, m0, m0 + extra, metric)
     mf, trace = mfpod_adaptive(sets, 0.9999, metric)
     mf_o, trace_o, gaps, profiles = adaptive_oracle(sets, 0.9999, metric)

@@ -8,7 +8,6 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
-    estimate_profile,
     mass_matrix,
     mfpod_adaptive,
     mfpod_fixed,
@@ -17,6 +16,8 @@ from mfpod import (
 )
 from mfpod.cli import main
 from mfpod.mfpod import SnapshotSpan
+
+from conftest import column_profile
 
 
 def _run(capsys, *argv):
@@ -84,7 +85,7 @@ def test_mfpod_adaptive_flag(capsys, tmp_path, alpha):
         # files fit as a study repeat does: the pilot weight is read off the span
         span = SnapshotSpan.from_sets(sets, metric)
         pilot = optimal_alpha(span.profile(np.zeros((span.rank, 0))))[0]
-        columns = optimal_alpha(estimate_profile(Basis.empty(metric), sets))[0]
+        columns = optimal_alpha(column_profile(Basis.empty(metric), sets))[0]
         assert pilot == pytest.approx(columns, rel=1e-9)  # the column route stays the oracle
         weight = pilot if alpha == "pilot" else 0.7
         assert summary["alphas"] == [weight]

@@ -1,41 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpod import (
+    AdvDiffConfig,
     Allocation,
     Basis,
     Metric,
     VarianceProfile,
     estimate_profile,
     j_mf,
+    make_model_pair,
     mf_mse,
     min_mse,
     optimal_alpha,
     orthonormalize,
-    pod_projection_error,
+    pod,
     usefulness,
 )
 from mfpod.core import SnapshotSet
+from mfpod.mfpod import SnapshotSpan
 
-from conftest import random_instance, random_spd_metric
+from conftest import (
+    banded_metric,
+    column_energies,
+    column_j_mf,
+    column_profile,
+    mc_projection_error,
+    random_instance,
+    random_spd_metric,
+)
 
 
 def _alloc(m0, m1, alpha, c1=0.125):
     return Allocation((m0, m1), (alpha,), (1.0, c1))
 
 
-def test_j_mc_matches_pod_projection_error():
-    # the plain Monte Carlo estimate J_MC is pod_projection_error
+def test_j_mf_of_one_level_is_the_monte_carlo_projection_error():
+    # with no lower level J_mf is the plain Monte Carlo estimate J_MC
     rng = np.random.default_rng(0)
     metric = random_spd_metric(rng, 12)
     s = rng.standard_normal((12, 6))
+    level = (SnapshotSet(0, s, np.zeros((12, 0)), range(6), 1.0),)
+    alloc = Allocation((6,), (), (1.0,))
     basis = orthonormalize(rng.standard_normal((12, 3)), metric)
     resid = s - basis.vectors @ (basis.vectors.T @ metric.apply(s))
-    assert pod_projection_error(basis, s) == pytest.approx(metric.norms_sq(resid).mean(), rel=1e-12)
+    assert j_mf(basis, level, alloc) == pytest.approx(metric.norms_sq(resid).mean(), rel=1e-12)
     full = orthonormalize(rng.standard_normal((12, 12)), metric)
-    assert pod_projection_error(full, s) <= 1e-12 * metric.norms_sq(s).max()
+    assert j_mf(full, level, alloc) <= 1e-12 * metric.norms_sq(s).max()
     empty = Basis(np.zeros((12, 0)), metric)
-    assert pod_projection_error(empty, s) == pytest.approx(metric.norms_sq(s).mean(), rel=1e-12)
+    assert j_mf(empty, level, alloc) == pytest.approx(metric.norms_sq(s).mean(), rel=1e-12)
 
 
 def test_j_mf_alpha_zero_collapses_to_mc():
@@ -44,7 +59,7 @@ def test_j_mf_alpha_zero_collapses_to_mc():
     sets = random_instance(rng, 10, 3, 7, metric)
     basis = orthonormalize(rng.standard_normal((10, 2)), metric)
     lhs = j_mf(basis, sets, _alloc(3, 7, 0.0))
-    assert lhs == pytest.approx(pod_projection_error(basis, sets[0].shared), rel=1e-14)
+    assert lhs == pytest.approx(mc_projection_error(basis, sets[0].shared), rel=1e-14)
 
 
 def test_j_mf_identical_levels_telescopes():
@@ -59,7 +74,7 @@ def test_j_mf_identical_levels_telescopes():
     )
     basis = orthonormalize(rng.standard_normal((9, 3)), metric)
     lhs = j_mf(basis, sets, _alloc(m0, m1, 1.0, c1=0.25))
-    assert lhs == pytest.approx(pod_projection_error(basis, u), rel=1e-12)
+    assert lhs == pytest.approx(mc_projection_error(basis, u), rel=1e-12)
 
 
 def test_j_mf_matches_term_by_term_sum():
@@ -86,6 +101,9 @@ def test_j_mf_rejects_mismatched_allocation():
     basis = Basis(np.zeros((8, 0)), metric)
     with pytest.raises(ValueError):
         j_mf(basis, sets, _alloc(2, 6, 1.0))
+    # a span in another metric would read the basis in the wrong geometry
+    with pytest.raises(ValueError, match="share one metric"):
+        j_mf(basis, SnapshotSpan.from_sets(sets, Metric.euclidean(8)), _alloc(2, 5, 1.0))
 
 
 def test_mf_mse_hand_example():
@@ -204,3 +222,88 @@ def test_profile_and_allocation_validation():
         Allocation((2, 4), (1.0,), (1.0, 0.5), budget=1.0)
     ok = Allocation((2, 4), (1.0,), (1.0, 0.5), budget=4.2)
     assert ok.total_cost == pytest.approx(4.0)
+
+
+def _hierarchy(rng, n: int, kind: str, scale: float) -> tuple:
+    """Correlated levels on shared draws: two, three, or two with the
+    surrogate in the coefficients of a random (n, n // 2) lift."""
+    if kind == "lifted":
+        lift = rng.standard_normal((n, n // 2))
+        coeffs = rng.standard_normal((n // 2, 12)) * scale
+        hf = lift @ coeffs[:, :4] + 0.1 * scale * rng.standard_normal((n, 4))
+        return SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, lift)
+    counts = (4, 12) if kind == "two" else (3, 7, 16)
+    base = rng.standard_normal((n, counts[-1])) * scale
+    ids, sets = tuple(range(counts[-1])), []
+    for ell, m in enumerate(counts):
+        u = base[:, :m] + 0.1 * (ell + 1) * scale * rng.standard_normal((n, m))
+        shared = counts[ell - 1] if ell else m
+        sets.append(SnapshotSet(ell, u[:, :shared], u[:, shared:], ids[:m], 0.25 ** ell))
+    return tuple(sets)
+
+
+def _check_span_route(sets, basis, alphas):
+    """The span's residual energies, j_mf (on the sets and on their span) and
+    estimate_profile match the column oracles within 1e-10 relative to the
+    snapshots' squared norms (their squares for the profile's moments)."""
+    span = SnapshotSpan.from_sets(sets, basis.metric)
+    energies = span.residual_energies(basis)
+    assert len(energies) == len(sets)
+    scale = max(float(basis.metric.norms_sq(s.columns).max()) for s in sets)
+    for level, got in zip(sets, energies):
+        np.testing.assert_allclose(got, column_energies(basis, level.columns), rtol=0,
+                                   atol=1e-10 * scale)
+    alloc = Allocation([s.count for s in sets], alphas, [s.cost_per_sample for s in sets])
+    want = column_j_mf(basis, sets, alloc)
+    tol = 1e-10 * scale * (1 + 2 * sum(abs(a) for a in alphas))
+    assert abs(j_mf(basis, sets, alloc) - want) <= tol
+    assert abs(j_mf(basis, span, alloc) - want) <= tol
+    want = column_profile(basis, sets)
+    for got in (estimate_profile(basis, sets), estimate_profile(basis, span)):
+        np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=1e-10, atol=1e-10 * scale**2)
+        np.testing.assert_allclose(got.cov0, want.cov0, rtol=1e-10, atol=1e-10 * scale**2)
+        assert got.sample_count == want.sample_count
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 40),
+       kind=st.sampled_from(["two", "three", "lifted"]), bandwidth=st.integers(0, 3),
+       candidate=st.sampled_from(["inside", "partly", "random"]), dim=st.integers(0, 5),
+       log_scale=st.floats(-6, 6))
+def test_span_route_matches_the_column_oracle(seed, n, kind, bandwidth, candidate, dim,
+                                              log_scale):
+    # the span reads a snapshot by its coordinates on Q and a candidate V by
+    # its coordinates on Q plus its part outside the span; together they must
+    # give the n-dimensional columns' residual energies at any V and any units
+    rng = np.random.default_rng(seed)
+    metric = Metric.euclidean(n) if bandwidth == 0 else banded_metric(rng, n, bandwidth)
+    sets = _hierarchy(rng, n, kind, 10.0 ** log_scale)
+    q = SnapshotSpan.from_sets(sets, metric).basis
+    inside = metric.from_coords(q @ np.linalg.qr(rng.standard_normal((q.shape[1], dim)))[0])
+    if candidate == "inside":
+        basis = Basis(inside[:, :dim], metric)
+    elif candidate == "partly":
+        basis = orthonormalize(inside + 0.1 * rng.standard_normal(inside.shape), metric)
+    else:
+        basis = orthonormalize(rng.standard_normal((n, dim)), metric)
+    _check_span_route(sets, basis, tuple(rng.uniform(-2.0, 2.0, len(sets) - 1)))
+
+
+def test_span_route_matches_the_column_oracle_on_model_draws():
+    # n = 4097, the surrogate dense and lifted; the candidates are the empty
+    # basis, directions inside the span, and the leading POD modes of other
+    # high-fidelity draws, which lie outside it
+    pair = make_model_pair(AdvDiffConfig())
+    metric, thetas = pair.metric, pair.sampler(40, 3)
+    hf = pair.high(thetas[:4])
+    dense = SnapshotSet.two_level(hf, pair.low(thetas), pair.costs.high, pair.costs.low)
+    lifted = SnapshotSet.two_level(hf, pair.coarse(thetas), pair.costs.high, pair.costs.low,
+                                   pair.lift)
+    rng = np.random.default_rng(0)
+    q = SnapshotSpan.from_sets(dense, metric).basis
+    inside = Basis(metric.from_coords(q @ np.linalg.qr(rng.standard_normal((q.shape[1], 3)))[0]),
+                   metric)
+    outside = pod(pair.high(pair.sampler(12, 4)), metric).basis.truncated(5)
+    for sets in (dense, lifted):
+        for basis in (Basis.empty(metric), inside, outside):
+            _check_span_route(sets, basis, (0.9,))

@@ -48,14 +48,21 @@ def test_tracer_only_imports_name_a_tracing_hook():
 
 
 def test_no_module_calls_the_column_space_profile():
-    # every profile in the library is read off a snapshot span; the column
-    # route survives as the tests' oracle and as names the tracer resolves,
-    # which are import aliases, not references
+    # every residual energy in the library is read off a snapshot span: no
+    # module calls estimate_profile, which builds a span of its own, in place
+    # of the span it fits on (the tracer's names are import aliases, not
+    # references), and only verify, which projects eigenvector bases, not
+    # snapshots, imports or calls core.project (the package re-exports it)
     refs = []
     for path in sorted((_ROOT / "src" / "mfpod").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, (ast.Name, ast.Attribute)) and name == "estimate_profile":
+                refs.append(f"{path.name}:{node.lineno}")
+            if path.name in ("verify.py", "__init__.py"):
+                continue
+            imported = isinstance(node, ast.ImportFrom) and "project" in {a.name for a in node.names}
+            if imported or isinstance(node, (ast.Name, ast.Attribute)) and name == "project":
                 refs.append(f"{path.name}:{node.lineno}")
     assert refs == []
 

@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 from mfpod import (
     AdvDiffConfig,
+    Allocation,
     Basis,
     Metric,
+    SnapshotSet,
     fine_metric,
+    j_mf,
     pod,
-    pod_projection_error,
     sample_parameters,
     select_dim,
     snapshot,
     subspace_alignment,
 )
 
-from conftest import random_spd_metric
+from conftest import mc_projection_error, random_spd_metric
 
 
 def test_single_snapshot():
@@ -50,7 +52,7 @@ def test_tail_identity_every_r():
     res = pod(s, m)
     total = np.sum(res.eigvals)
     for r in range(res.basis.dim + 1):
-        err = pod_projection_error(Basis(res.basis.vectors[:, :r], m), s)
+        err = mc_projection_error(Basis(res.basis.vectors[:, :r], m), s)
         assert err == pytest.approx(res.eigvals[r:].sum(), rel=1e-9, abs=1e-9 * total)
 
 
@@ -62,7 +64,7 @@ def test_more_snapshots_than_dimensions():
     assert res.basis.dim <= 6
     assert len(res.eigvals) == 15
     np.testing.assert_allclose(res.eigvals[6:], 0.0, atol=1e-12 * res.eigvals[0])
-    err = pod_projection_error(res.basis, s)
+    err = mc_projection_error(res.basis, s)
     assert err <= 1e-9 * res.eigvals[0]
 
 
@@ -85,15 +87,20 @@ def test_rank_deficient_snapshots_truncated():
 
 
 def test_projection_error_trivial_cases():
+    # the library's projection error of plain snapshots is J_mf of one level
+    def error(basis, s):
+        level = SnapshotSet(0, s, np.zeros((len(s), 0)), range(s.shape[1]), 1.0)
+        return j_mf(basis, (level,), Allocation((s.shape[1],), (), (1.0,)))
+
     rng = np.random.default_rng(5)
     m = random_spd_metric(rng, 10)
     s = rng.standard_normal((10, 4))
     res = pod(s, m)
-    assert pod_projection_error(res.basis, s) <= 1e-10 * res.eigvals[0]
+    assert error(res.basis, s) <= 1e-10 * res.eigvals[0]
     empty = Basis(np.zeros((10, 0)), m)
-    assert pod_projection_error(empty, s) == pytest.approx(m.norms_sq(s).mean(), rel=1e-12)
+    assert error(empty, s) == pytest.approx(m.norms_sq(s).mean(), rel=1e-12)
     with pytest.raises(ValueError):
-        pod_projection_error(res.basis, np.zeros((10, 0)))
+        error(res.basis, np.zeros((10, 0)))
 
 
 def test_eig_floor_controls_retained_modes():
