@@ -295,32 +295,28 @@ def project(basis: Basis, u) -> np.ndarray:
 
 
 def orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
-    """Metric-orthonormal basis of span(vectors) by modified Gram-Schmidt.
+    """Metric-orthonormal basis of span(vectors) by QR with column pivoting.
 
-    One reorthogonalization pass restores orthogonality lost to cancellation.
-    Columns whose residual norm falls to tol times the largest input column
-    norm are treated as dependent and dropped.  The result's dimension can
-    exceed the numerical rank of the input by a few directions: a direction
-    found from a residual near the smallest singular value is known only to
-    about eps / sigma_min, so later columns of a graded set can leave
-    roundoff residuals above the rule, and those directions are kept.
+    The pivoted QR of F^T V (Businger and Golub) orders the columns by the
+    norm each leaves outside the earlier ones; the leading pivots with
+    |R_jj| above tol times the largest input column norm are kept, so the
+    dimension is the numerical rank of F^T V at that tolerance, and the
+    basis is the Householder Q of the kept columns in pivot order.
     """
     v = _as_matrix(vectors)
     n, k = v.shape
     if n != metric.n:
         raise ValueError(f"vectors live in R^{n} but metric has n={metric.n}")
-    scale = float(np.sqrt(metric.norms_sq(v).max())) if k else 0.0
-    # Q^T by rows, so that each projection is a contiguous matrix-vector product
-    qt = np.empty((k, n))
-    kept = 0
-    for j in range(k):
-        w = v[:, j].copy()
-        for _ in range(2):
-            if kept:
-                w -= qt[:kept].T @ (qt[:kept] @ metric.apply(w))
-        nw = metric.norm(w)
-        if nw > tol * scale:
-            qt[kept] = w / nw
-            kept += 1
-    return Basis(qt[:kept].T.copy(), metric).check(1e-9)
-
+    if k == 0:
+        return Basis.empty(metric)
+    y = v if metric.kind == "euclidean" else metric.to_coords(v)
+    # The pivots come from the small triangle R_1 of y = Q_1 R_1, which has the
+    # column norms and pivots of y, and numpy factors every tall block: numpy and
+    # scipy each load their own BLAS, and a tall scipy factorization between
+    # numpy's products of a span's growth doubled the reference build at two threads.
+    r, pivots = scipy.linalg.qr(np.linalg.qr(y, mode="r"), mode="r", pivoting=True)
+    # pivoting puts the largest column first, so |R_00| is the largest norm
+    d = np.minimum.accumulate(np.abs(np.diag(r)))
+    kept = int(np.count_nonzero(d > tol * d[0]))
+    q = np.linalg.qr(y[:, pivots[:kept]])[0]
+    return Basis(metric.from_coords(q), metric).check(1e-9)

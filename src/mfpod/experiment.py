@@ -197,13 +197,13 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     eigenvalues, zero below the roundoff floor.
 
     The n x n second moment S = (1/size) sum_i t_i t_i^T is never formed.
-    The snapshots are solved _SPAN_BLOCK parameters at a time and stream
-    through the span's block Gram-Schmidt, which grows a Euclidean-orthonormal
-    basis Q of their span in metric coordinates, while M = Q^T S Q accumulates,
-    so the eigenpairs of S are Q Y from one k x k eigh of M, where k is the span
-    dimension.  Each block's dependence rule takes its scale from the largest
-    snapshot norm seen so far, and only one block of snapshots is held at a
-    time."""
+    The snapshots are solved _SPAN_BLOCK parameters at a time, and each block
+    grows a Euclidean-orthonormal basis Q of their span in metric coordinates
+    by the span's pivoted QR (_extend_span), while M = Q^T S Q accumulates
+    from the coefficients it returns, so the eigenpairs of S are Q Y from one
+    k x k eigh of M, where k is the span dimension.  Each block's rank rule
+    takes its scale from the largest snapshot norm seen so far, and only one
+    block of snapshots is held at a time."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
     euclid = Metric.euclidean(metric.n)
@@ -214,7 +214,7 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
         energy += float(norms_sq.sum())
         scale = max(scale, float(np.sqrt(norms_sq.max())))
         q, coeff = _extend_span(q, t, scale)
-        # earlier snapshots lie in span(Q) up to the dependence rule
+        # earlier snapshots lie in span(Q) up to the rank rule
         moment = np.pad(moment, (0, q.shape[1] - len(moment)))
         moment += coeff @ coeff.T
     trace = energy / size

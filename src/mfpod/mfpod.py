@@ -38,7 +38,7 @@ __all__ = [
 _PLUS_FLOOR = 1e-10
 # Largest dimension for which the operator is assembled as a dense matrix.
 _DENSE_CAP = 4096
-# Snapshot columns per block of the span's Gram-Schmidt.
+# Snapshot columns per block of the span's growth.
 _SPAN_BLOCK = 50
 
 
@@ -112,8 +112,9 @@ def _extend_span(q: np.ndarray, t: np.ndarray, scale: float) -> tuple[np.ndarray
     """Grow the orthonormal columns q by the directions of the block t that
     they lack; return the grown q and its coefficients q^T t.
 
-    A column whose residual against q is at most 1e-12 * scale adds no
-    direction (orthonormalize's dependence rule, against an absolute scale).
+    The residuals of t against q go through one pivoted QR (orthonormalize),
+    which keeps the directions of their numerical rank at 1e-12 * scale, and
+    the new directions get a second pass against q.
     """
     euclid = Metric.euclidean(q.shape[0])
     coeff = q.T @ t
@@ -122,13 +123,16 @@ def _extend_span(q: np.ndarray, t: np.ndarray, scale: float) -> tuple[np.ndarray
     keep = norms > 1e-12 * scale
     if not keep.any():
         return q, coeff
-    # dependent columns stay out of orthonormalize's column loop
+    # columns already in span(q) stay out of the QR, whose cost grows with the square of its width
     new = orthonormalize(resid if keep.all() else resid[:, keep], euclid,
                          1e-12 * scale / norms.max()).vectors
     if q.shape[1]:
         # Cancellation inside the block can leave the new vectors with
-        # q-components up to eps / 1e-12; a second pass removes them.
-        new = orthonormalize(new - q @ (q.T @ new), euclid).vectors
+        # q-components up to eps / 1e-12; a second pass removes them, and the
+        # Gram of what is left is then within about (eps / 1e-12)^2 of I, so
+        # one Cholesky QR step renormalizes it to roundoff.
+        new = new - q @ (q.T @ new)
+        new = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
     return np.hstack([q, new]), np.vstack([coeff, new.T @ t])
 
 
@@ -158,10 +162,11 @@ class SnapshotSpan:
     ``basis`` is an orthonormal basis Q of the span of all snapshot blocks
     in metric coordinates, grown _SPAN_BLOCK columns at a time by
     _extend_span, and ``projections`` holds Q^T T for each block in
-    operator order, as that growth computes it, so that the operator
-    restricted to the span is the small symmetric matrix
-    sum c (Q^T T)(Q^T T)^T for any weights.  A lifted block C projects as
-    (Q^T L) C, where the span starts from the lift's own span Q_L.
+    operator order, so that the operator restricted to the span is the
+    small symmetric matrix sum c (Q^T T)(Q^T T)^T for any weights.  The
+    dense blocks project in one product with the grown Q.  A lifted block C
+    projects as (Q^T L) C, where the span starts from the lift's own span
+    Q_L, to which every later direction is orthogonal.
     """
 
     basis: np.ndarray
@@ -186,16 +191,11 @@ class SnapshotSpan:
         stacked = metric.to_coords(np.hstack(dense)) if dense else np.zeros((metric.n, 0))
         scale = float(np.sqrt(max(np.einsum("ij,ij->j", t, t).max(initial=0.0)
                                   for t in [stacked] + lifted)))
-        starts = range(0, stacked.shape[1], _SPAN_BLOCK)
-        coeffs = [np.zeros((q.shape[1], 0))]
-        for start in starts:
-            q, coeff = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)
-            coeffs.append(coeff)
-        # An earlier block lies in the span it grew only up to the dependence rule,
-        # so its rows on later directions are computed; the lift's are zero-padded.
-        coeffs[1:] = [np.vstack([c, q[:, len(c):].T @ stacked[:, s:s + _SPAN_BLOCK]])
-                      for s, c in zip(starts, coeffs[1:])]
-        p = np.hstack([np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in coeffs + lifted])
+        for start in range(0, stacked.shape[1], _SPAN_BLOCK):
+            q = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)[0]
+        # Q_L holds every lifted block, and every later direction is orthogonal to Q_L
+        lifted = [np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in lifted]
+        p = np.hstack([q.T @ stacked] + lifted)
         splits = np.cumsum([b.shape[1] for b in dense + lifted])[:-1]
         parts = dict(zip(order, np.split(p, splits, axis=1)))
         return cls(q, tuple(parts[i] for i in range(len(blocks))), tuple(s.count for s in sets),
@@ -425,7 +425,9 @@ def j_mf(basis: Basis, sets, alloc: Allocation) -> float:
     lower level contributes its weighted telescoping difference.  The value
     is unbiased for the high-fidelity mean but, unlike the plain Monte Carlo
     mean, may be negative for unlucky draws.  ``sets`` may be their
-    SnapshotSpan in the basis' metric.
+    SnapshotSpan in the basis' metric: to score many candidates on the same
+    draws, build ``span = SnapshotSpan.from_sets(sets, metric)`` once and
+    pass it here and to estimate_profile for each candidate.
     """
     span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, basis.metric)
     if span.counts != alloc.counts:

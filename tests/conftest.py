@@ -7,14 +7,15 @@ adaptive loop with deflation by two-sided projection of the full span
 operator, the route the package replaced by restriction.  The column
 oracles compute residual energies, variance profiles and J_mf from the
 n-dimensional snapshot columns, the route the package replaced by the
-snapshot span.
+snapshot span.  The Gram-Schmidt oracle orthonormalizes column by column,
+the route the package replaced by one pivoted QR.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from mfpod import AdaptiveStep, AdaptiveTrace, Metric, SnapshotSet, optimal_alpha
+from mfpod import AdaptiveStep, AdaptiveTrace, Basis, Metric, SnapshotSet, optimal_alpha
 from mfpod.adaptive import _RESIDUAL_TOL, _STAGNATION_TOL
 from mfpod.estimator import _profile
 from mfpod.mfpod import SnapshotSpan, _finalize_basis
@@ -33,6 +34,27 @@ def banded_metric(rng: np.random.Generator, n: int, bandwidth: int) -> Metric:
     main = rng.uniform(1.0, 2.0, n)
     return Metric.from_weight(scipy.sparse.diags(offs[::-1] + [main] + offs,
                                                  range(-bandwidth, bandwidth + 1)))
+
+
+def mgs_orthonormalize(vectors, metric: Metric, tol: float = 1e-12) -> Basis:
+    """Metric-orthonormal basis of span(vectors) by modified Gram-Schmidt with
+    one reorthogonalization pass; a column whose residual norm falls to tol
+    times the largest input column norm is dropped."""
+    v = np.asarray(vectors, dtype=float)
+    n, k = v.shape
+    scale = float(np.sqrt(metric.norms_sq(v).max())) if k else 0.0
+    qt = np.empty((k, n))
+    kept = 0
+    for j in range(k):
+        w = v[:, j].copy()
+        for _ in range(2):
+            if kept:
+                w -= qt[:kept].T @ (qt[:kept] @ metric.apply(w))
+        nw = metric.norm(w)
+        if nw > tol * scale:
+            qt[kept] = w / nw
+            kept += 1
+    return Basis(qt[:kept].T.copy(), metric)
 
 
 def random_instance(rng: np.random.Generator, n: int, m0: int, m1: int,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfpod import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
 from mfpod.models import mass_matrix
 
-from conftest import random_spd_metric
+from conftest import banded_metric, mgs_orthonormalize, random_spd_metric
 
 
 def test_euclidean_inner_is_exact_dot():
@@ -129,6 +131,29 @@ def test_orthonormalize_graded_input_stays_orthonormal_and_spans_every_column(we
     assert basis.orthonormality_defect() <= 1e-9
     resid = np.sqrt(metric.norms_sq(a - project(basis, a)))
     assert resid.max() <= 4 * 1e-12 * np.sqrt(metric.norms_sq(a).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(5, 300), k=st.integers(1, 60), floor=st.floats(0.0, 16.0),
+       exponent=st.floats(-6.0, 6.0), bandwidth=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_orthonormalize_keeps_the_numerical_rank_of_graded_input(n, k, floor, exponent,
+                                                                 bandwidth, seed):
+    # singular values fall from 1 to 10^-floor; the QR basis is orthonormal,
+    # holds every column within the bound of the graded test above, and keeps
+    # no more directions than the Gram-Schmidt oracle.  The oracle runs at half
+    # the tolerance: a residual within roundoff of the rule can fall on either
+    # side of it, depending on the order in which columns are eliminated.
+    rng = np.random.default_rng(seed)
+    rank = min(n, k)
+    u, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, rank)))
+    a = 10.0 ** exponent * (u * np.logspace(0, -floor, rank)) @ v.T
+    metric = banded_metric(rng, n, bandwidth) if bandwidth else Metric.euclidean(n)
+    basis = orthonormalize(a, metric)
+    assert basis.orthonormality_defect() <= 1e-12
+    resid = np.sqrt(metric.norms_sq(a - project(basis, a)))
+    assert resid.max() <= 4 * 1e-12 * np.sqrt(metric.norms_sq(a).max())
+    assert basis.dim <= mgs_orthonormalize(a, metric, 0.5e-12).dim
 
 
 def test_basis_defect_and_check():

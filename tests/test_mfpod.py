@@ -293,6 +293,32 @@ def test_span_grows_across_blocks():
     assert span.rank >= first_two.rank + 8
 
 
+@pytest.mark.parametrize("n_lf", [9, 17, 33])
+def test_span_rank_stays_within_three_of_the_numerical_rank(n_lf):
+    # prolonged surrogate snapshots are graded down to roundoff; each block
+    # decides its rank alone, so the span's blocked growth may add a few
+    # directions near its rule (at most 3 over seeds 0-39; Gram-Schmidt added 5)
+    model = AdvDiffConfig(n_hf=129, n_lf=n_lf)
+    metric = fine_metric(model)
+    for seed in range(5):
+        for size in (250, 517):
+            lf = snapshot(sample_parameters(size, seed, model.theta_range), "low", model)
+            span = SnapshotSpan.from_sets(_single_level(lf), metric)
+            assert span.rank <= np.linalg.matrix_rank(metric.to_coords(lf)) + 3, (seed, size)
+
+
+def test_one_block_with_a_spectral_gap_gets_its_numerical_rank():
+    # 20 singular values from 1 to 1e-9, then 20 at 1e-16: far on either side of the rule
+    rng = np.random.default_rng(3)
+    metric = fine_metric(_FINE)
+    u, _ = np.linalg.qr(rng.standard_normal((metric.n, 40)))
+    v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    s = np.concatenate([np.logspace(0, -9, 20), np.full(20, 1e-16)])
+    block = metric.from_coords((u * s) @ v.T)
+    span = SnapshotSpan.from_sets(_single_level(block), metric)
+    assert span.rank == np.linalg.matrix_rank(metric.to_coords(block)) == 20
+
+
 def test_pod_across_blocks_matches_dense_gramian():
     metric = fine_metric(_FINE)
     _, lf = _multiblock_surrogate()

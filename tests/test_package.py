@@ -67,6 +67,18 @@ def test_no_module_calls_the_column_space_profile():
     assert refs == []
 
 
+def test_span_growth_has_no_column_loop():
+    # every span grows by one pivoted QR per block: the column-by-column
+    # Gram-Schmidt loop does not come back into orthonormalize or _extend_span
+    loops = []
+    for module, name in (("core", "orthonormalize"), ("mfpod", "_extend_span")):
+        tree = ast.parse((_ROOT / "src" / "mfpod" / f"{module}.py").read_text())
+        func = next(node for node in tree.body if getattr(node, "name", None) == name)
+        loops += [f"{module}.{name}:{node.lineno}" for node in ast.walk(func)
+                  if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.DOTALL)
     assert blocks
