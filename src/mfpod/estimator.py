@@ -15,7 +15,7 @@ and the mean squared error bookkeeping here; the energies, ``j_mf`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,30 +148,14 @@ def mf_mse(profile: VarianceProfile, alloc: Allocation) -> float:
 
 def min_mse(profile: VarianceProfile, alloc: Allocation) -> float:
     """MSE of j_mf at the optimal weights, clipped at zero."""
-    if profile.levels != len(alloc.counts) - 1:
-        raise ValueError("profile and allocation disagree on the number of levels")
-    m = alloc.counts
-    out = profile.sigma2[0] / m[0]
-    for ell in range(1, profile.levels + 1):
-        s2 = profile.sigma2[ell]
-        if s2 > 0:
-            gap = 1.0 / m[ell - 1] - 1.0 / m[ell]
-            out -= gap * profile.cov0[ell - 1] ** 2 / s2
-    return max(float(out), 0.0)
+    return max(mf_mse(profile, replace(alloc, alphas=optimal_alpha(profile))), 0.0)
 
 
 def usefulness(profile: VarianceProfile, alloc: Allocation, m_mc: int) -> bool:
-    """Whether the multifidelity allocation beats m_mc plain MC samples.
-
-    Compares the variance-reduction factor against m_0 / m_mc; the strict
-    inequality means equality (no benefit) counts as not useful.
+    """Whether the multifidelity allocation at its optimal weights beats m_mc
+    plain MC samples, whose MSE is sigma_0^2 / m_mc; the strict inequality
+    means equality (no benefit) counts as not useful.
     """
     if m_mc < 1:
         raise ValueError("m_mc must be at least 1")
-    m = alloc.counts
-    factor = 1.0
-    for ell in range(1, profile.levels + 1):
-        s2 = profile.sigma2[ell]
-        if s2 > 0:
-            factor -= (m[0] / m[ell - 1] - m[0] / m[ell]) * profile.cov0[ell - 1] ** 2 / s2
-    return bool(factor < m[0] / m_mc)
+    return bool(min_mse(profile, alloc) < profile.sigma2[0] / m_mc)

@@ -378,6 +378,15 @@ def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
     )
 
 
+def _as_span(sets, metric: Metric) -> SnapshotSpan:
+    """The span of telescoping snapshot sets in metric, or a given span built in metric."""
+    if not isinstance(sets, SnapshotSpan):
+        return SnapshotSpan.from_sets(sets, metric)
+    if sets.metric is not metric:
+        raise ValueError("the basis and the span must share one metric")
+    return sets
+
+
 def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     """Multifidelity POD basis for fixed control-variate weights.
 
@@ -394,9 +403,9 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     kappa : float
         Energy fraction in (0, 1] for the dimension selection.
     metric : Metric
-        Inner product of the ambient space.
+        Inner product of the ambient space; a given span must be built in it.
     """
-    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, metric)
+    span = _as_span(sets, metric)
     pairs = lowrank_eig(span.operator(alphas))
     plus = [span.repair(float(lam), pairs.vectors[:, j]) for j, lam in enumerate(pairs.values)]
     return _finalize_basis(span, pairs.values, plus, pairs.vectors, kappa)
@@ -409,6 +418,8 @@ def jmf_plus(mf: MfBasis, candidate: Basis) -> float:
     nonnegative by construction, and equal to the corrected tail energy
     when the candidate is the leading block of the modes themselves.
     """
+    if candidate.metric is not mf.metric:
+        raise ValueError("the basis and the span must share one metric")
     if mf.mode_count == 0:
         return 0.0
     if candidate.dim == 0:
@@ -421,23 +432,19 @@ def jmf_plus(mf: MfBasis, candidate: Basis) -> float:
 def j_mf(basis: Basis, sets, alloc: Allocation) -> float:
     """Multifidelity estimate of the expected squared projection error.
 
-    The high-fidelity term is averaged over the m_0 shared samples; each
-    lower level contributes its weighted telescoping difference.  The value
+    The sum over snapshot blocks b of c_b times b's residual energies, with
+    c the operator's telescoping block weights (_coefficients).  The value
     is unbiased for the high-fidelity mean but, unlike the plain Monte Carlo
     mean, may be negative for unlucky draws.  ``sets`` may be their
     SnapshotSpan in the basis' metric: to score many candidates on the same
     draws, build ``span = SnapshotSpan.from_sets(sets, metric)`` once and
     pass it here and to estimate_profile for each candidate.
     """
-    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, basis.metric)
+    span = _as_span(sets, basis.metric)
     if span.counts != alloc.counts:
         raise ValueError(f"allocation counts {alloc.counts} do not match {span.counts}")
-    energies = span.residual_energies(basis)
-    total = float(energies[0].mean())
-    for ell in range(1, len(energies)):
-        e = energies[ell]
-        total += alloc.alphas[ell - 1] * float(e.mean() - e[:span.counts[ell - 1]].mean())
-    return total
+    energies = span._energies(*span._basis_coords(basis), span.projections)
+    return float(sum(c * e.sum() for c, e in zip(_coefficients(span.counts, alloc.alphas), energies)))
 
 
 def estimate_profile(basis: Basis, sets) -> VarianceProfile:
@@ -447,5 +454,5 @@ def estimate_profile(basis: Basis, sets) -> VarianceProfile:
     read off their span like j_mf, and the unbiased (m_0 - 1) divisor; a
     single shared sample yields an all-zero profile.
     """
-    span = sets if isinstance(sets, SnapshotSpan) else SnapshotSpan.from_sets(sets, basis.metric)
+    span = _as_span(sets, basis.metric)
     return _profile(span._energies(*span._basis_coords(basis), span._shared), span._scales)

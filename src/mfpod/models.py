@@ -230,10 +230,6 @@ def _mass_metric(n: int) -> Metric:
     return Metric.from_weight(mass_matrix(n))
 
 
-# Fine-mesh entries per group of coarse intervals that prolong fills at once.
-_PROLONG_GROUP = 1 << 15
-
-
 def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     """Linear interpolation onto the nested fine mesh, of one coarse vector
     or of each column of an (n_lf, m) block.
@@ -254,16 +250,11 @@ def prolong(coarse: np.ndarray, n_hf: int) -> np.ndarray:
     cols = c.shape[1:]
     s = np.arange(k).reshape((k,) + (1,) * len(cols))
     out = np.empty((n_hf,) + cols)
-    # (c_i (k - s) + c_{i+1} s) / k, written in place into out group by group
-    # of coarse intervals, so that a group's temporary stays cache-sized
+    # (c_i (k - s) + c_{i+1} s) / k, written in place into out
     segs = out[:-1].reshape((n_lf - 1, k) + cols)
-    group = max(1, _PROLONG_GROUP // (k * max(1, c.size // n_lf)))
-    for a in range(0, n_lf - 1, group):
-        b = min(a + group, n_lf - 1)
-        seg = segs[a:b]
-        np.multiply(c[a:b, None], k - s, out=seg)
-        seg += c[a + 1:b + 1, None] * s
-        seg /= k
+    np.multiply(c[:-1, None], k - s, out=segs)
+    segs += c[1:, None] * s
+    segs /= k
     out[-1] = c[-1]
     out[::k] = c  # exact nodal values regardless of rounding
     return out

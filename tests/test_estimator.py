@@ -147,6 +147,68 @@ def test_usefulness_truth_table():
     assert usefulness(uncorr, _alloc(5, 10, 0.0), m_mc=5) is False
 
 
+@st.composite
+def _profile_and_allocation(draw):
+    """A VarianceProfile with L = 1..3 lower levels, some of them with zero
+    variance, and an allocation with arbitrary weights for it."""
+    levels = draw(st.integers(1, 3))
+    sigma2 = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                           min_size=levels + 1, max_size=levels + 1))
+    # correlations and weights of 0 or at least 1e-6 in size, so that no
+    # scaled moment or MSE term is subnormal
+    signed = st.one_of(st.just(0.0), st.floats(-1.0, -1e-6), st.floats(1e-6, 1.0))
+    rho = draw(st.lists(signed, min_size=levels, max_size=levels))
+    cov0 = [r * np.sqrt(sigma2[0] * s2) for r, s2 in zip(rho, sigma2[1:])]
+    counts = np.cumsum(draw(st.lists(st.integers(1, 300), min_size=levels + 1,
+                                     max_size=levels + 1)))
+    alphas = draw(st.lists(signed, min_size=levels, max_size=levels))
+    alloc = Allocation(tuple(counts), tuple(3.0 * a for a in alphas), (1.0,) + (0.1,) * levels)
+    return VarianceProfile(sigma2, cov0, int(counts[0])), alloc
+
+
+def _mse_size(prof, alloc):
+    """sigma_0^2 / m_0 plus the magnitudes of mf_mse's level terms at alloc's
+    weights and at the optimal ones: the scale of the roundoff in either MSE."""
+    m = alloc.counts
+    out = prof.sigma2[0] / m[0]
+    for a_opt, a, s2, c, m_prev, m_ell in zip(optimal_alpha(prof), alloc.alphas, prof.sigma2[1:],
+                                              prof.cov0, m, m[1:]):
+        for w in (a, a_opt):
+            out += (1.0 / m_prev - 1.0 / m_ell) * (w * w * s2 + 2.0 * abs(w * c))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_profile_and_allocation(), log_s=st.floats(-12.0, 12.0), m_mc=st.integers(1, 2000))
+def test_estimator_quantities_do_not_depend_on_the_units(case, log_s, m_mc):
+    # scaling the snapshots scales every second moment by one factor s: both
+    # MSEs scale by s, and the weights and the usefulness verdict stay
+    prof, alloc = case
+    s = 10.0 ** log_s
+    scaled = VarianceProfile(prof.sigma2 * s, prof.cov0 * s, prof.sample_count)
+    tol = 1e-12 * s * _mse_size(prof, alloc)
+    assert abs(mf_mse(scaled, alloc) - s * mf_mse(prof, alloc)) <= tol
+    assert abs(min_mse(scaled, alloc) - s * min_mse(prof, alloc)) <= tol
+    np.testing.assert_allclose(optimal_alpha(scaled), optimal_alpha(prof), rtol=1e-12, atol=0)
+    assert usefulness(scaled, alloc, m_mc) == usefulness(prof, alloc, m_mc)
+
+
+def test_usefulness_of_a_correlated_surrogate_at_three_units():
+    # rho = 0.9, m = (2, 248): the optimal MSE 0.0098 s beats the 0.02 s of
+    # five plain samples in every unit s
+    for s in (1e-3, 1.0, 1e4):
+        prof = VarianceProfile((0.1 * s, 0.1 * s), (0.09 * s,), 2)
+        assert min_mse(prof, _alloc(2, 248, 0.0)) == pytest.approx(0.0098266 * s, rel=1e-5)
+        assert usefulness(prof, _alloc(2, 248, 0.0), m_mc=5) is True
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_profile_and_allocation(), m_mc=st.integers(1, 2000))
+def test_usefulness_compares_the_optimal_mse_with_plain_monte_carlo(case, m_mc):
+    prof, alloc = case
+    assert usefulness(prof, alloc, m_mc) == (min_mse(prof, alloc) < prof.sigma2[0] / m_mc)
+
+
 def test_estimate_profile_degenerate_and_identical():
     rng = np.random.default_rng(6)
     metric = Metric.euclidean(6)

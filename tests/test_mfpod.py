@@ -201,6 +201,25 @@ def test_jmf_plus_tail_and_bruteforce():
     assert jmf_plus(mf, cand) == pytest.approx(brute, rel=1e-9)
 
 
+def test_mfpod_fixed_refuses_a_span_in_another_metric():
+    rng = np.random.default_rng(10)
+    metric = random_spd_metric(rng, 12)
+    span = SnapshotSpan.from_sets(random_instance(rng, 12, 3, 8, metric), metric)
+    with pytest.raises(ValueError, match="share one metric"):
+        mfpod_fixed(span, (0.9,), 0.99, Metric.euclidean(12))
+    assert mfpod_fixed(span, (0.9,), 0.99, metric).metric is metric
+
+
+def test_jmf_plus_refuses_a_candidate_in_another_metric():
+    pair = make_model_pair(AdvDiffConfig(n_hf=129, n_lf=17))
+    thetas = pair.sampler(12, 0)
+    sets = SnapshotSet.two_level(pair.high(thetas[:4]), pair.low(thetas), 1.0, 0.1)
+    mf = mfpod_fixed(sets, (0.9,), 0.99, pair.metric)
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError, match="share one metric"):
+        jmf_plus(mf, orthonormalize(rng.standard_normal((129, 2)), Metric.euclidean(129)))
+
+
 def test_zero_snapshots_give_empty_basis_with_diagnostic():
     metric = Metric.euclidean(6)
     ids = (0, 1, 2, 3)

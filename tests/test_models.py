@@ -184,9 +184,6 @@ def _one_expression_prolong(c, n_hf):
 def test_prolong_is_bytewise_the_one_expression_formula(n_lf, n_hf, m):
     rng = np.random.default_rng(n_hf + (m or 0))
     c = rng.standard_normal((n_lf,) if m is None else (n_lf, m))
-    if m in (50, 300):  # a block whose last group of coarse intervals is partial
-        k = (n_hf - 1) // (n_lf - 1)
-        assert (n_lf - 1) % (models._PROLONG_GROUP // (k * m)) != 0
     fine = prolong(c, n_hf)
     assert fine.shape == (n_hf,) + c.shape[1:]
     assert fine.tobytes() == _one_expression_prolong(c, n_hf).tobytes()

@@ -79,6 +79,22 @@ def test_span_growth_has_no_column_loop():
     assert loops == []
 
 
+def test_estimator_algebra_is_written_once():
+    # _coefficients holds the telescoping weights and mf_mse the MSE formula:
+    # min_mse and usefulness evaluate mf_mse without a level loop of their
+    # own, and j_mf weighs the blocks' energies by _coefficients
+    src = _ROOT / "src" / "mfpod"
+    funcs = {node.name: node for module in ("estimator", "mfpod")
+             for node in ast.parse((src / f"{module}.py").read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    loops = [f"{name}:{node.lineno}" for name in ("min_mse", "usefulness")
+             for node in ast.walk(funcs[name])
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
+    assert "_coefficients" in {node.id for node in ast.walk(funcs["j_mf"])
+                               if isinstance(node, ast.Name)}
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.DOTALL)
     assert blocks
