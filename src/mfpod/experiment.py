@@ -177,10 +177,10 @@ class Reference:
     The snapshots t_i = F^T u_i (metric coordinates) enter only through
     their second moment S = (1/size) sum_i t_i t_i^T = Phi Lambda Phi^T,
     kept as its eigenpairs above a roundoff floor.  A metric-orthonormal
-    mode v then captures ||weighted^T v||^2 / trace of the snapshot energy.
+    mode v then captures ||weighted^T F^T v||^2 / trace of the snapshot energy.
     """
 
-    weighted: np.ndarray  # F Phi Lambda^(1/2), n x K
+    weighted: np.ndarray  # Phi Lambda^(1/2) in metric coordinates, n x K
     eigvals: np.ndarray
     trace: float
     size: int
@@ -222,13 +222,13 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
         raise ValueError("reference snapshots carry no energy")
     vals, vecs = scipy.linalg.eigh(moment / size, subset_by_value=(_REFERENCE_FLOOR * trace, np.inf))
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    weighted = metric.apply(metric.from_coords(q @ vecs)) * np.sqrt(vals)
+    weighted = (q @ vecs) * np.sqrt(vals)
     eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
     return Reference(weighted, eigvals, trace, size, metric)
 
 
-def _energy_curve(vectors: np.ndarray, reference: Reference, dims: int) -> list[float]:
-    coeff = vectors.T @ reference.weighted
+def _energy_curve(coords: np.ndarray, reference: Reference, dims: int) -> list[float]:
+    coeff = coords.T @ reference.weighted
     return _percent_curve(np.einsum("ij,ij->i", coeff, coeff), reference.trace, dims)
 
 
@@ -370,7 +370,7 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) ->
             "energy_fraction": mf.energy_fraction,
             "eigvals": _pad(mf.corrected_eigvals, dims),
             "raw_eigvals": _pad(mf.raw_eigvals, dims),
-            "captured_energy": _energy_curve(mf.vectors[:, :dims], reference, dims),
+            "captured_energy": _energy_curve(mf.coords[:, :dims], reference, dims),
         })
         return record
     res = pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)
@@ -379,7 +379,8 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) ->
         "mode_count": res.basis.dim,
         "selected_r": select_dim(res.eigvals, config.kappa),
         "eigvals": _pad(res.eigvals, dims),
-        "captured_energy": _energy_curve(res.basis.vectors[:, :dims], reference, dims),
+        "captured_energy": _energy_curve(metric.to_coords(res.basis.vectors[:, :dims]), reference,
+                                         dims),
     })
     return record
 

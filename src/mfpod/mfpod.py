@@ -276,8 +276,9 @@ class SnapshotSpan:
 class MfBasis:
     """Multifidelity POD modes with raw and corrected eigenvalues.
 
-    Modes are ordered by corrected eigenvalue, each with its
-    largest-magnitude entry in metric coordinates positive;
+    Modes are kept as their metric coordinates ``coords`` = F^T V, ordered
+    by corrected eigenvalue, each with its largest-magnitude entry
+    positive; the ambient ``vectors`` V are formed on first read.
     ``selected_dim`` is the smallest r whose cumulative corrected energy
     reaches ``kappa``.
     ``correction_count`` counts the nonpositive raw eigenvalues that were
@@ -286,32 +287,42 @@ class MfBasis:
 
     raw_eigvals: np.ndarray
     corrected_eigvals: np.ndarray
-    vectors: np.ndarray
+    coords: np.ndarray
     metric: Metric
-    selected_dim: int
     kappa: float
     correction_count: int
-    energy_fraction: float
     diagnostic: str | None = None
 
     def __post_init__(self):
         raw = np.asarray(self.raw_eigvals, dtype=float)
         plus = np.asarray(self.corrected_eigvals, dtype=float)
-        vecs = _as_matrix(self.vectors) if np.asarray(self.vectors).size else np.zeros((self.metric.n, 0))
+        coords = _as_matrix(self.coords)
         object.__setattr__(self, "raw_eigvals", raw)
         object.__setattr__(self, "corrected_eigvals", plus)
-        object.__setattr__(self, "vectors", vecs)
-        if not (len(raw) == len(plus) == vecs.shape[1]):
-            raise ValueError("eigenvalue arrays and vectors disagree in length")
+        object.__setattr__(self, "coords", coords)
+        if not (len(raw) == len(plus) == coords.shape[1]):
+            raise ValueError("eigenvalue arrays and coordinates disagree in length")
         if (plus < 0).any():
             raise ValueError("corrected eigenvalues must be nonnegative")
-        if not 0 <= self.selected_dim <= len(plus):
-            raise ValueError("selected_dim out of range")
-        Basis(vecs, self.metric).check(1e-9)
+        Basis(coords, Metric.euclidean(self.metric.n)).check(1e-9)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self.metric.from_coords(self.coords)
 
     @property
     def mode_count(self) -> int:
-        return self.vectors.shape[1]
+        return self.coords.shape[1]
+
+    @property
+    def selected_dim(self) -> int:
+        return select_dim(self.corrected_eigvals, self.kappa)
+
+    @property
+    def energy_fraction(self) -> float:
+        """Share of the corrected energy in the selected modes."""
+        r, cum = self.selected_dim, np.cumsum(self.corrected_eigvals)
+        return float(cum[r - 1] / cum[-1]) if r else 0.0
 
     @property
     def basis(self) -> Basis:
@@ -344,7 +355,7 @@ def select_dim(eigvals, kappa: float) -> int:
 
 def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
                     diagnostic: str | None = None) -> MfBasis:
-    """Order modes Q y by corrected value, truncate, apply the energy criterion."""
+    """Order modes Q y by corrected value and truncate; kappa picks r on the MfBasis."""
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
     metric = span.metric
@@ -353,11 +364,8 @@ def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
     correction_count = int((raw <= 0).sum())
 
     def empty(msg):
-        return MfBasis(
-            np.zeros(0), np.zeros(0), np.zeros((metric.n, 0)), metric,
-            selected_dim=0, kappa=kappa, correction_count=correction_count,
-            energy_fraction=0.0, diagnostic=msg,
-        )
+        return MfBasis(np.zeros(0), np.zeros(0), np.zeros((metric.n, 0)), metric, kappa,
+                       correction_count, msg)
 
     if len(plus) == 0:
         return empty(diagnostic or "operator is numerically zero")
@@ -368,14 +376,8 @@ def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
         return empty(diagnostic or "all corrected eigenvalues are zero")
     keep = plus > _PLUS_FLOOR * top
     raw, plus, y = raw[keep], plus[keep], y[:, keep]
-
-    r = select_dim(plus, kappa)
-    cum = np.cumsum(plus)
-    return MfBasis(
-        raw, plus, metric.from_coords(_fix_signs(span.basis @ y)), metric,
-        selected_dim=r, kappa=kappa, correction_count=correction_count,
-        energy_fraction=float(cum[r - 1] / cum[-1]), diagnostic=diagnostic,
-    )
+    return MfBasis(raw, plus, _fix_signs(span.basis @ y), metric, kappa, correction_count,
+                   diagnostic)
 
 
 def _as_span(sets, metric: Metric) -> SnapshotSpan:
@@ -420,11 +422,7 @@ def jmf_plus(mf: MfBasis, candidate: Basis) -> float:
     """
     if candidate.metric is not mf.metric:
         raise ValueError("the basis and the span must share one metric")
-    if mf.mode_count == 0:
-        return 0.0
-    if candidate.dim == 0:
-        return float(mf.corrected_eigvals.sum())
-    coeff = candidate.vectors.T @ mf.metric.apply(mf.vectors)
+    coeff = mf.metric.to_coords(candidate.vectors).T @ mf.coords
     captured = np.einsum("ij,ij->j", coeff, coeff)
     return float(np.sum(mf.corrected_eigvals * np.maximum(0.0, 1.0 - captured)))
 

@@ -96,7 +96,8 @@ def _reference_snapshots(size):
 
 def _score(vectors, ref) -> float:
     """Captured energy (percent) of the whole basis against the reference."""
-    return experiment._energy_curve(vectors, ref, max(vectors.shape[1], 1))[-1]
+    coords = ref.metric.to_coords(vectors)
+    return experiment._energy_curve(coords, ref, max(coords.shape[1], 1))[-1]
 
 
 def _test_bases(metric):
@@ -118,7 +119,7 @@ def test_reference_scores_match_dense_snapshot_oracle(size):
     for vectors in _test_bases(metric):
         coeff = vectors.T @ weighted
         dense = 100.0 * np.cumsum(np.einsum("ij,ij->i", coeff, coeff)) / denom
-        got = experiment._energy_curve(vectors, ref, vectors.shape[1])
+        got = experiment._energy_curve(metric.to_coords(vectors), ref, vectors.shape[1])
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
 
 
@@ -138,8 +139,7 @@ def test_reference_leading_modes_reproduce_energy_curve(size):
     assert ref.trace == pytest.approx(trace, rel=1e-14)
     assert int(np.sum(vals > experiment._REFERENCE_FLOOR * trace)) == k
     np.testing.assert_allclose(ref.eigvals[:k], vals[:k], rtol=0, atol=1e-14 * trace)
-    modes = metric.from_coords(phi[:, :20])
-    got = experiment._energy_curve(modes, ref, 20)
+    got = experiment._energy_curve(phi[:, :20], ref, 20)  # the leading modes' metric coordinates
     np.testing.assert_allclose(got, ref.energy_curve(20), rtol=0, atol=1e-10)
 
 
@@ -210,7 +210,8 @@ def test_reference_build_memory_does_not_grow_with_size():
 
 
 def _scores(ref, bases) -> np.ndarray:
-    return np.concatenate([experiment._energy_curve(v, ref, v.shape[1]) for v in bases])
+    return np.concatenate([experiment._energy_curve(ref.metric.to_coords(v), ref, v.shape[1])
+                           for v in bases])
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -632,6 +633,24 @@ def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
     assert lift_growths == [(model.n_hf, model.n_lf)]
     m0 = allocate_budget(5.0, ModelCosts.from_config(model), "even_split")[0]
     assert ranks and max(ranks) <= model.n_lf + m0
+
+
+def test_study_fits_and_scoring_never_leave_metric_coordinates(monkeypatch):
+    # the modes of a repeat and the reference stay in metric coordinates, so
+    # neither fitting, scoring nor the reference build maps an n-vector back
+    # or applies W of the fine-mesh metric, a study's one weighted metric
+    calls = []
+    for name in ("from_coords", "apply"):
+        def counted(self, x, _name=name, _original=getattr(Metric, name)):
+            if self.kind == "weighted":
+                calls.append(_name)
+            return _original(self, x)
+        monkeypatch.setattr(Metric, name, counted)
+    for mode in ("pilot_alpha", "adaptive"):
+        report = run_study(StudyConfig(budget=5.0, weight_mode=mode, repeats=3, master_seed=6,
+                                       model=_LIFTED_MODELS[1], reference_size=60, report_dims=8))
+        assert not report.failures and min(rec["mode_count"] for rec in report.repeats) > 0
+    assert calls == []
 
 
 def test_a_writeable_lift_is_grown_afresh():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -218,6 +219,47 @@ def test_jmf_plus_refuses_a_candidate_in_another_metric():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError, match="share one metric"):
         jmf_plus(mf, orthonormalize(rng.standard_normal((129, 2)), Metric.euclidean(129)))
+
+
+def test_jmf_plus_of_an_empty_candidate_or_basis():
+    rng = np.random.default_rng(12)
+    for metric in (Metric.euclidean(12), random_spd_metric(rng, 12)):
+        sets = random_instance(rng, 12, 3, 8, metric)
+        mf = mfpod_fixed(sets, (0.9,), 0.99, metric)
+        assert mf.mode_count > 0
+        assert jmf_plus(mf, Basis.empty(metric)) == float(mf.corrected_eigvals.sum())
+        zero = tuple(dataclasses.replace(s, shared=0 * s.shared, extra=0 * s.extra) for s in sets)
+        empty = mfpod_fixed(zero, (0.9,), 0.99, metric)
+        assert empty.mode_count == 0
+        for cand in (mf.full_basis, Basis.empty(metric)):
+            assert jmf_plus(empty, cand) == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
+       case=st.sampled_from(["two-level", "three-level"]), weighted=st.booleans(),
+       kappa=st.floats(0.5, 1.0), zero=st.booleans())
+def test_mf_basis_derives_its_vectors_dim_and_energy_from_its_coordinates(seed, n, case, weighted,
+                                                                         kappa, zero):
+    rng = np.random.default_rng(seed)
+    metric = random_spd_metric(rng, n) if weighted else Metric.euclidean(n)
+    sets, alphas, _ = _oracle_case(case, rng, n, metric)
+    if zero:
+        sets = tuple(dataclasses.replace(s, shared=0 * s.shared, extra=0 * s.extra) for s in sets)
+    fits = [mfpod_fixed(sets, alphas, kappa, metric)]
+    if case == "two-level":
+        fits.append(mfpod_adaptive(sets, kappa, metric)[0])
+    for mf in fits:
+        assert mf.vectors.shape == mf.coords.shape == (n, mf.mode_count)
+        assert mf.vectors.tobytes() == metric.from_coords(mf.coords).tobytes()
+        assert mf.full_basis.orthonormality_defect() <= 1e-9
+        r = select_dim(mf.corrected_eigvals, kappa)
+        assert mf.selected_dim == r
+        if zero:
+            assert (mf.mode_count, r, mf.energy_fraction) == (0, 0, 0.0)
+        else:
+            cum = np.cumsum(mf.corrected_eigvals)
+            assert r >= 1 and mf.energy_fraction == float(cum[r - 1] / cum[-1])
 
 
 def test_zero_snapshots_give_empty_basis_with_diagnostic():

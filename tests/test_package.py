@@ -95,6 +95,23 @@ def test_estimator_algebra_is_written_once():
                                if isinstance(node, ast.Name)}
 
 
+def test_fits_and_study_scoring_stay_in_metric_coordinates():
+    # a fitted mode and the study reference are kept in metric coordinates:
+    # building a basis, fitting a study repeat, scoring it and building the
+    # reference neither map n-vectors back (from_coords) nor apply W
+    src = _ROOT / "src" / "mfpod"
+    refs = []
+    for module, names in (("mfpod", ["_finalize_basis"]),
+                          ("experiment", ["_fit_mfpod", "_run_repeat", "build_reference"])):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        for name in names:
+            func = next(node for node in tree.body if getattr(node, "name", None) == name)
+            refs += [f"{module}.{name}:{node.lineno}" for node in ast.walk(func)
+                     if (getattr(node, "id", None) or getattr(node, "attr", None))
+                     in ("from_coords", "apply")]
+    assert refs == []
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.DOTALL)
     assert blocks
