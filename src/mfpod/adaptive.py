@@ -19,7 +19,7 @@ import scipy.linalg
 from .core import Metric
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .estimator import optimal_alpha
-from .mfpod import MfBasis, SnapshotSpan, _finalize_basis
+from .mfpod import MfBasis, _as_span, _finalize_basis
 from .mfpod import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 
 __all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
@@ -66,12 +66,12 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
 
     Parameters
     ----------
-    sets : sequence of SnapshotSet
+    sets : sequence of SnapshotSet, or their SnapshotSpan
         Exactly two levels (high fidelity and one surrogate).
     kappa : float
         Energy fraction in (0, 1] for the final dimension selection.
     metric : Metric
-        Inner product of the ambient space.
+        Inner product of the ambient space; a given span must be built in it.
 
     Returns
     -------
@@ -79,14 +79,13 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         Modes reordered by corrected eigenvalue with the energy criterion
         applied, plus the per-iteration extraction record.
     """
-    if len(sets) != 2:
-        raise ValueError("the adaptive loop handles exactly two fidelity levels")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
-
     # Everything below runs in the fixed snapshot-span coordinates: the
     # operator is B(alpha) = B_hf + alpha * B_corr, a small dense matrix.
-    span = SnapshotSpan.from_sets(sets, metric)
+    span = _as_span(sets, metric)
+    if len(span.counts) != 2:
+        raise ValueError("the adaptive loop handles exactly two fidelity levels")
     p0, rank = span.projections[0], span.rank
     norm0 = float(np.linalg.norm(p0))
     z, w = np.zeros((rank, 0)), np.eye(rank)

@@ -194,6 +194,8 @@ def _cmd_mfpod(args) -> dict:
     if hf.shape[0] != lf.shape[0]:
         raise _CliError("snapshot files have different state dimensions")
     m0, m1 = hf.shape[1], lf.shape[1]
+    if m0 < 1:
+        raise _CliError("the high-fidelity file holds no snapshots")
     if m1 <= m0:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
     _require_weight_samples(weight_mode, m0, m1)
@@ -285,6 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 < getattr(args, "kappa", 1.0) <= 1:  # before any command reads or writes a file
+            parser.error(f"argument --kappa: must lie in (0, 1], got {args.kappa}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

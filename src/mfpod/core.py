@@ -217,10 +217,10 @@ class SnapshotSet:
 def validate_levels(sets) -> None:
     """Check the cross-level contract of a telescoping snapshot hierarchy.
 
-    Raises ValueError on level numbering gaps, non-increasing sample counts,
-    cost ordering violations, dimension mismatches, or broken sample sharing
-    (level ell must reuse every sample of level ell-1, in order, as its
-    shared block).
+    Raises ValueError on level numbering gaps, an empty level 0,
+    non-increasing sample counts, cost ordering violations, dimension
+    mismatches, or broken sample sharing (level ell must reuse every sample
+    of level ell-1, in order, as its shared block).
     """
     if not sets:
         raise ValueError("need at least one snapshot level")
@@ -230,6 +230,8 @@ def validate_levels(sets) -> None:
         if s.dim != sets[0].dim:
             raise ValueError("all levels must share the ambient dimension")
     counts = [s.count for s in sets]
+    if counts[0] < 1:
+        raise ValueError("level 0 holds no snapshots")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"sample counts must increase strictly across levels, got {counts}")
     costs = [s.cost_per_sample for s in sets]

@@ -240,13 +240,13 @@ def _percent_curve(energies: np.ndarray, trace: float, dims: int) -> list[float]
 
 def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
     """Multifidelity basis under a StudyConfig weight mode, with the weights
-    used and, for the adaptive mode, why its mode search stopped.  The
-    pilot weight is read off the span that the fit then uses."""
+    used and, for the adaptive mode, why its mode search stopped.  Either
+    mode fits on the one span built here, and the pilot weight is read off it."""
     kind, alpha = _parse_weight_mode(weight_mode)
-    if kind == "adaptive":
-        mf, trace = mfpod_adaptive(sets, kappa, metric)
-        return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
     span = SnapshotSpan.from_sets(sets, metric)
+    if kind == "adaptive":
+        mf, trace = mfpod_adaptive(span, kappa, metric)
+        return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
     if kind == "pilot_alpha":
         alpha = optimal_alpha(span.profile(np.zeros((span.rank, 0))))[0]
     return mfpod_fixed(span, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
@@ -362,25 +362,16 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) ->
     if pipeline == "mfpod":
         sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low, pair.lift)
         mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
-        record.update(weights)
-        record.update({
-            "mode_count": mf.mode_count,
-            "selected_r": mf.selected_dim,
-            "correction_count": mf.correction_count,
-            "energy_fraction": mf.energy_fraction,
-            "eigvals": _pad(mf.corrected_eigvals, dims),
-            "raw_eigvals": _pad(mf.raw_eigvals, dims),
-            "captured_energy": _energy_curve(mf.coords[:, :dims], reference, dims),
-        })
-        return record
-    res = pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)
+        record.update(weights, correction_count=mf.correction_count,
+                      energy_fraction=mf.energy_fraction, raw_eigvals=_pad(mf.raw_eigvals, dims))
+    else:
+        mf = (pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)).modes
+        record["alphas"] = []
     record.update({
-        "alphas": [],
-        "mode_count": res.basis.dim,
-        "selected_r": select_dim(res.eigvals, config.kappa),
-        "eigvals": _pad(res.eigvals, dims),
-        "captured_energy": _energy_curve(metric.to_coords(res.basis.vectors[:, :dims]), reference,
-                                         dims),
+        "mode_count": mf.mode_count,
+        "selected_r": select_dim(mf.corrected_eigvals, config.kappa),
+        "eigvals": _pad(mf.corrected_eigvals, dims),
+        "captured_energy": _energy_curve(mf.coords[:, :dims], reference, dims),
     })
     return record
 

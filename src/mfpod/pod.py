@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Basis, Metric, SnapshotSet, _as_matrix
 from .core import orthonormalize  # noqa: F401 - a name the benchmark's tracing hooks resolve
-from .mfpod import mfpod_fixed
+from .mfpod import MfBasis, mfpod_fixed
 
 __all__ = ["PodResult", "pod"]
 
@@ -29,11 +29,16 @@ class PodResult:
 
     ``eigvals`` holds m entries: the retained eigenvalues of the
     (1/m)-scaled snapshot operator in descending order, then exact zeros;
-    ``basis`` holds the retained modes in the same order.
+    ``modes`` holds the retained modes in the same order (a one-level
+    MfBasis, in metric coordinates), and ``basis`` forms their vectors on read.
     """
 
     eigvals: np.ndarray
-    basis: Basis
+    modes: MfBasis
+
+    @property
+    def basis(self) -> Basis:
+        return self.modes.full_basis
 
     def tail_energy(self, r: int) -> float:
         """sum_{j>r} lambda_j, the optimal mean squared projection error."""
@@ -60,10 +65,8 @@ def pod(snapshots, metric: Metric, lift=None) -> PodResult:
     """
     s = _as_matrix(snapshots)
     m = s.shape[1]
-    if m == 0:
-        raise ValueError("snapshot set is empty")
     level = SnapshotSet(0, s, np.zeros((s.shape[0], 0)), tuple(range(m)), 1.0, lift)
     mf = mfpod_fixed((level,), (), 1.0, metric)
     eigvals = np.zeros(m)
     eigvals[: mf.mode_count] = mf.corrected_eigvals
-    return PodResult(eigvals, mf.full_basis)
+    return PodResult(eigvals, mf)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfpod import (
+    AdvDiffConfig,
     Basis,
     Metric,
     SnapshotSet,
     adaptive,
     estimate_profile,
+    make_model_pair,
     mfpod_adaptive,
     mfpod_fixed,
     optimal_alpha,
@@ -166,6 +168,36 @@ def test_two_level_requirement():
     sets = random_instance(rng, 8, 2, 5, metric)
     with pytest.raises(ValueError):
         mfpod_adaptive(sets[:1], kappa=0.99, metric=metric)
+    with pytest.raises(ValueError, match="two fidelity levels"):
+        mfpod_adaptive(SnapshotSpan.from_sets(sets[:1], metric), kappa=0.99, metric=metric)
+
+
+def test_a_prebuilt_span_fits_bit_for_bit_as_its_sets():
+    # a study repeat builds its span once and hands it to the loop, which
+    # must fit exactly what it fits when it builds the span from the sets
+    rng = np.random.default_rng(9)
+    pair = make_model_pair(AdvDiffConfig(n_hf=129, n_lf=17))
+    thetas = pair.sampler(12, 0)
+    cases = [(random_instance(rng, 12, 3, 8, metric), metric)
+             for metric in (Metric.euclidean(12), random_spd_metric(rng, 12))]
+    cases.append((SnapshotSet.two_level(pair.high(thetas[:4]), pair.coarse(thetas), 1.0, 0.1,
+                                        pair.lift), pair.metric))
+    for sets, metric in cases:
+        mf, trace = mfpod_adaptive(sets, 0.99, metric)
+        got, got_trace = mfpod_adaptive(SnapshotSpan.from_sets(sets, metric), 0.99, metric)
+        assert mf.mode_count > 0 and got_trace == trace
+        for name in ("raw_eigvals", "corrected_eigvals", "coords"):
+            assert getattr(got, name).tobytes() == getattr(mf, name).tobytes(), name
+        assert (got.selected_dim, got.diagnostic) == (mf.selected_dim, mf.diagnostic)
+
+
+def test_mfpod_adaptive_refuses_a_span_in_another_metric():
+    rng = np.random.default_rng(10)
+    metric = random_spd_metric(rng, 12)
+    span = SnapshotSpan.from_sets(random_instance(rng, 12, 3, 8, metric), metric)
+    with pytest.raises(ValueError, match="share one metric"):
+        mfpod_adaptive(span, 0.99, Metric.euclidean(12))
+    assert mfpod_adaptive(span, 0.99, metric)[0].metric is metric
 
 
 def test_zero_hf_terminates_immediately():

@@ -245,6 +245,40 @@ def test_mfpod_rejects_a_fitted_weight_on_one_hf_column(capsys, tmp_path, alpha)
     assert code == 0, err
 
 
+@pytest.mark.parametrize("kappa", ["2", "0"])
+@pytest.mark.parametrize("command", ["pod", "mfpod"])
+def test_kappa_outside_the_unit_interval_is_a_usage_error_for_file_commands(capsys, tmp_path,
+                                                                           command, kappa):
+    from mfpod import write_snapshots
+
+    rng = np.random.default_rng(0)
+    hf, lf = tmp_path / "hf.mfp1", tmp_path / "lf.mfp1"
+    write_snapshots(hf, rng.standard_normal((10, 3)))
+    write_snapshots(lf, rng.standard_normal((10, 6)))
+    inputs = ("--input", str(lf)) if command == "pod" else ("--hf", str(hf), "--lf", str(lf))
+    code, out, err = _run(capsys, command, *inputs, "--kappa", kappa,
+                          "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["kind"] == "usage" and "kappa" in payload["error"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_mfpod_rejects_an_empty_high_fidelity_file(capsys, tmp_path):
+    from mfpod import write_snapshots
+
+    rng = np.random.default_rng(0)
+    hf, lf = tmp_path / "hf.mfp1", tmp_path / "lf.mfp1"
+    write_snapshots(hf, np.zeros((10, 0)))
+    write_snapshots(lf, rng.standard_normal((10, 6)))
+    code, out, err = _run(capsys, "mfpod", "--hf", str(hf), "--lf", str(lf), "--alpha", "0.5",
+                          "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["kind"] == "usage" and "high-fidelity" in payload["error"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_mfpod_rejects_inconsistent_files(capsys, tmp_path):
     from mfpod import write_snapshots
 

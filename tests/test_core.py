@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfpod import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
+from mfpod import Basis, Metric, SnapshotSet, orthonormalize, pod, project, validate_levels
 from mfpod.models import mass_matrix
 
 from conftest import banded_metric, mgs_orthonormalize, random_spd_metric
@@ -204,6 +204,17 @@ def test_validate_levels_rejects_sharing_violations():
     # counts must strictly increase
     with pytest.raises(ValueError):
         validate_levels((s1, s1))
+
+
+def test_validate_levels_rejects_an_empty_high_fidelity_level():
+    # an empty level 0 would reach the operator's 1/m_0 weight
+    s0, s1 = _sets(m0=0)
+    with pytest.raises(ValueError, match="level 0"):
+        validate_levels((s0, s1))
+    with pytest.raises(ValueError, match="level 0"):
+        validate_levels((s0,))
+    with pytest.raises(ValueError, match="level 0"):
+        pod(np.zeros((6, 0)), Metric.euclidean(6))
 
 
 def test_from_columns_constructor():

@@ -638,7 +638,8 @@ def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
 def test_study_fits_and_scoring_never_leave_metric_coordinates(monkeypatch):
     # the modes of a repeat and the reference stay in metric coordinates, so
     # neither fitting, scoring nor the reference build maps an n-vector back
-    # or applies W of the fine-mesh metric, a study's one weighted metric
+    # or applies W of the fine-mesh metric, a study's one weighted metric;
+    # the POD baselines score the coordinates of their one-level fit too
     calls = []
     for name in ("from_coords", "apply"):
         def counted(self, x, _name=name, _original=getattr(Metric, name)):
@@ -646,9 +647,11 @@ def test_study_fits_and_scoring_never_leave_metric_coordinates(monkeypatch):
                 calls.append(_name)
             return _original(self, x)
         monkeypatch.setattr(Metric, name, counted)
-    for mode in ("pilot_alpha", "adaptive"):
-        report = run_study(StudyConfig(budget=5.0, weight_mode=mode, repeats=3, master_seed=6,
-                                       model=_LIFTED_MODELS[1], reference_size=60, report_dims=8))
+    for split, mode in (("even_split", "pilot_alpha"), ("even_split", "adaptive"),
+                        ("hf_only", "pilot_alpha"), ("lf_only", "pilot_alpha")):
+        report = run_study(StudyConfig(budget=5.0, split=split, weight_mode=mode, repeats=3,
+                                       master_seed=6, model=_LIFTED_MODELS[1],
+                                       reference_size=60, report_dims=8))
         assert not report.failures and min(rec["mode_count"] for rec in report.repeats) > 0
     assert calls == []
 

@@ -98,17 +98,19 @@ def test_estimator_algebra_is_written_once():
 def test_fits_and_study_scoring_stay_in_metric_coordinates():
     # a fitted mode and the study reference are kept in metric coordinates:
     # building a basis, fitting a study repeat, scoring it and building the
-    # reference neither map n-vectors back (from_coords) nor apply W
+    # reference neither map n-vectors back (from_coords) nor apply W, and a
+    # study repeat, whose modes are coordinates already, maps none forward
     src = _ROOT / "src" / "mfpod"
     refs = []
-    for module, names in (("mfpod", ["_finalize_basis"]),
-                          ("experiment", ["_fit_mfpod", "_run_repeat", "build_reference"])):
+    for module, name, forbidden in (
+            ("mfpod", "_finalize_basis", ("from_coords", "apply")),
+            ("experiment", "_fit_mfpod", ("from_coords", "apply")),
+            ("experiment", "_run_repeat", ("from_coords", "apply", "to_coords")),
+            ("experiment", "build_reference", ("from_coords", "apply"))):
         tree = ast.parse((src / f"{module}.py").read_text())
-        for name in names:
-            func = next(node for node in tree.body if getattr(node, "name", None) == name)
-            refs += [f"{module}.{name}:{node.lineno}" for node in ast.walk(func)
-                     if (getattr(node, "id", None) or getattr(node, "attr", None))
-                     in ("from_coords", "apply")]
+        func = next(node for node in tree.body if getattr(node, "name", None) == name)
+        refs += [f"{module}.{name}:{node.lineno}" for node in ast.walk(func)
+                 if (getattr(node, "id", None) or getattr(node, "attr", None)) in forbidden]
     assert refs == []
 
 
