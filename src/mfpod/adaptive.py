@@ -112,7 +112,11 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         # of the modes z; the other eigenvectors give the next W.  Driver evd:
         # per solve 0.19 vs 0.32 ms (evr, MRRR) at k - j = 23..35, 0.31 vs 0.52 ms
         # at 31..53, ev tying, on ten study draws (2-core Xeon, 1-thread OpenBLAS).
-        vals, vecs = scipy.linalg.eigh(w.T @ full @ w, driver="evd")
+        # LAPACK's dsyevd is called directly, as scipy.linalg.eigh(driver="evd")
+        # calls it, without eigh's per-call dispatch and workspace query.
+        vals, vecs, info = scipy.linalg.lapack.dsyevd(w.T @ full @ w, compute_v=1, lower=1)
+        if info:
+            raise scipy.linalg.LinAlgError(f"dsyevd failed with info={info}")
         j = int(np.abs(vals).argmax())
         lam = float(vals[j])
         if abs(lam) <= 1e-14 * max(float(np.abs(full).max()), 1e-300):
@@ -120,7 +124,7 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
                             diagnostic="deflated operator has no remaining eigenvalues")
         w = w @ vecs
         zj, w = w[:, j], np.delete(w, j, axis=1)
-        lam_plus = span.repair(lam, zj)
+        (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
         new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
         steps.append(AdaptiveStep(

@@ -177,6 +177,8 @@ def _write_modes(outdir, vectors, **eigvals) -> list:
 
 def _cmd_pod(args) -> dict:
     snaps = read_snapshots(args.input)
+    if snaps.shape[1] < 1:
+        raise _CliError("the snapshot file holds no snapshots")
     metric = _metric_for(snaps.shape[0], args.metric)
     result = pod(snaps, metric)
     return {

@@ -161,7 +161,7 @@ class SnapshotSet:
         extra = _as_matrix(self.extra) if np.asarray(self.extra).size else np.zeros((shared.shape[0], 0))
         object.__setattr__(self, "shared", shared)
         object.__setattr__(self, "extra", extra)
-        object.__setattr__(self, "sample_ids", tuple(int(i) for i in self.sample_ids))
+        object.__setattr__(self, "sample_ids", tuple(map(int, self.sample_ids)))
         if self.level < 0:
             raise ValueError("level must be nonnegative")
         if extra.shape[0] != shared.shape[0]:

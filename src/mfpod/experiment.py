@@ -32,7 +32,15 @@ import scipy.linalg
 from .adaptive import mfpod_adaptive
 from .core import Metric, SnapshotSet, _as_matrix
 from .estimator import optimal_alpha
-from .mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan, _extend_span, mfpod_fixed, select_dim
+from .mfpod import (
+    _SPAN_BLOCK,
+    MfBasis,
+    SnapshotSpan,
+    _extend_span,
+    _lift_span,
+    mfpod_fixed,
+    select_dim,
+)
 from .mfpod import estimate_profile  # noqa: F401 - a name the benchmark's tracing hooks resolve
 from .models import (
     AdvDiffConfig,
@@ -207,13 +215,14 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
     euclid = Metric.euclidean(metric.n)
-    q, moment, energy, scale = np.zeros((metric.n, 0)), np.zeros((0, 0)), 0.0, 0.0
+    no_lift = np.zeros((metric.n, 0))
+    q, moment, energy, scale = no_lift, np.zeros((0, 0)), 0.0, 0.0
     for start in range(0, size, _SPAN_BLOCK):
         t = metric.to_coords(snapshot(thetas[start:start + _SPAN_BLOCK], "high", model))
         norms_sq = euclid.norms_sq(t)
         energy += float(norms_sq.sum())
         scale = max(scale, float(np.sqrt(norms_sq.max())))
-        q, coeff = _extend_span(q, t, scale)
+        q, coeff = _extend_span(no_lift, q, t, scale)
         # earlier snapshots lie in span(Q) up to the rank rule
         moment = np.pad(moment, (0, q.shape[1] - len(moment)))
         moment += coeff @ coeff.T
@@ -227,8 +236,12 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     return Reference(weighted, eigvals, trace, size, metric)
 
 
-def _energy_curve(coords: np.ndarray, reference: Reference, dims: int) -> list[float]:
-    coeff = coords.T @ reference.weighted
+def _energy_curve(coords: np.ndarray, reference: Reference, dims: int,
+                  weighted: np.ndarray | None = None) -> list[float]:
+    """Captured energy curve of orthonormal modes given by their metric
+    coordinates, or by their coordinates in an orthonormal Q with
+    ``weighted`` = Q^T reference.weighted."""
+    coeff = coords.T @ (reference.weighted if weighted is None else weighted)
     return _percent_curve(np.einsum("ij,ij->i", coeff, coeff), reference.trace, dims)
 
 
@@ -267,16 +280,17 @@ class StudyReport:
     timings: list
 
     def to_payload(self) -> dict:
-        """Deterministic JSON payload (timings deliberately excluded)."""
-        return _jsonable({
-            "config": asdict(self.config),
+        """Deterministic JSON payload (timings deliberately excluded); run_study
+        fills every field but the config with JSON-native values."""
+        return {
+            "config": _jsonable(asdict(self.config)),
             "pipeline": self.pipeline,
             "allocation": {"m0": self.m0, "m1": self.m1},
             "repeats": self.repeats,
             "aggregates": self.aggregates,
             "reference": self.reference,
             "failures": self.failures,
-        })
+        }
 
 
 def _jsonable(obj):
@@ -321,6 +335,10 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     if metric.n != model.n_hf:
         raise ValueError(f"reference has dimension {metric.n} but the model has n_hf={model.n_hf}")
     pipeline = {"hf_only": "pod_hf", "lf_only": "pod_lf"}.get(split_kind, "mfpod")
+    # a read-only lift's span is cached, so every lifted repeat's span starts
+    # from this Q_L, and Q_L^T weighted is formed once for all of them
+    lift = _lift_span(pair.lift, metric)[0] if pair.lift is not None else np.zeros((metric.n, 0))
+    scoring = (lift, lift.T @ reference.weighted)
 
     records, failures, timings = [], [], []
     for rep in range(config.repeats):
@@ -328,7 +346,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         started = time.perf_counter()
         try:
             records.append(_run_repeat(rep, seed, pair, metric, m0, m1, pipeline,
-                                       config, reference))
+                                       config, reference, scoring))
         except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
@@ -345,7 +363,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
                            "max": int(values.max())}
     reference_info = {
         "size": reference.size,
-        "eigvals": reference.eigvals,
+        "eigvals": reference.eigvals.tolist(),
         "energy_curve": reference.energy_curve(config.report_dims),
     }
     return StudyReport(
@@ -355,7 +373,9 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     )
 
 
-def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) -> dict:
+def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,
+                scoring) -> dict:
+    """One repeat's record; ``scoring`` is a lift span Q_L with Q_L^T reference.weighted."""
     dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
     _, hf, lf = _draw(pair, m0, m1, seed, lifted=True)  # lf in the coarse space of pair.lift
@@ -367,11 +387,15 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference) ->
     else:
         mf = (pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)).modes
         record["alphas"] = []
+    # scored in span coordinates: Q^T weighted = [Q_L^T weighted; N^T weighted]
+    lift, own = mf._span._parts
+    head = scoring[1] if lift is scoring[0] else lift.T @ reference.weighted
+    weighted = np.vstack([head, own.T @ reference.weighted])
     record.update({
         "mode_count": mf.mode_count,
         "selected_r": select_dim(mf.corrected_eigvals, config.kappa),
         "eigvals": _pad(mf.corrected_eigvals, dims),
-        "captured_energy": _energy_curve(mf.coords[:, :dims], reference, dims),
+        "captured_energy": _energy_curve(mf._y[:, :dims], reference, dims, weighted),
     })
     return record
 

@@ -108,32 +108,36 @@ def build_operator(sets, alphas, metric: Metric) -> MfOperator:
     return MfOperator(tuple(sets), tuple(alphas), metric)
 
 
-def _extend_span(q: np.ndarray, t: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grow the orthonormal columns q by the directions of the block t that
-    they lack; return the grown q and its coefficients q^T t.
+def _extend_span(lift: np.ndarray, q: np.ndarray, t: np.ndarray,
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grow the orthonormal columns q, orthogonal to the fixed orthonormal
+    columns lift, by the directions of the block t that neither holds; return
+    the grown q and the coefficients of t on lift, then on the grown q.
 
-    The residuals of t against q go through one pivoted QR (orthonormalize),
-    which keeps the directions of their numerical rank at 1e-12 * scale, and
-    the new directions get a second pass against q.
+    The residuals of t against both go through one pivoted QR
+    (orthonormalize), which keeps the directions of their numerical rank at
+    1e-12 * scale, and the new directions get a second pass against both.
+    lift is read, never copied.
     """
     euclid = Metric.euclidean(q.shape[0])
-    coeff = q.T @ t
-    resid = t - q @ coeff if q.shape[1] else t
+    c_lift, coeff = lift.T @ t, q.T @ t
+    resid = t - lift @ c_lift if lift.shape[1] else t
+    resid = resid - q @ coeff if q.shape[1] else resid
     norms = np.sqrt(euclid.norms_sq(resid))
     keep = norms > 1e-12 * scale
     if not keep.any():
-        return q, coeff
-    # columns already in span(q) stay out of the QR, whose cost grows with the square of its width
+        return q, np.concatenate([c_lift, coeff])
+    # columns already in the span stay out of the QR, whose cost grows with the square of its width
     new = orthonormalize(resid if keep.all() else resid[:, keep], euclid,
                          1e-12 * scale / norms.max()).vectors
-    if q.shape[1]:
+    if lift.shape[1] + q.shape[1]:
         # Cancellation inside the block can leave the new vectors with
-        # q-components up to eps / 1e-12; a second pass removes them, and the
-        # Gram of what is left is then within about (eps / 1e-12)^2 of I, so
-        # one Cholesky QR step renormalizes it to roundoff.
-        new = new - q @ (q.T @ new)
+        # components in the span up to eps / 1e-12; a second pass removes
+        # them, and the Gram of what is left is then within about
+        # (eps / 1e-12)^2 of I, so one Cholesky QR step renormalizes it to roundoff.
+        new = new - lift @ (lift.T @ new) - q @ (q.T @ new)
         new = new @ np.linalg.inv(np.linalg.cholesky(new.T @ new)).T
-    return np.hstack([q, new]), np.vstack([coeff, new.T @ t])
+    return np.hstack([q, new]), np.concatenate([c_lift, coeff, new.T @ t])
 
 
 # Spans of read-only lifts by (lift, metric) identity; an entry keeps both ids taken.
@@ -147,29 +151,32 @@ def _lift_span(lift: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray
         return _LIFT_SPANS[key][2:]
     level = SnapshotSet(0, lift, np.zeros((len(lift), 0)), range(lift.shape[1]), 1.0)
     span = SnapshotSpan.from_sets((level,), metric)
+    q, coeff = span._parts[1], span.projections[0]
     if not lift.flags.writeable:
         if len(_LIFT_SPANS) >= 16:
             _LIFT_SPANS.clear()
-        span.basis.flags.writeable = span.projections[0].flags.writeable = False
-        _LIFT_SPANS[key] = (lift, metric, span.basis, span.projections[0])
-    return span.basis, span.projections[0]
+        q.flags.writeable = coeff.flags.writeable = False
+        _LIFT_SPANS[key] = (lift, metric, q, coeff)
+    return q, coeff
 
 
 @dataclass(frozen=True)
 class SnapshotSpan:
     """The snapshot span, on which every multifidelity eigenproblem lives.
 
-    ``basis`` is an orthonormal basis Q of the span of all snapshot blocks
-    in metric coordinates, grown _SPAN_BLOCK columns at a time by
-    _extend_span, and ``projections`` holds Q^T T for each block in
-    operator order, so that the operator restricted to the span is the
-    small symmetric matrix sum c (Q^T T)(Q^T T)^T for any weights.  The
-    dense blocks project in one product with the grown Q.  A lifted block C
-    projects as (Q^T L) C, where the span starts from the lift's own span
-    Q_L, to which every later direction is orthogonal.
+    Its orthonormal basis Q of the span of all snapshot blocks in metric
+    coordinates is kept as two parts: the lift's own span Q_L (empty
+    without a lifted level; a read-only lift's is cached and shared) and
+    the directions N the dense blocks add, grown _SPAN_BLOCK columns at a
+    time by _extend_span.  ``basis`` = [Q_L N] is formed on first read.
+    ``projections`` holds Q^T T for each block in operator order, so that
+    the operator restricted to the span is the small symmetric matrix
+    sum c (Q^T T)(Q^T T)^T for any weights.  A dense block keeps the
+    coefficients its growth step returns, and a lifted block C projects as
+    (Q_L^T L) C, since N is orthogonal to Q_L.
     """
 
-    basis: np.ndarray
+    _parts: tuple[np.ndarray, np.ndarray]
     projections: tuple[np.ndarray, ...]
     counts: tuple[int, ...]
     metric: Metric
@@ -183,27 +190,37 @@ class SnapshotSpan:
             raise ValueError("lifted levels must share one lift")
         order = sorted(range(len(blocks)), key=lambda i: lifts[i] is not None)  # dense first
         dense = [blocks[i] for i in order if lifts[i] is None]
-        q, lifted = np.zeros((metric.n, 0)), []
-        if len(dense) < len(blocks):
-            q, coeff = _lift_span(lifts[order[-1]], metric)
-            lifted = [coeff @ blocks[i] for i in order[len(dense):]]
+        lifted = [blocks[i] for i in order[len(dense):]]
+        lift, lift_coeff = (_lift_span(lifts[order[-1]], metric) if lifted
+                            else (np.zeros((metric.n, 0)), None))
         # one transform of all dense blocks: it maps each column by itself
         stacked = metric.to_coords(np.hstack(dense)) if dense else np.zeros((metric.n, 0))
+        m = stacked.shape[1]
+        # Q^T T of every block, dense first: a block's coefficients on directions
+        # grown after it stay zero, since the later directions are orthogonal to it
+        ends = np.cumsum([blocks[i].shape[1] for i in order])
+        p = np.zeros((lift.shape[1] + m, ends[-1]))
+        for c, end in zip(lifted, ends[len(dense):]):
+            p[:lift.shape[1], end - c.shape[1]:end] = lift_coeff @ c
         scale = float(np.sqrt(max(np.einsum("ij,ij->j", t, t).max(initial=0.0)
-                                  for t in [stacked] + lifted)))
-        for start in range(0, stacked.shape[1], _SPAN_BLOCK):
-            q = _extend_span(q, stacked[:, start:start + _SPAN_BLOCK], scale)[0]
-        # Q_L holds every lifted block, and every later direction is orthogonal to Q_L
-        lifted = [np.pad(c, ((0, q.shape[1] - len(c)), (0, 0))) for c in lifted]
-        p = np.hstack([q.T @ stacked] + lifted)
-        splits = np.cumsum([b.shape[1] for b in dense + lifted])[:-1]
-        parts = dict(zip(order, np.split(p, splits, axis=1)))
-        return cls(q, tuple(parts[i] for i in range(len(blocks))), tuple(s.count for s in sets),
-                   metric)
+                                  for t in (stacked, p[:, m:]))))
+        own = np.zeros((metric.n, 0))
+        for start in range(0, m, _SPAN_BLOCK):
+            own, coeff = _extend_span(lift, own, stacked[:, start:start + _SPAN_BLOCK], scale)
+            p[:len(coeff), start:start + coeff.shape[1]] = coeff
+        p = p[:lift.shape[1] + own.shape[1]]
+        parts = {i: p[:, end - blocks[i].shape[1]:end] for i, end in zip(order, ends)}
+        return cls((lift, own), tuple(parts[i] for i in range(len(blocks))),
+                   tuple(s.count for s in sets), metric)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Q = [Q_L N], n x k."""
+        return np.hstack(self._parts)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self._parts[0].shape[1] + self._parts[1].shape[1]
 
     @cached_property
     def _grams(self) -> tuple[np.ndarray, ...]:
@@ -263,22 +280,27 @@ class SnapshotSpan:
         the energies of the m_0 shared columns with G = z^T and no H term."""
         return _profile(self._energies(z.T, None, self._shared), self._scales)
 
-    def repair(self, lam: float, y: np.ndarray) -> float:
-        """Corrected eigenvalue of the mode Q y: lam if positive, else the
-        Monte Carlo energy (1/m_0) sum_i (u_0,i, v)^2 of the mode."""
-        if lam > 0:
-            return lam
-        p = self.projections[0].T @ y
-        return float(p @ p) / self.counts[0]
+    def repair(self, vals: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Corrected eigenvalues of the modes Q y: each positive value as it is,
+        each other the Monte Carlo energy (1/m_0) sum_i (u_0,i, v)^2 of its mode,
+        all of them from one product with the high-fidelity projections."""
+        plus = np.array(vals, dtype=float)
+        low = plus <= 0
+        if low.any():
+            p = self.projections[0].T @ y[:, low]
+            plus[low] = np.einsum("ij,ij->j", p, p) / self.counts[0]
+        return plus
 
 
 @dataclass(frozen=True)
 class MfBasis:
     """Multifidelity POD modes with raw and corrected eigenvalues.
 
-    Modes are kept as their metric coordinates ``coords`` = F^T V, ordered
-    by corrected eigenvalue, each with its largest-magnitude entry
-    positive; the ambient ``vectors`` V are formed on first read.
+    Modes are kept as their coordinates y in the orthonormal basis Q of
+    their snapshot span, ordered by corrected eigenvalue.  Their metric
+    coordinates ``coords`` = F^T V = Q y, each column with its
+    largest-magnitude entry positive, and the ambient ``vectors`` V are
+    formed on first read.
     ``selected_dim`` is the smallest r whose cumulative corrected energy
     reaches ``kappa``.
     ``correction_count`` counts the nonpositive raw eigenvalues that were
@@ -287,8 +309,8 @@ class MfBasis:
 
     raw_eigvals: np.ndarray
     corrected_eigvals: np.ndarray
-    coords: np.ndarray
-    metric: Metric
+    _y: np.ndarray
+    _span: SnapshotSpan
     kappa: float
     correction_count: int
     diagnostic: str | None = None
@@ -296,15 +318,24 @@ class MfBasis:
     def __post_init__(self):
         raw = np.asarray(self.raw_eigvals, dtype=float)
         plus = np.asarray(self.corrected_eigvals, dtype=float)
-        coords = _as_matrix(self.coords)
+        y = _as_matrix(self._y)
         object.__setattr__(self, "raw_eigvals", raw)
         object.__setattr__(self, "corrected_eigvals", plus)
-        object.__setattr__(self, "coords", coords)
-        if not (len(raw) == len(plus) == coords.shape[1]):
-            raise ValueError("eigenvalue arrays and coordinates disagree in length")
+        object.__setattr__(self, "_y", y)
+        if not (len(raw) == len(plus) == y.shape[1]) or len(y) != self._span.rank:
+            raise ValueError("eigenvalue arrays and span coordinates disagree in shape")
         if (plus < 0).any():
             raise ValueError("corrected eigenvalues must be nonnegative")
-        Basis(coords, Metric.euclidean(self.metric.n)).check(1e-9)
+        if y.shape[1]:
+            Basis(y, Metric.euclidean(len(y))).check(1e-9)  # Q is orthonormal by construction
+
+    @property
+    def metric(self) -> Metric:
+        return self._span.metric
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return _fix_signs(self._span.basis @ self._y)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -312,7 +343,7 @@ class MfBasis:
 
     @property
     def mode_count(self) -> int:
-        return self.coords.shape[1]
+        return self._y.shape[1]
 
     @property
     def selected_dim(self) -> int:
@@ -358,13 +389,12 @@ def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
     """Order modes Q y by corrected value and truncate; kappa picks r on the MfBasis."""
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
-    metric = span.metric
     raw = np.asarray(raw, dtype=float)
     plus = np.asarray(plus, dtype=float)
     correction_count = int((raw <= 0).sum())
 
     def empty(msg):
-        return MfBasis(np.zeros(0), np.zeros(0), np.zeros((metric.n, 0)), metric, kappa,
+        return MfBasis(np.zeros(0), np.zeros(0), np.zeros((span.rank, 0)), span, kappa,
                        correction_count, msg)
 
     if len(plus) == 0:
@@ -375,9 +405,7 @@ def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
     if top <= 0:
         return empty(diagnostic or "all corrected eigenvalues are zero")
     keep = plus > _PLUS_FLOOR * top
-    raw, plus, y = raw[keep], plus[keep], y[:, keep]
-    return MfBasis(raw, plus, _fix_signs(span.basis @ y), metric, kappa, correction_count,
-                   diagnostic)
+    return MfBasis(raw[keep], plus[keep], y[:, keep], span, kappa, correction_count, diagnostic)
 
 
 def _as_span(sets, metric: Metric) -> SnapshotSpan:
@@ -409,8 +437,8 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     """
     span = _as_span(sets, metric)
     pairs = lowrank_eig(span.operator(alphas))
-    plus = [span.repair(float(lam), pairs.vectors[:, j]) for j, lam in enumerate(pairs.values)]
-    return _finalize_basis(span, pairs.values, plus, pairs.vectors, kappa)
+    return _finalize_basis(span, pairs.values, span.repair(pairs.values, pairs.vectors),
+                           pairs.vectors, kappa)
 
 
 def jmf_plus(mf: MfBasis, candidate: Basis) -> float:

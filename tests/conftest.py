@@ -183,7 +183,7 @@ def adaptive_oracle(sets, kappa: float, metric: Metric):
         if z.shape[1]:
             zj = zj - z @ (z.T @ zj)
             zj = zj / np.linalg.norm(zj)
-        lam_plus = span.repair(lam, zj)
+        (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
         new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
         steps.append(AdaptiveStep(

@@ -290,11 +290,11 @@ def test_each_step_solves_one_shrinking_restriction(monkeypatch, case):
         fitted = iter(weights)
         monkeypatch.setattr(adaptive, "optimal_alpha", lambda profile: (next(fitted),))
     shapes, grams = [], []
-    real_eigh, real_grams = scipy.linalg.eigh, SnapshotSpan._grams.func
+    real_dsyevd, real_grams = scipy.linalg.lapack.dsyevd, SnapshotSpan._grams.func
 
-    def eigh(a, *args, **kwargs):
+    def dsyevd(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
+        return real_dsyevd(a, *args, **kwargs)
 
     def counted_grams(span):
         grams.append(span)
@@ -302,7 +302,7 @@ def test_each_step_solves_one_shrinking_restriction(monkeypatch, case):
 
     counted = cached_property(counted_grams)
     counted.__set_name__(SnapshotSpan, "_grams")
-    monkeypatch.setattr(adaptive.scipy.linalg, "eigh", eigh)
+    monkeypatch.setattr(adaptive.scipy.linalg.lapack, "dsyevd", dsyevd)
     monkeypatch.setattr(SnapshotSpan, "_grams", counted)
     _, trace = mfpod_adaptive(sets, 0.9999, metric)
     k = SnapshotSpan.from_sets(sets, metric).rank

@@ -279,6 +279,18 @@ def test_mfpod_rejects_an_empty_high_fidelity_file(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_pod_rejects_an_empty_snapshot_file(capsys, tmp_path):
+    from mfpod import write_snapshots
+
+    empty = tmp_path / "empty.mfp1"
+    write_snapshots(empty, np.zeros((10, 0)))
+    code, out, err = _run(capsys, "pod", "--input", str(empty), "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["kind"] == "usage" and "no snapshots" in payload["error"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_mfpod_rejects_inconsistent_files(capsys, tmp_path):
     from mfpod import write_snapshots
 

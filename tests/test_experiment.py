@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import mfpod.experiment as experiment
 import mfpod.mfpod as mfpod_module
 import mfpod.models as models
+import mfpod.solver as solver
 from mfpod import (
     AdvDiffConfig,
     Metric,
@@ -25,6 +27,8 @@ from mfpod import (
     fine_metric,
     generate_snapshot_files,
     make_model_pair,
+    mfpod_adaptive,
+    mfpod_fixed,
     orthonormalize,
     pod,
     prolong,
@@ -36,7 +40,9 @@ from mfpod import (
     write_snapshots,
     write_study,
 )
-from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan
+from mfpod.mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan
+
+from conftest import banded_metric, random_instance
 
 _SMALL = AdvDiffConfig(n_hf=129, n_lf=33)
 # Reference sizes below and above the dimension n = 129 of _SMALL, and one
@@ -611,10 +617,11 @@ def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
             return pair.low(theta)
         return dataclasses.replace(pair, low=low)
 
-    def recorded_extend(q, t, scale):
-        if q.shape[1] == 0:  # a span grown from nothing: in a lifted study, only the lift's
+    def recorded_extend(lift, q, t, scale):
+        # a span grown from nothing, without a lift part: in a lifted study, only the lift's
+        if lift.shape[1] == q.shape[1] == 0:
             lift_growths.append(t.shape)
-        return extend(q, t, scale)
+        return extend(lift, q, t, scale)
 
     def recorded_span(cls, sets, metric):
         span = from_sets.__func__(cls, sets, metric)
@@ -654,6 +661,67 @@ def test_study_fits_and_scoring_never_leave_metric_coordinates(monkeypatch):
                                        reference_size=60, report_dims=8))
         assert not report.failures and min(rec["mode_count"] for rec in report.repeats) > 0
     assert calls == []
+
+
+def test_study_repeats_form_no_n_row_basis_mode_or_score(monkeypatch):
+    # a repeat stays in span coordinates from its span to its captured energy:
+    # nothing forms the n x k span basis Q, the n-row modes Q y or their signs
+    model = _LIFTED_MODELS[1]
+    reference = build_reference(model, 60, 40)
+    formed = []
+    for owner, name in ((SnapshotSpan, "basis"), (MfBasis, "coords")):
+        def counted(self, _real=getattr(owner, name).func, _name=f"{owner.__name__}.{name}"):
+            formed.append(_name)
+            return _real(self)
+        spy = cached_property(counted)
+        spy.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, spy)
+
+    def fix_signs(vectors, _real=solver._fix_signs):
+        if len(vectors) == model.n_hf:
+            formed.append("_fix_signs")
+        return _real(vectors)
+
+    monkeypatch.setattr(mfpod_module, "_fix_signs", fix_signs)
+    monkeypatch.setattr(solver, "_fix_signs", fix_signs)
+    for split, mode in (("even_split", "pilot_alpha"), ("even_split", "adaptive"),
+                        ("hf_only", "pilot_alpha"), ("lf_only", "pilot_alpha")):
+        report = run_study(StudyConfig(budget=5.0, split=split, weight_mode=mode, repeats=3,
+                                       master_seed=6, model=model, reference_size=60,
+                                       report_dims=8), reference)
+        assert not report.failures and min(rec["mode_count"] for rec in report.repeats) > 0
+    assert formed == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), bandwidth=st.integers(0, 3),
+       lifted=st.booleans(), adaptive=st.booleans())
+def test_modes_kept_in_span_coordinates_match_their_metric_coordinates(seed, n, bandwidth,
+                                                                       lifted, adaptive):
+    # a fit keeps its modes as coordinates y on its span's Q: the metric
+    # coordinates formed on read are Q y with their signs fixed, y is
+    # orthonormal, and the captured energy read off y matches that of Q y
+    rng = np.random.default_rng(seed)
+    metric = Metric.euclidean(n) if bandwidth == 0 else banded_metric(rng, n, bandwidth)
+    if lifted:
+        lift = rng.standard_normal((n, n // 2))
+        coeffs = rng.standard_normal((n // 2, 12))
+        hf = lift @ coeffs[:, :4] + 0.1 * rng.standard_normal((n, 4))
+        sets = SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, lift)
+    else:
+        sets = random_instance(rng, n, 4, 12, metric)
+    mf = mfpod_adaptive(sets, 0.9999, metric)[0] if adaptive else mfpod_fixed(
+        sets, (0.7,), 0.9999, metric)
+    span, y = mf._span, mf._y
+    assert mf.mode_count > 0
+    assert mf.coords.tobytes() == solver._fix_signs(span.basis @ y).tobytes()
+    np.testing.assert_allclose(y.T @ y, np.eye(mf.mode_count), rtol=0, atol=1e-12)
+    weighted = rng.standard_normal((n, 7))
+    reference = experiment.Reference(weighted, np.zeros(1), float(np.sum(weighted**2)), 7, metric)
+    head = np.vstack([part.T @ weighted for part in span._parts])
+    dims = mf.mode_count
+    np.testing.assert_allclose(experiment._energy_curve(y, reference, dims, head),
+                               experiment._energy_curve(mf.coords, reference, dims), rtol=1e-13)
 
 
 def test_a_writeable_lift_is_grown_afresh():
