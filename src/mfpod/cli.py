@@ -185,7 +185,7 @@ def _cmd_pod(args) -> dict:
         "written": _write_modes(args.out, result.basis.vectors, eigval=result.eigvals),
         "mode_count": result.basis.dim,
         "selected_r": select_dim(result.eigvals, args.kappa),
-        "leading_eigvals": [float(v) for v in result.eigvals[:10]],
+        "leading_eigvals": result.eigvals[:10].tolist(),
     }
 
 
@@ -233,6 +233,11 @@ def _cmd_study(args) -> dict:
     }
 
 
+def _fields(result, *names) -> dict:
+    """The named fields of a verify study, each already a JSON-native value."""
+    return {name: getattr(result, name) for name in names}
+
+
 def _cmd_verify(args) -> dict:
     try:  # every flag before the reference build, the slow part
         pair = make_model_pair(_model_config(args))
@@ -243,32 +248,18 @@ def _cmd_verify(args) -> dict:
             raise ValueError("--alpha must be finite and --reference-size positive")
     except ValueError as exc:
         raise _CliError(f"bad flag value: {exc}") from None
-    out: dict = {"m0_grid": list(grid), "q1": args.q1, "alpha": args.alpha}
     reference = reference_matrix(pair, args.reference_size, args.seed)
     conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed, alpha=args.alpha,
                              reference=reference)
-    out["convergence"] = {
-        "mean_sq_errors": [float(v) for v in conv.mean_sq_errors],
-        "slope": float(conv.slope),
-        "gamma_hat": float(conv.gamma_hat),
-        "exact": conv.exact,
-    }
-    if args.check in ("eigsum", "both"):
+    out = _fields(conv, "m0_grid", "q1", "alpha")
+    if args.check != "eigsum":
+        out["convergence"] = _fields(conv, "mean_sq_errors", "slope", "gamma_hat", "exact")
+    if args.check != "convergence":
         study = eigenvalue_sum_mse(pair, args.r, grid, args.repeats, args.seed,
                                    alpha=args.alpha, q1=args.q1,
                                    gamma_hat=conv.gamma_hat, reference=reference)
-        out["eigsum"] = {
-            "r": args.r,
-            "mse": [float(v) for v in study.mse],
-            "bound": [float(v) for v in study.bound],
-            "alignment_mean_sq": [float(v) for v in study.alignment_mean_sq],
-            "alignment_bound": [float(v) for v in study.alignment_bound],
-            "symmetry_max_dev": float(study.symmetry_max_dev),
-            "spectral_gap": float(study.spectral_gap),
-            "gap_degenerate": study.gap_degenerate,
-        }
-    if args.check == "eigsum":
-        del out["convergence"]
+        out["eigsum"] = _fields(study, "r", "mse", "bound", "alignment_mean_sq", "alignment_bound",
+                                "symmetry_max_dev", "spectral_gap", "gap_degenerate")
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         _atomic_write(args.out, _dump_json(out).encode())

@@ -69,7 +69,6 @@ class Allocation:
     counts: tuple[int, ...]
     alphas: tuple[float, ...]
     costs: tuple[float, ...]
-    budget: float | None = None
 
     def __post_init__(self):
         counts = tuple(int(m) for m in self.counts)
@@ -90,14 +89,6 @@ class Allocation:
             raise ValueError("costs must be positive and finite")
         if not all(np.isfinite(alphas)):
             raise ValueError("weights must be finite")
-        if self.budget is not None and self.total_cost > self.budget + costs[-1]:
-            raise ValueError(
-                f"allocation spends {self.total_cost:.6g} against budget {self.budget:.6g}"
-            )
-
-    @property
-    def total_cost(self) -> float:
-        return float(sum(m * c for m, c in zip(self.counts, self.costs)))
 
 
 def _profile(energies, scales) -> VarianceProfile:

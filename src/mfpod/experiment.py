@@ -214,12 +214,11 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     block of snapshots is held at a time."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
-    euclid = Metric.euclidean(metric.n)
     no_lift = np.zeros((metric.n, 0))
     q, moment, energy, scale = no_lift, np.zeros((0, 0)), 0.0, 0.0
     for start in range(0, size, _SPAN_BLOCK):
         t = metric.to_coords(snapshot(thetas[start:start + _SPAN_BLOCK], "high", model))
-        norms_sq = euclid.norms_sq(t)
+        norms_sq = np.einsum("ij,ij->j", t, t)
         energy += float(norms_sq.sum())
         scale = max(scale, float(np.sqrt(norms_sq.max())))
         q, coeff = _extend_span(no_lift, q, t, scale)
@@ -236,13 +235,11 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     return Reference(weighted, eigvals, trace, size, metric)
 
 
-def _energy_curve(coords: np.ndarray, reference: Reference, dims: int,
-                  weighted: np.ndarray | None = None) -> list[float]:
-    """Captured energy curve of orthonormal modes given by their metric
-    coordinates, or by their coordinates in an orthonormal Q with
-    ``weighted`` = Q^T reference.weighted."""
-    coeff = coords.T @ (reference.weighted if weighted is None else weighted)
-    return _percent_curve(np.einsum("ij,ij->i", coeff, coeff), reference.trace, dims)
+def _energy_curve(y: np.ndarray, weighted: np.ndarray, trace: float, dims: int) -> list[float]:
+    """Captured energy curve of orthonormal modes y, given in the same
+    orthonormal coordinates as ``weighted``, a reference factor of that trace."""
+    coeff = y.T @ weighted
+    return _percent_curve(np.einsum("ij,ij->i", coeff, coeff), trace, dims)
 
 
 def _percent_curve(energies: np.ndarray, trace: float, dims: int) -> list[float]:
@@ -259,10 +256,10 @@ def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[Mf
     span = SnapshotSpan.from_sets(sets, metric)
     if kind == "adaptive":
         mf, trace = mfpod_adaptive(span, kappa, metric)
-        return mf, {"alphas": [float(a) for a in trace.alphas], "termination": trace.termination}
+        return mf, {"alphas": list(trace.alphas), "termination": trace.termination}
     if kind == "pilot_alpha":
         alpha = optimal_alpha(span.profile(np.zeros((span.rank, 0))))[0]
-    return mfpod_fixed(span, (alpha,), kappa, metric), {"alphas": [float(alpha)]}
+    return mfpod_fixed(span, (alpha,), kappa, metric), {"alphas": [alpha]}
 
 
 @dataclass
@@ -328,13 +325,12 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     pair = make_model_pair(model)
     m0, m1 = allocate_budget(config.budget, pair.costs, config.split)
     _check_weight_samples(config.weight_mode, m0, m1)
-    split_kind, _ = _parse_split(config.split)
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))
     metric = reference.metric
     if metric.n != model.n_hf:
         raise ValueError(f"reference has dimension {metric.n} but the model has n_hf={model.n_hf}")
-    pipeline = {"hf_only": "pod_hf", "lf_only": "pod_lf"}.get(split_kind, "mfpod")
+    pipeline = "pod_hf" if m1 == 0 else "pod_lf" if m0 == 0 else "mfpod"
     # a read-only lift's span is cached, so every lifted repeat's span starts
     # from this Q_L, and Q_L^T weighted is formed once for all of them
     lift = _lift_span(pair.lift, metric)[0] if pair.lift is not None else np.zeros((metric.n, 0))
@@ -395,7 +391,7 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,
         "mode_count": mf.mode_count,
         "selected_r": select_dim(mf.corrected_eigvals, config.kappa),
         "eigvals": _pad(mf.corrected_eigvals, dims),
-        "captured_energy": _energy_curve(mf._y[:, :dims], reference, dims, weighted),
+        "captured_energy": _energy_curve(mf._y[:, :dims], weighted, reference.trace, dims),
     })
     return record
 
@@ -518,8 +514,7 @@ def write_study(report: StudyReport, outdir) -> list:
     scalar_cols = ["seed", "m0", "m1", "mode_count", "selected_r"]
     lines = ["repeat," + ",".join(scalar_cols + ["alphas"])]
     for rec in report.repeats:
-        cells = [str(rec["repeat"])] + [repr(rec[c]) if isinstance(rec[c], float) else str(rec[c])
-                                        for c in scalar_cols]
+        cells = [str(rec[c]) for c in ["repeat"] + scalar_cols]
         cells.append(";".join(repr(float(a)) for a in rec["alphas"]))
         lines.append(",".join(cells))
     emit("repeats.csv", "\n".join(lines) + "\n")

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from mfpod import (
+    AdvDiffConfig,
     Basis,
     Metric,
     SnapshotSet,
+    convergence_study,
+    eigenvalue_sum_mse,
+    make_model_pair,
     mass_matrix,
     mfpod_adaptive,
     mfpod_fixed,
     optimal_alpha,
     read_snapshots,
+    reference_matrix,
 )
 from mfpod.cli import main
 from mfpod.mfpod import SnapshotSpan
@@ -117,6 +122,42 @@ def test_verify_command(capsys, tmp_path):
     assert out_file.exists()
     on_disk = json.loads(out_file.read_text())
     assert on_disk["convergence"]["slope"] == summary["convergence"]["slope"]
+
+
+@pytest.fixture(scope="module")
+def verify_studies():
+    """The verify studies of _VERIFY_FLAGS from direct library calls."""
+    pair = make_model_pair(AdvDiffConfig(n_hf=65, n_lf=17, advection_sign="boundary_layer"))
+    reference = reference_matrix(pair, 150, 3)
+    conv = convergence_study(pair, 3, (2, 4), 30, 3, alpha=0.75, reference=reference)
+    study = eigenvalue_sum_mse(pair, 2, (2, 4), 30, 3, alpha=0.75, q1=3,
+                               gamma_hat=conv.gamma_hat, reference=reference)
+    return conv, study
+
+
+_VERIFY_FLAGS = ("--m0-grid", "2,4", "--repeats", "30", "--n-hf", "65", "--n-lf", "17",
+                 "--reference-size", "150", "--seed", "3", "--alpha", "0.75", "--q1", "3",
+                 "--r", "2")
+
+
+@pytest.mark.parametrize("check", ["convergence", "eigsum", "both"])
+def test_verify_prints_the_named_study_fields(capsys, verify_studies, check):
+    conv, study = verify_studies
+    code, out, err = _run(capsys, "verify", "--check", check, *_VERIFY_FLAGS)
+    assert code == 0, err
+    want = {"m0_grid": [2, 4], "q1": 3, "alpha": 0.75}
+    if check != "eigsum":
+        want["convergence"] = {"mean_sq_errors": list(conv.mean_sq_errors), "slope": conv.slope,
+                               "gamma_hat": conv.gamma_hat, "exact": conv.exact}
+    if check != "convergence":
+        want["eigsum"] = {
+            "r": study.r, "mse": list(study.mse), "bound": list(study.bound),
+            "alignment_mean_sq": list(study.alignment_mean_sq),
+            "alignment_bound": list(study.alignment_bound),
+            "symmetry_max_dev": study.symmetry_max_dev, "spectral_gap": study.spectral_gap,
+            "gap_degenerate": study.gap_degenerate,
+        }
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_builds_its_reference_once(capsys, monkeypatch):

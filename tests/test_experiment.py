@@ -103,7 +103,7 @@ def _reference_snapshots(size):
 def _score(vectors, ref) -> float:
     """Captured energy (percent) of the whole basis against the reference."""
     coords = ref.metric.to_coords(vectors)
-    return experiment._energy_curve(coords, ref, max(coords.shape[1], 1))[-1]
+    return experiment._energy_curve(coords, ref.weighted, ref.trace, max(coords.shape[1], 1))[-1]
 
 
 def _test_bases(metric):
@@ -125,7 +125,8 @@ def test_reference_scores_match_dense_snapshot_oracle(size):
     for vectors in _test_bases(metric):
         coeff = vectors.T @ weighted
         dense = 100.0 * np.cumsum(np.einsum("ij,ij->i", coeff, coeff)) / denom
-        got = experiment._energy_curve(metric.to_coords(vectors), ref, vectors.shape[1])
+        got = experiment._energy_curve(metric.to_coords(vectors), ref.weighted, ref.trace,
+                                       vectors.shape[1])
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
 
 
@@ -145,7 +146,8 @@ def test_reference_leading_modes_reproduce_energy_curve(size):
     assert ref.trace == pytest.approx(trace, rel=1e-14)
     assert int(np.sum(vals > experiment._REFERENCE_FLOOR * trace)) == k
     np.testing.assert_allclose(ref.eigvals[:k], vals[:k], rtol=0, atol=1e-14 * trace)
-    got = experiment._energy_curve(phi[:, :20], ref, 20)  # the leading modes' metric coordinates
+    # the leading modes' metric coordinates
+    got = experiment._energy_curve(phi[:, :20], ref.weighted, ref.trace, 20)
     np.testing.assert_allclose(got, ref.energy_curve(20), rtol=0, atol=1e-10)
 
 
@@ -216,8 +218,8 @@ def test_reference_build_memory_does_not_grow_with_size():
 
 
 def _scores(ref, bases) -> np.ndarray:
-    return np.concatenate([experiment._energy_curve(ref.metric.to_coords(v), ref, v.shape[1])
-                           for v in bases])
+    return np.concatenate([experiment._energy_curve(ref.metric.to_coords(v), ref.weighted,
+                                                    ref.trace, v.shape[1]) for v in bases])
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -255,13 +257,14 @@ def test_captured_energy_trivial_cases(monkeypatch):
     metric = fine_metric(_SMALL)
     below, above = build_reference(_SMALL, 60, 40), build_reference(_SMALL, 300, 40)
     empty = np.zeros((metric.n, 0))
-    assert experiment._energy_curve(empty, below, 5) == [0.0] * 5
+    assert experiment._energy_curve(empty, below.weighted, below.trace, 5) == [0.0] * 5
     # the span of the reference's own snapshots, and the whole space, hold everything
     span = orthonormalize(_reference_snapshots(60), metric).vectors
     assert _score(span, below) == pytest.approx(100.0, abs=1e-8)
     whole = orthonormalize(np.eye(metric.n), metric).vectors
     assert _score(whole, above) == pytest.approx(100.0, abs=1e-8)
-    monkeypatch.setattr(experiment, "snapshot", lambda theta, fidelity, model: np.zeros(model.n_hf))
+    monkeypatch.setattr(experiment, "snapshot",
+                        lambda thetas, fidelity, model: np.zeros((model.n_hf, len(thetas))))
     with pytest.raises(ValueError, match="no energy"):
         build_reference(_SMALL, 60, 40)
 
@@ -369,6 +372,15 @@ def test_run_study_mfpod_pipelines_and_aggregates():
         for j in range(6):
             col = [perc[f"p{p}"][j] for p in (5, 25, 50, 75, 95)]
             assert col == sorted(col)  # percentile monotonicity per dimension
+
+
+@pytest.mark.parametrize("split, pipeline", [("even_split", "mfpod"), ("fixed_m0:3", "mfpod"),
+                                             ("hf_only", "pod_hf"), ("lf_only", "pod_lf")])
+def test_run_study_names_the_pipeline_of_each_split(split, pipeline):
+    report = run_study(StudyConfig(budget=5.0, split=split, repeats=1, model=_SMALL,
+                                   reference_size=60, report_dims=4))
+    assert report.pipeline == pipeline and not report.failures
+    assert (report.m0 == 0, report.m1 == 0) == (pipeline == "pod_lf", pipeline == "pod_hf")
 
 
 @pytest.mark.parametrize("split", ["fixed_m0:1", "even_split"])
@@ -717,11 +729,12 @@ def test_modes_kept_in_span_coordinates_match_their_metric_coordinates(seed, n, 
     assert mf.coords.tobytes() == solver._fix_signs(span.basis @ y).tobytes()
     np.testing.assert_allclose(y.T @ y, np.eye(mf.mode_count), rtol=0, atol=1e-12)
     weighted = rng.standard_normal((n, 7))
-    reference = experiment.Reference(weighted, np.zeros(1), float(np.sum(weighted**2)), 7, metric)
+    trace = float(np.sum(weighted**2))
     head = np.vstack([part.T @ weighted for part in span._parts])
     dims = mf.mode_count
-    np.testing.assert_allclose(experiment._energy_curve(y, reference, dims, head),
-                               experiment._energy_curve(mf.coords, reference, dims), rtol=1e-13)
+    np.testing.assert_allclose(experiment._energy_curve(y, head, trace, dims),
+                               experiment._energy_curve(mf.coords, weighted, trace, dims),
+                               rtol=1e-13)
 
 
 def test_a_writeable_lift_is_grown_afresh():
