@@ -21,7 +21,7 @@ from .experiment import (
     _dump_json,
     _fit_mfpod,
     _parse_weight_mode,
-    allocate_budget,
+    _WeightSamplesError,
     generate_snapshot_files,
     read_snapshots,
     run_study,
@@ -72,13 +72,6 @@ def _weight_mode(alpha: str) -> str:
     except ValueError:
         raise _CliError(f"bad --alpha {alpha!r}; expected a finite number, 'pilot', or 'adaptive'") from None
     return mode
-
-
-def _require_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
-    try:
-        _check_weight_samples(weight_mode, m0, m1)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
 
 
 def _study_config(args, **fields) -> StudyConfig:
@@ -200,7 +193,7 @@ def _cmd_mfpod(args) -> dict:
         raise _CliError("the high-fidelity file holds no snapshots")
     if m1 <= m0:
         raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
-    _require_weight_samples(weight_mode, m0, m1)
+    _check_weight_samples(weight_mode, m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
     mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
@@ -219,9 +212,7 @@ def _cmd_study(args) -> dict:
         args, weight_mode=_weight_mode(args.alpha), kappa=args.kappa, repeats=args.repeats,
         reference_size=args.reference_size, report_dims=args.report_dims,
     )
-    costs = ModelCosts.from_config(config.model)
-    _require_weight_samples(config.weight_mode, *allocate_budget(config.budget, costs, config.split))
-    report = run_study(config)
+    report = run_study(config)  # checks the budget and weight before its reference build
     written = write_study(report, args.out)
     return {
         "written": written,
@@ -286,7 +277,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _print(_COMMANDS[args.command](args))
-    except _CliError as exc:
+    except (_CliError, _WeightSamplesError) as exc:
         _emit_error(str(exc), "usage")
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes an error report

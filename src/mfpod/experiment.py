@@ -18,11 +18,15 @@ which is the one file excluded from that guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
+import multiprocessing
 import os
 import struct
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -74,6 +78,15 @@ _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
 # Reference eigenvalues at or below this fraction of the trace are roundoff.
 _REFERENCE_FLOOR = 1e-14
+# Snapshot entries (n x reference size) from which a forked producer solves
+# the reference's blocks: its first block arrives 15-30 ms after the fork,
+# and at n = 4097 the fork broke even between 500 and 2,000 snapshots.
+_FORK_BREAK_EVEN = 4_000_000
+# Block slots of the shared ring between that producer and the span's growth.
+_RING_SLOTS = 4
+# fork by name, since Python 3.14 moves the Linux default off it: the producer
+# inherits the model, metric and ring with no pickling and no fresh import.
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,11 @@ def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
     raise ValueError(f"unknown weight mode {mode!r}")
 
 
+class _WeightSamplesError(ValueError):
+    """A fitted weight asked of one high-fidelity sample; the CLI reports it
+    as a usage error."""
+
+
 def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
     """Reject a fitted weight (pilot or adaptive) on a multifidelity
     allocation with one high-fidelity sample: its variance profile is all
@@ -138,9 +156,9 @@ def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
     would be discarded without a trace."""
     kind, _ = _parse_weight_mode(weight_mode)
     if kind != "fixed" and m0 == 1 and m1 > 0:
-        raise ValueError(f"weight mode {weight_mode!r} fits its weight to the paired samples "
-                         f"and needs m_0 >= 2, got m_0={m0}; use a fixed weight or more "
-                         "high-fidelity samples")
+        raise _WeightSamplesError(
+            f"weight mode {weight_mode!r} fits its weight to the paired samples and needs "
+            f"m_0 >= 2, got m_0={m0}; use a fixed weight or more high-fidelity samples")
 
 
 def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int, int]:
@@ -211,13 +229,17 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     from the coefficients it returns, so the eigenpairs of S are Q Y from one
     k x k eigh of M, where k is the span dimension.  Each block's rank rule
     takes its scale from the largest snapshot norm seen so far, and only one
-    block of snapshots is held at a time."""
+    block of snapshots is held at a time.  Where _forks allows, a forked
+    producer solves the blocks while this process grows their span
+    (_solve_forked); both routes give the same bytes."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
+    blocks = [thetas[start:start + _SPAN_BLOCK] for start in range(0, size, _SPAN_BLOCK)]
     no_lift = np.zeros((metric.n, 0))
     q, moment, energy, scale = no_lift, np.zeros((0, 0)), 0.0, 0.0
-    for start in range(0, size, _SPAN_BLOCK):
-        t = metric.to_coords(snapshot(thetas[start:start + _SPAN_BLOCK], "high", model))
+
+    def grow(t):
+        nonlocal q, moment, energy, scale
         norms_sq = np.einsum("ij,ij->j", t, t)
         energy += float(norms_sq.sum())
         scale = max(scale, float(np.sqrt(norms_sq.max())))
@@ -225,6 +247,12 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
         # earlier snapshots lie in span(Q) up to the rank rule
         moment = np.pad(moment, (0, q.shape[1] - len(moment)))
         moment += coeff @ coeff.T
+
+    if _forks(metric.n * size):
+        _solve_forked(blocks, model, metric, grow)
+    else:
+        for block in blocks:
+            grow(_reference_block(block, model, metric))
     trace = energy / size
     if not trace > 0.0:
         raise ValueError("reference snapshots carry no energy")
@@ -233,6 +261,83 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     weighted = (q @ vecs) * np.sqrt(vals)
     eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
     return Reference(weighted, eigvals, trace, size, metric)
+
+
+def _reference_block(thetas: np.ndarray, model: AdvDiffConfig, metric: Metric) -> np.ndarray:
+    return metric.to_coords(snapshot(thetas, "high", model))
+
+
+def _forks(entries: int) -> bool:
+    """Whether a forked producer pays for a reference of this many snapshot
+    entries: the build is past break-even, fork exists, a second CPU is
+    usable, and no other Python thread runs, whose locks the fork would copy held."""
+    return (entries >= _FORK_BREAK_EVEN and _FORK is not None and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _solve_forked(blocks: list, model: AdvDiffConfig, metric: Metric, grow) -> None:
+    """grow(t) for each block's metric coordinates t in order, solved by a
+    forked daemon producer (_produce) into a ring of _RING_SLOTS block slots
+    of anonymous shared memory.  One pipe tells this process that the next
+    slot is full (its width) or that the producer raised (the exception,
+    raised here); the other gives a slot back once its block is copied out.
+    Closing the pipes stops the producer within one block, and it is joined
+    before the ring closes, whether the build returns or raises."""
+    n = metric.n
+    ring = mmap.mmap(-1, _RING_SLOTS * 8 * n * _SPAN_BLOCK)
+    full_r, full_w = _FORK.Pipe(duplex=False)
+    free_r, free_w = _FORK.Pipe(duplex=False)
+    producer = _FORK.Process(target=_produce, daemon=True,
+                             args=(blocks, model, metric, ring, full_w, free_r, full_r, free_w))
+    try:
+        producer.start()
+        full_w.close()  # each side keeps only its own ends, so each sees the other stop
+        free_r.close()
+        for b in range(len(blocks)):
+            try:
+                message = full_r.recv()
+            except EOFError:
+                raise RuntimeError("the reference's snapshot producer exited early") from None
+            if isinstance(message, BaseException):
+                raise message
+            t = _ring_slot(ring, b, n, message).copy()
+            if b + _RING_SLOTS < len(blocks):  # the slot's next block
+                # a producer that stopped early says why on the other pipe
+                with contextlib.suppress(BrokenPipeError):
+                    free_w.send_bytes(b"\0")
+            grow(t)
+    finally:
+        for end in (full_r, full_w, free_r, free_w):
+            end.close()
+        if producer.pid is not None:
+            producer.join()
+        ring.close()
+
+
+def _ring_slot(ring: mmap.mmap, b: int, n: int, width: int) -> np.ndarray:
+    """Block b's slot of the ring as an (n, width) array."""
+    offset = (b % _RING_SLOTS) * 8 * n * _SPAN_BLOCK
+    return np.ndarray((n, width), buffer=ring, offset=offset)
+
+
+def _produce(blocks, model, metric, ring, full, free, *parent_ends) -> None:
+    """The forked producer: block b goes to slot b mod _RING_SLOTS once the
+    parent has given that slot back, and the parent hears its width, or the
+    exception that stopped the solves.  EOF from the parent ends it."""
+    for end in parent_ends:
+        end.close()  # else the pipe from the parent never reaches EOF
+    try:
+        for b, thetas in enumerate(blocks):
+            if b >= _RING_SLOTS:
+                free.recv_bytes()
+            t = _reference_block(thetas, model, metric)
+            _ring_slot(ring, b, metric.n, t.shape[1])[...] = t
+            full.send(t.shape[1])
+    except (EOFError, BrokenPipeError):
+        pass  # the parent stopped the build
+    except Exception as exc:  # noqa: BLE001 - handed to the parent, which raises it
+        with contextlib.suppress(BrokenPipeError):
+            full.send(exc)
 
 
 def _energy_curve(y: np.ndarray, weighted: np.ndarray, trace: float, dims: int) -> list[float]:

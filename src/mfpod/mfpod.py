@@ -364,11 +364,6 @@ class MfBasis:
     def full_basis(self) -> Basis:
         return Basis(self.vectors, self.metric)
 
-    def tail_energy(self, r: int | None = None) -> float:
-        """sum_{j>r} lambda_j^+ of the retained modes."""
-        r = self.selected_dim if r is None else r
-        return float(self.corrected_eigvals[max(0, r):].sum())
-
 
 def select_dim(eigvals, kappa: float) -> int:
     """Smallest r whose leading eigenvalues reach the kappa energy fraction."""

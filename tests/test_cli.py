@@ -268,6 +268,26 @@ def test_study_rejects_a_fitted_weight_on_one_hf_sample(capsys, tmp_path, alpha)
     assert json.loads(out)["m0"] == 1
 
 
+def test_study_allocates_its_budget_once(capsys, monkeypatch, tmp_path):
+    import mfpod.cli as cli
+    import mfpod.experiment as experiment
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return allocate(*args)
+
+    allocate = experiment.allocate_budget
+    monkeypatch.setattr(experiment, "allocate_budget", counted)
+    monkeypatch.setattr(cli, "allocate_budget", counted, raising=False)
+    code, out, err = _run(capsys, "study", "--budget", "5", "--repeats", "2",
+                          "--reference-size", "40", "--n-hf", "129", "--n-lf", "33",
+                          "--report-dims", "4", "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("alpha", ["pilot", "adaptive"])
 def test_mfpod_rejects_a_fitted_weight_on_one_hf_column(capsys, tmp_path, alpha):
     from mfpod import write_snapshots

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import mmap
+import multiprocessing
 import os
+import threading
 import tracemalloc
 from functools import cached_property
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -202,8 +206,11 @@ def test_reference_build_holds_no_n_by_n_matrix():
     assert peak < model.n_hf ** 2 * 8 / 4
 
 
-def test_reference_build_memory_does_not_grow_with_size():
-    # one span block of snapshots is held at a time, whatever the size
+def test_reference_build_memory_does_not_grow_with_size(monkeypatch):
+    # one span block of snapshots is held at a time, whatever the size; both
+    # builds stay in this process, since tracemalloc sees neither a forked
+    # producer nor its shared ring
+    monkeypatch.setattr(experiment, "_FORK_BREAK_EVEN", float("inf"))
     model = AdvDiffConfig(n_hf=4097, n_lf=33)
     peaks = []
     for size in (3 * _SPAN_BLOCK + 17, 40 * _SPAN_BLOCK):
@@ -215,6 +222,94 @@ def test_reference_build_memory_does_not_grow_with_size():
             tracemalloc.stop()
     assert max(peaks) <= 1.5 * min(peaks)
     assert max(peaks) < 40 * model.n_hf * _SPAN_BLOCK * 8
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every reference build takes the forked producer; returns the list of
+    rings they map."""
+    monkeypatch.setattr(experiment, "_FORK_BREAK_EVEN", 0)
+    if not experiment._forks(0):
+        pytest.skip("the forked reference build needs fork and two usable CPUs")
+    rings, mapped = [], mmap.mmap
+
+    def recorded(*args):
+        rings.append(mapped(*args))
+        return rings[-1]
+
+    monkeypatch.setattr(experiment, "mmap", SimpleNamespace(mmap=recorded))
+    return rings
+
+
+def _serial_reference(model, size):
+    with mock.patch.object(experiment, "_FORK_BREAK_EVEN", float("inf")):
+        return build_reference(model, size, 40)
+
+
+@pytest.mark.parametrize("n_hf, size", [(129, 2 * _SPAN_BLOCK + 17), (129, 10 * _SPAN_BLOCK + 17),
+                                        (4097, 8 * _SPAN_BLOCK + 17)])
+def test_forked_reference_has_the_serial_bytes(forked, n_hf, size):
+    # fewer blocks than ring slots, and more, each size with a partial last block
+    model = AdvDiffConfig(n_hf=n_hf, n_lf=33)
+    serial = _serial_reference(model, size)
+    got = build_reference(model, size, 40)
+    assert len(forked) == 1
+    for a, b in [(got.weighted, serial.weighted), (got.eigvals, serial.eigvals),
+                 (np.float64(got.trace), np.float64(serial.trace))]:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_reference_built_beside_another_thread_stays_serial(forked):
+    # fork copies only the calling thread, with any lock another one holds
+    built = []
+    worker = threading.Thread(target=lambda: built.append(build_reference(_SMALL, 300, 40)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(built) == 1 and forked == []
+
+
+def _failing_on_block(index):
+    """snapshot() that raises on the index-th span block of the reference."""
+    first = equispaced_parameters(10 * _SPAN_BLOCK, _SMALL.theta_range)[index * _SPAN_BLOCK]
+
+    def failing(thetas, fidelity, model):
+        if thetas[0] == first:
+            raise ValueError(f"no solve at theta={first!r}")
+        return snapshot(thetas, fidelity, model)
+
+    return failing
+
+
+def test_forked_reference_raises_the_producers_error(forked):
+    with mock.patch.object(experiment, "snapshot", _failing_on_block(6)):
+        with pytest.raises(ValueError) as serial:
+            _serial_reference(_SMALL, 10 * _SPAN_BLOCK)
+        with pytest.raises(ValueError) as got:
+            build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    assert type(got.value) is type(serial.value) and str(got.value) == str(serial.value)
+    assert len(forked) == 1
+
+
+def test_forked_reference_leaves_no_process_or_ring(forked):
+    build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    with mock.patch.object(experiment, "snapshot", _failing_on_block(6)), \
+            pytest.raises(ValueError):
+        build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    # the span growth in this process raises while the producer runs ahead
+    extend = experiment._extend_span
+    grown = []
+
+    def failing(*args):
+        grown.append(None)
+        if len(grown) == 2:
+            raise np.linalg.LinAlgError("no span")
+        return extend(*args)
+
+    with mock.patch.object(experiment, "_extend_span", failing), \
+            pytest.raises(np.linalg.LinAlgError, match="no span"):
+        build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    assert multiprocessing.active_children() == []
+    assert len(forked) == 3 and all(ring.closed for ring in forked)
 
 
 def _scores(ref, bases) -> np.ndarray:
