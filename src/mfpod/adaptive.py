@@ -53,10 +53,6 @@ class AdaptiveTrace:
     def alphas(self) -> tuple[float, ...]:
         return tuple(s.alpha for s in self.steps)
 
-    @property
-    def residuals(self) -> tuple[float, ...]:
-        return tuple(s.residual for s in self.steps)
-
 
 def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, AdaptiveTrace]:
     """Multifidelity POD with the weight re-estimated before every mode.

@@ -137,6 +137,17 @@ def _fro_norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+@dataclass(frozen=True, eq=False)
+class _Lift:
+    """A read-only (n, k) lift ``matrix`` L with ``basis`` Q_L, orthonormal columns
+    spanning F^T L in ``metric``, and ``coeff`` = Q_L^T F^T L (built by mfpod._lift)."""
+
+    matrix: np.ndarray
+    metric: Metric
+    basis: np.ndarray
+    coeff: np.ndarray
+
+
 @dataclass(frozen=True)
 class SnapshotSet:
     """Snapshots of one fidelity level, split into shared and extra columns.
@@ -145,8 +156,8 @@ class SnapshotSet:
     ``shared`` block holds the columns evaluated at the previous level's
     parameter samples (all of them, in the same order) and ``extra`` holds
     the additional samples unique to this level.
-    With an (n, k) ``lift`` both blocks hold k coefficients per column,
-    standing for the snapshots ``lift @ block``.
+    With a ``lift`` record of an (n, k) matrix L both blocks hold k
+    coefficients per column, standing for the snapshots ``L @ block``.
     """
 
     level: int
@@ -154,7 +165,7 @@ class SnapshotSet:
     extra: np.ndarray
     sample_ids: tuple[int, ...]
     cost_per_sample: float
-    lift: np.ndarray | None = None
+    lift: _Lift | None = None
 
     def __post_init__(self):
         shared = _as_matrix(self.shared)
@@ -167,8 +178,9 @@ class SnapshotSet:
         if extra.shape[0] != shared.shape[0]:
             raise ValueError("shared and extra blocks must have the same row count")
         if self.lift is not None:
-            object.__setattr__(self, "lift", _as_matrix(self.lift))  # keeps a float array's id
-            if self.lift.shape[1] != shared.shape[0]:
+            if not isinstance(self.lift, _Lift):
+                raise TypeError(f"lift must be a lift record, not {type(self.lift).__name__}")
+            if self.lift.matrix.shape[1] != shared.shape[0]:
                 raise ValueError("lift columns must match the coefficient rows")
         if self.level == 0 and extra.shape[1] != 0:
             raise ValueError("level 0 carries no extra block")
@@ -187,7 +199,7 @@ class SnapshotSet:
 
         The first ``hf.shape[1]`` surrogate columns are the shared ones; the
         rest are the surrogate's extra samples.  Sample ids are the column
-        indices of ``lf``, whose columns are coefficients of ``lift`` if given.
+        indices of ``lf``, whose columns are coefficients of ``lift``'s matrix if given.
         """
         hf, lf = _as_matrix(hf), _as_matrix(lf)
         m0, ids = hf.shape[1], tuple(range(lf.shape[1]))
@@ -198,7 +210,7 @@ class SnapshotSet:
 
     @property
     def dim(self) -> int:
-        return self.shared.shape[0] if self.lift is None else self.lift.shape[0]
+        return self.shared.shape[0] if self.lift is None else self.lift.matrix.shape[0]
 
     @property
     def count(self) -> int:
@@ -206,7 +218,7 @@ class SnapshotSet:
 
     def snapshots(self, block: np.ndarray) -> np.ndarray:
         """The snapshot columns a block of this level stands for."""
-        return block if self.lift is None else self.lift @ block
+        return block if self.lift is None else self.lift.matrix @ block
 
     @property
     def columns(self) -> np.ndarray:

@@ -41,7 +41,6 @@ from .mfpod import (
     MfBasis,
     SnapshotSpan,
     _extend_span,
-    _lift_span,
     mfpod_fixed,
     select_dim,
 )
@@ -436,10 +435,9 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     if metric.n != model.n_hf:
         raise ValueError(f"reference has dimension {metric.n} but the model has n_hf={model.n_hf}")
     pipeline = "pod_hf" if m1 == 0 else "pod_lf" if m0 == 0 else "mfpod"
-    # a read-only lift's span is cached, so every lifted repeat's span starts
-    # from this Q_L, and Q_L^T weighted is formed once for all of them
-    lift = _lift_span(pair.lift, metric)[0] if pair.lift is not None else np.zeros((metric.n, 0))
-    scoring = (lift, lift.T @ reference.weighted)
+    # a repeat that reads the surrogate starts its span from the pair's Q_L: one Q_L^T weighted
+    lift = pair.lift.basis if pair.lift is not None and m1 else np.zeros((metric.n, 0))
+    head = lift.T @ reference.weighted
 
     records, failures, timings = [], [], []
     for rep in range(config.repeats):
@@ -447,7 +445,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         started = time.perf_counter()
         try:
             records.append(_run_repeat(rep, seed, pair, metric, m0, m1, pipeline,
-                                       config, reference, scoring))
+                                       config, reference, head))
         except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
@@ -475,8 +473,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
 
 
 def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,
-                scoring) -> dict:
-    """One repeat's record; ``scoring`` is a lift span Q_L with Q_L^T reference.weighted."""
+                head) -> dict:
+    """One repeat's record; ``head`` is Q_L^T reference.weighted for its span's lift part Q_L."""
     dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
     _, hf, lf = _draw(pair, m0, m1, seed, lifted=True)  # lf in the coarse space of pair.lift
@@ -489,9 +487,7 @@ def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,
         mf = (pod(hf, metric) if pipeline == "pod_hf" else pod(lf, metric, pair.lift)).modes
         record["alphas"] = []
     # scored in span coordinates: Q^T weighted = [Q_L^T weighted; N^T weighted]
-    lift, own = mf._span._parts
-    head = scoring[1] if lift is scoring[0] else lift.T @ reference.weighted
-    weighted = np.vstack([head, own.T @ reference.weighted])
+    weighted = np.vstack([head, mf._span._parts[1].T @ reference.weighted])
     record.update({
         "mode_count": mf.mode_count,
         "selected_r": select_dim(mf.corrected_eigvals, config.kappa),
@@ -561,7 +557,7 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
     """One deterministic snapshot draw written as MFP1 files plus a manifest.
 
     Produces snapshots_high.mfp1 and/or snapshots_low.mfp1 according to
-    the split, and manifest.json describing the draw.
+    the split, and manifest.json describing the draw; a split's other file goes.
     """
     model = config.model
     pair = make_model_pair(model)
@@ -581,10 +577,13 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
         "format": "MFP1",
     }
     for name, snaps in (("snapshots_high.mfp1", hf), ("snapshots_low.mfp1", lf)):
+        path = os.path.join(outdir, name)
         if snaps.shape[1]:
-            path = os.path.join(outdir, name)
             write_snapshots(path, snaps)
             written.append(path)
+        else:  # an earlier draw's file would contradict this manifest
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     manifest_path = os.path.join(outdir, "manifest.json")
     _atomic_write(manifest_path, _dump_json(_jsonable(manifest)).encode())
     written.append(manifest_path)
@@ -599,7 +598,7 @@ def write_study(report: StudyReport, outdir) -> list:
     """Write report.json, the metric CSVs, and timings.csv.
 
     Everything except timings.csv is byte-deterministic for a fixed
-    master seed.
+    master seed.  A pipeline with no raw eigenvalues removes their file.
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -616,6 +615,9 @@ def write_study(report: StudyReport, outdir) -> list:
     emit("eigenvalues.csv", _csv(header, report.repeats, "eigvals"))
     if report.pipeline == "mfpod":
         emit("raw_eigenvalues.csv", _csv(header, report.repeats, "raw_eigvals"))
+    else:  # an earlier study's file would sit beside this report
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, "raw_eigenvalues.csv"))
     scalar_cols = ["seed", "m0", "m1", "mode_count", "selected_r"]
     lines = ["repeat," + ",".join(scalar_cols + ["alphas"])]
     for rec in report.repeats:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Basis, Metric, SnapshotSet, _as_matrix, orthonormalize, validate_levels
+from .core import Basis, Metric, SnapshotSet, _as_matrix, _Lift, orthonormalize, validate_levels
 from .estimator import Allocation, VarianceProfile, _profile
 from .solver import _fix_signs, lowrank_eig
 
@@ -47,6 +47,8 @@ def _check_sets(sets, metric: Metric) -> tuple:
     validate_levels(sets)
     if sets[0].dim != metric.n:
         raise ValueError("snapshot dimension does not match the metric")
+    if any(s.lift is not None and s.lift.metric is not metric for s in sets):
+        raise ValueError("a lift's span must be grown in the snapshots' metric")
     return sets
 
 
@@ -140,24 +142,15 @@ def _extend_span(lift: np.ndarray, q: np.ndarray, t: np.ndarray,
     return np.hstack([q, new]), np.concatenate([c_lift, coeff, new.T @ t])
 
 
-# Spans of read-only lifts by (lift, metric) identity; an entry keeps both ids taken.
-_LIFT_SPANS: dict = {}
-
-
-def _lift_span(lift: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
-    """Q and Q^T L, the span of one dense block L = F^T lift; cached for a read-only lift."""
-    key = (id(lift), id(metric))
-    if key in _LIFT_SPANS:
-        return _LIFT_SPANS[key][2:]
-    level = SnapshotSet(0, lift, np.zeros((len(lift), 0)), range(lift.shape[1]), 1.0)
-    span = SnapshotSpan.from_sets((level,), metric)
-    q, coeff = span._parts[1], span.projections[0]
-    if not lift.flags.writeable:
-        if len(_LIFT_SPANS) >= 16:
-            _LIFT_SPANS.clear()
-        q.flags.writeable = coeff.flags.writeable = False
-        _LIFT_SPANS[key] = (lift, metric, q, coeff)
-    return q, coeff
+def _lift(matrix, metric: Metric) -> _Lift:
+    """The lift record of an (n, k) matrix L in metric: its span grown like a
+    dense level 0 of L's columns, read-only like L itself."""
+    matrix = np.array(_as_matrix(matrix))
+    span = SnapshotSpan.from_sets((SnapshotSet(0, matrix, (), range(matrix.shape[1]), 1.0),), metric)
+    parts = (matrix, span._parts[1], span.projections[0])
+    for a in parts:
+        a.flags.writeable = False
+    return _Lift(matrix, metric, *parts[1:])
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class SnapshotSpan:
 
     Its orthonormal basis Q of the span of all snapshot blocks in metric
     coordinates is kept as two parts: the lift's own span Q_L (empty
-    without a lifted level; a read-only lift's is cached and shared) and
+    without a lifted level; its lift record's ``basis``, shared) and
     the directions N the dense blocks add, grown _SPAN_BLOCK columns at a
     time by _extend_span.  ``basis`` = [Q_L N] is formed on first read.
     ``projections`` holds Q^T T for each block in operator order, so that
@@ -186,12 +179,12 @@ class SnapshotSpan:
         sets = _check_sets(sets, metric)
         blocks = _snapshot_blocks(sets)
         lifts = [s.lift for s in _block_levels(sets)]
-        if len({id(lift) for lift in lifts if lift is not None}) > 1:
+        if len({lift for lift in lifts if lift is not None}) > 1:
             raise ValueError("lifted levels must share one lift")
         order = sorted(range(len(blocks)), key=lambda i: lifts[i] is not None)  # dense first
         dense = [blocks[i] for i in order if lifts[i] is None]
         lifted = [blocks[i] for i in order[len(dense):]]
-        lift, lift_coeff = (_lift_span(lifts[order[-1]], metric) if lifted
+        lift, lift_coeff = ((lifts[order[-1]].basis, lifts[order[-1]].coeff) if lifted
                             else (np.zeros((metric.n, 0)), None))
         # one transform of all dense blocks: it maps each column by itself
         stacked = metric.to_coords(np.hstack(dense)) if dense else np.zeros((metric.n, 0))

@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import Metric
+from .core import Metric, _Lift
+from .mfpod import _lift
 
 __all__ = [
     "AdvDiffConfig",
@@ -223,10 +224,10 @@ def fine_metric(config: AdvDiffConfig) -> Metric:
     return _mass_metric(config.n_hf)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _mass_metric(n: int) -> Metric:
-    # keyed on the node count, not the config, which a list theta_range
-    # makes unhashable; a Metric is never modified after its factorization
+    # keyed on the node count (a list theta_range makes a config unhashable); never
+    # modified after its factorization nor dropped, so fine_metric returns a lift record's metric
     return Metric.from_weight(mass_matrix(n))
 
 
@@ -282,9 +283,10 @@ class ModelPair:
 
     ``high`` and ``low`` map a parameter to a snapshot in the same space,
     and a 1-D array of m parameters to the (n, m) block of their snapshots;
-    ``sampler(count, seed)`` draws shared parameters prefix-stably.  An
-    (n, k) ``lift`` comes with a ``coarse`` solve to k coefficients (a (k, m)
-    block for m parameters) such that ``low`` is ``lift @ coarse`` up to roundoff.
+    ``sampler(count, seed)`` draws shared parameters prefix-stably.  A
+    ``lift`` record of an (n, k) matrix comes with a ``coarse`` solve to k
+    coefficients (a (k, m) block for m parameters) such that ``low`` is
+    ``lift.matrix @ coarse`` up to roundoff.
     """
 
     high: Callable[[float | np.ndarray], np.ndarray]
@@ -292,16 +294,14 @@ class ModelPair:
     metric: Metric
     sampler: Callable[[int, int], np.ndarray]
     costs: ModelCosts = field(default_factory=ModelCosts)
-    lift: np.ndarray | None = None
+    lift: _Lift | None = None
     coarse: Callable[[float | np.ndarray], np.ndarray] | None = None
 
 
 @functools.lru_cache(maxsize=16)
-def _prolongation(n_hf: int, n_lf: int) -> np.ndarray:
-    """prolong as one read-only (n_hf, n_lf) matrix per mesh pair."""
-    lift = prolong(np.eye(n_lf), n_hf)
-    lift.flags.writeable = False
-    return lift
+def _prolongation(n_hf: int, n_lf: int) -> _Lift:
+    """prolong as one (n_hf, n_lf) lift record in the fine metric per mesh pair."""
+    return _lift(prolong(np.eye(n_lf), n_hf), _mass_metric(n_hf))
 
 
 def make_model_pair(config: AdvDiffConfig) -> ModelPair:

@@ -40,10 +40,6 @@ class PodResult:
     def basis(self) -> Basis:
         return self.modes.full_basis
 
-    def tail_energy(self, r: int) -> float:
-        """sum_{j>r} lambda_j, the optimal mean squared projection error."""
-        return float(self.eigvals[max(0, r):].sum())
-
 
 def pod(snapshots, metric: Metric, lift=None) -> PodResult:
     """POD of the snapshot columns in the given metric.
@@ -51,8 +47,8 @@ def pod(snapshots, metric: Metric, lift=None) -> PodResult:
     Parameters
     ----------
     snapshots : (n, m) array
-        Snapshot columns, or their (k, m) coefficients of the (n, k) ``lift``
-        (see SnapshotSet).  At least one column is required.
+        Snapshot columns, or their (k, m) coefficients of a model pair's
+        ``lift`` record (see SnapshotSet).  At least one column is required.
     metric : Metric
         Inner product of the snapshot space and the returned basis.
 

@@ -136,7 +136,7 @@ def test_trace_residuals_strictly_decreasing():
     metric = random_spd_metric(rng, 20)
     sets = random_instance(rng, 20, 4, 9, metric)
     mf, trace = mfpod_adaptive(sets, kappa=0.99, metric=metric)
-    res = np.array(trace.residuals)
+    res = np.array([s.residual for s in trace.steps])
     assert (np.diff(res) < 0).all()
     assert trace.termination in ("residual", "rank", "exhausted", "stagnation")
 

@@ -111,6 +111,28 @@ def test_study_command(capsys, tmp_path):
     assert (out_dir / "report.json").exists()
 
 
+def test_a_study_into_a_used_directory_leaves_no_other_study_s_file(capsys, tmp_path):
+    # an hf-only study writes no raw eigenvalues, so an even-split study's must go
+    flags = ("--budget", "5", "--repeats", "2", "--seed", "2", "--n-hf", "129", "--n-lf", "33",
+             "--reference-size", "50", "--report-dims", "5", "--out", str(tmp_path))
+    assert _run(capsys, "study", "--split", "even", *flags)[0] == 0
+    assert (tmp_path / "raw_eigenvalues.csv").exists()
+    code, out, err = _run(capsys, "study", "--split", "hf-only", *flags)
+    assert code == 0, err
+    assert json.loads(out)["pipeline"] == "pod_hf"
+    assert sorted(os.listdir(tmp_path)) == ["captured_energy.csv", "eigenvalues.csv",
+                                            "repeats.csv", "report.json", "timings.csv"]
+
+
+def test_a_draw_into_a_used_directory_leaves_no_other_draw_s_file(capsys, tmp_path):
+    flags = ("--budget", "5", "--seed", "3", "--n-hf", "129", "--n-lf", "33", "--out", str(tmp_path))
+    assert _run(capsys, "generate", "--split", "even", *flags)[0] == 0
+    code, _, err = _run(capsys, "generate", "--split", "hf-only", *flags)
+    assert code == 0, err
+    assert json.loads((tmp_path / "manifest.json").read_text())["m1"] == 0
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "snapshots_high.mfp1"]
+
+
 def test_verify_command(capsys, tmp_path):
     out_file = tmp_path / "verify.json"
     code, out, err = _run(capsys, "verify", "--check", "both", "--m0-grid", "2,4",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfpod import Basis, Metric, SnapshotSet, orthonormalize, pod, project, validate_levels
+from mfpod.mfpod import _lift
 from mfpod.models import mass_matrix
 
 from conftest import banded_metric, mgs_orthonormalize, random_spd_metric
@@ -233,13 +234,15 @@ def test_from_columns_constructor():
 
 def test_lifted_snapshot_set_stands_for_its_lifted_columns():
     rng = np.random.default_rng(10)
-    lift, coeffs = rng.standard_normal((7, 3)), rng.standard_normal((3, 5))
+    matrix, coeffs = rng.standard_normal((7, 3)), rng.standard_normal((3, 5))
+    lift = _lift(matrix, Metric.euclidean(7))
     hf = rng.standard_normal((7, 2))
     s0, s1 = SnapshotSet.two_level(hf, coeffs, 1.0, 0.5, lift)
     validate_levels((s0, s1))
     assert s0.lift is None and s1.lift is lift
     assert (s1.dim, s1.count, s1.shared.shape) == (7, 5, (3, 2))
-    np.testing.assert_array_equal(s1.columns, lift @ coeffs)
-    np.testing.assert_array_equal(s1.snapshots(s1.extra), lift @ coeffs[:, 2:])
+    np.testing.assert_array_equal(s1.columns, matrix @ coeffs)
+    np.testing.assert_array_equal(s1.snapshots(s1.extra), matrix @ coeffs[:, 2:])
     with pytest.raises(ValueError, match="lift columns"):
-        SnapshotSet(1, coeffs, np.zeros((3, 0)), range(5), 0.5, lift[:, :2])
+        SnapshotSet(1, coeffs, np.zeros((3, 0)), range(5), 0.5,
+                    _lift(matrix[:, :2], Metric.euclidean(7)))

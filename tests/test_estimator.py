@@ -20,7 +20,7 @@ from mfpod import (
     usefulness,
 )
 from mfpod.core import SnapshotSet
-from mfpod.mfpod import SnapshotSpan
+from mfpod.mfpod import SnapshotSpan, _lift
 
 from conftest import (
     banded_metric,
@@ -284,14 +284,14 @@ def test_profile_and_allocation_validation():
         Allocation((2, 4), (1.0,), (1.0, 0.0))  # costs stay validated
 
 
-def _hierarchy(rng, n: int, kind: str, scale: float) -> tuple:
+def _hierarchy(rng, n: int, kind: str, scale: float, metric: Metric) -> tuple:
     """Correlated levels on shared draws: two, three, or two with the
-    surrogate in the coefficients of a random (n, n // 2) lift."""
+    surrogate in the coefficients of a random (n, n // 2) lift in metric."""
     if kind == "lifted":
         lift = rng.standard_normal((n, n // 2))
         coeffs = rng.standard_normal((n // 2, 12)) * scale
         hf = lift @ coeffs[:, :4] + 0.1 * scale * rng.standard_normal((n, 4))
-        return SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, lift)
+        return SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, _lift(lift, metric))
     counts = (4, 12) if kind == "two" else (3, 7, 16)
     base = rng.standard_normal((n, counts[-1])) * scale
     ids, sets = tuple(range(counts[-1])), []
@@ -337,7 +337,7 @@ def test_span_route_matches_the_column_oracle(seed, n, kind, bandwidth, candidat
     # give the n-dimensional columns' residual energies at any V and any units
     rng = np.random.default_rng(seed)
     metric = Metric.euclidean(n) if bandwidth == 0 else banded_metric(rng, n, bandwidth)
-    sets = _hierarchy(rng, n, kind, 10.0 ** log_scale)
+    sets = _hierarchy(rng, n, kind, 10.0 ** log_scale, metric)
     q = SnapshotSpan.from_sets(sets, metric).basis
     inside = metric.from_coords(q @ np.linalg.qr(rng.standard_normal((q.shape[1], dim)))[0])
     if candidate == "inside":

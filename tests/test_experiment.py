@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import mmap
 import multiprocessing
 import os
 import threading
 import tracemalloc
+import weakref
 from functools import cached_property
 from types import SimpleNamespace
 from unittest import mock
@@ -31,6 +33,7 @@ from mfpod import (
     fine_metric,
     generate_snapshot_files,
     make_model_pair,
+    mass_matrix,
     mfpod_adaptive,
     mfpod_fixed,
     orthonormalize,
@@ -708,7 +711,6 @@ def test_a_model_pair_without_a_lift_runs_the_dense_route(monkeypatch):
 def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
     model = _LIFTED_MODELS[1]
     reference = build_reference(model, 60, 40)
-    make_model_pair(model)  # the built-in lift is prolonged once per mesh pair, here if at all
     calls, lift_growths, ranks = {"prolong": 0, "low": 0}, [], []
     prolong_, extend, from_sets = models.prolong, mfpod_module._extend_span, SnapshotSpan.from_sets
 
@@ -735,10 +737,11 @@ def test_study_repeats_never_form_a_fine_surrogate_block(monkeypatch):
         ranks.append(span.rank)
         return span
 
+    monkeypatch.setattr(mfpod_module, "_extend_span", recorded_extend)
+    models._prolongation.cache_clear()
+    make_model_pair(model)  # the built-in lift is prolonged and its span grown once per mesh pair
     monkeypatch.setattr(models, "prolong", counted_prolong)
     monkeypatch.setattr(experiment, "make_model_pair", counted_pair)
-    monkeypatch.setattr(mfpod_module, "_LIFT_SPANS", {})
-    monkeypatch.setattr(mfpod_module, "_extend_span", recorded_extend)
     monkeypatch.setattr(SnapshotSpan, "from_sets", classmethod(recorded_span))
     for master_seed in (6, 7):  # two studies of each pipeline on one mesh pair
         for split, mode in _STUDY_PIPELINES:
@@ -814,7 +817,7 @@ def test_modes_kept_in_span_coordinates_match_their_metric_coordinates(seed, n, 
         lift = rng.standard_normal((n, n // 2))
         coeffs = rng.standard_normal((n // 2, 12))
         hf = lift @ coeffs[:, :4] + 0.1 * rng.standard_normal((n, 4))
-        sets = SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, lift)
+        sets = SnapshotSet.two_level(hf, coeffs, 1.0, 0.125, mfpod_module._lift(lift, metric))
     else:
         sets = random_instance(rng, n, 4, 12, metric)
     mf = mfpod_adaptive(sets, 0.9999, metric)[0] if adaptive else mfpod_fixed(
@@ -832,14 +835,71 @@ def test_modes_kept_in_span_coordinates_match_their_metric_coordinates(seed, n, 
                                rtol=1e-13)
 
 
-def test_a_writeable_lift_is_grown_afresh():
-    # only a read-only lift's span is cached, so changing a writeable one
-    # in place changes the next POD
+def test_a_lift_record_spans_its_own_matrix():
+    # each lift record carries the span of its own matrix, so the records
+    # of L and 2 L give the POD of snapshots twice as large
     pair = make_model_pair(_LIFTED_MODELS[0])
-    lift = np.array(pair.lift)
     coarse = pair.coarse(sample_parameters(40, 3, _LIFTED_MODELS[0].theta_range))
-    before = pod(coarse, pair.metric, lift)
-    lift *= 2.0
-    after = pod(coarse, pair.metric, lift)
+    before = pod(coarse, pair.metric, mfpod_module._lift(pair.lift.matrix, pair.metric))
+    after = pod(coarse, pair.metric, mfpod_module._lift(2.0 * pair.lift.matrix, pair.metric))
     np.testing.assert_allclose(after.eigvals, 4.0 * before.eigvals, rtol=0,
                                atol=1e-12 * after.eigvals[0])
+    assert pair.lift.matrix.flags.writeable is False
+
+
+def test_a_lift_span_is_grown_once_per_mesh_pair(monkeypatch):
+    # two model pairs and two studies of each pipeline on one mesh pair
+    # grow the lift's span once, when the first pair is made, and the
+    # reference built after other meshes' metrics shares the lift's metric
+    model = _LIFTED_MODELS[1]
+    lifts, real = [], mfpod_module._lift
+
+    def counted(matrix, metric):
+        lifts.append(matrix.shape)
+        return real(matrix, metric)
+
+    monkeypatch.setattr(models, "_lift", counted)
+    models._prolongation.cache_clear()
+    first, second = make_model_pair(model), make_model_pair(model)
+    for n in range(3, 23):  # more meshes than a 16-entry metric cache holds
+        models._mass_metric(n)
+    reference = build_reference(model, 60, 40)
+    assert first.lift is second.lift and first.lift.metric is reference.metric
+    for master_seed in (6, 7):
+        for split, mode in _STUDY_PIPELINES:
+            assert not _lifted_study(split, mode, reference, master_seed).failures
+    assert lifts == [(model.n_hf, model.n_lf)]
+
+
+def test_a_dropped_model_pair_frees_its_lift_span():
+    # no module-level cache outlives the pair's own: once the mesh pair's
+    # record is dropped, nothing holds its Q_L
+    model = AdvDiffConfig(n_hf=65, n_lf=17)
+    models._prolongation.cache_clear()
+    pair = make_model_pair(model)
+    thetas = pair.sampler(12, 0)
+    sets = SnapshotSet.two_level(pair.high(thetas[:3]), pair.coarse(thetas), 1.0, 0.1, pair.lift)
+    span = SnapshotSpan.from_sets(sets, pair.metric)
+    basis = weakref.ref(pair.lift.basis)
+    assert span._parts[0] is basis()
+    models._prolongation.cache_clear()
+    del pair, sets, span
+    gc.collect()
+    assert basis() is None
+
+
+def test_a_lift_must_be_a_record_in_the_span_s_metric():
+    pair = make_model_pair(_LIFTED_MODELS[0])
+    coarse = pair.coarse(sample_parameters(9, 3, _LIFTED_MODELS[0].theta_range))
+    hf = pair.high(sample_parameters(2, 3, _LIFTED_MODELS[0].theta_range))
+    with pytest.raises(TypeError, match="lift record"):
+        pod(coarse, pair.metric, np.array(pair.lift.matrix))
+    with pytest.raises(TypeError, match="lift record"):
+        SnapshotSet.two_level(hf, coarse, 1.0, 0.1, pair.lift.matrix)
+    other = Metric.from_weight(mass_matrix(_LIFTED_MODELS[0].n_hf))
+    for lift, metric in ((pair.lift, other),
+                         (mfpod_module._lift(pair.lift.matrix, other), pair.metric)):
+        with pytest.raises(ValueError, match="metric"):
+            pod(coarse, metric, lift)
+        with pytest.raises(ValueError, match="metric"):
+            mfpod_fixed(SnapshotSet.two_level(hf, coarse, 1.0, 0.1, lift), (0.5,), 0.9999, metric)

@@ -439,7 +439,7 @@ def test_dense_operator_of_lifted_sets_is_that_of_their_prolonged_twin(seed, m0,
     thetas = sample_parameters(m1, seed, _FINE.theta_range)
     hf, coarse = pair.high(thetas[:m0]), pair.coarse(thetas)
     lifted = SnapshotSet.two_level(hf, coarse, 1.0, 0.1, pair.lift)
-    dense = SnapshotSet.two_level(hf, pair.lift @ coarse, 1.0, 0.1)
+    dense = SnapshotSet.two_level(hf, pair.lift.matrix @ coarse, 1.0, 0.1)
     got, want = (build_operator(s, (0.8,), pair.metric).assemble_transformed() for s in (lifted, dense))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -456,8 +456,8 @@ def _oracle_case(case, rng, n, metric):
             sets.append(SnapshotSet(ell, u[:, :shared], u[:, shared:], range(m), cost))
         return tuple(sets), (0.7, 1.2), None
     lift, hf, coarse = (rng.standard_normal(shape) for shape in ((n, 6), (n, 4), (6, 11)))
-    return (SnapshotSet.two_level(hf, coarse, 1.0, 0.1, lift), (0.8,),
-            SnapshotSet.two_level(hf, lift @ coarse, 1.0, 0.1))
+    lifted = SnapshotSet.two_level(hf, coarse, 1.0, 0.1, mfpod_module._lift(lift, metric))
+    return lifted, (0.8,), SnapshotSet.two_level(hf, lift @ coarse, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("case", ["two-level", "three-level", "lifted"])

@@ -111,13 +111,6 @@ def test_eig_floor_controls_retained_modes():
     assert pod(s, Metric.euclidean(20)).basis.dim == 2
 
 
-def test_result_tail_energy_helper():
-    rng = np.random.default_rng(7)
-    res = pod(rng.standard_normal((15, 5)), Metric.euclidean(15))
-    assert res.tail_energy(0) == pytest.approx(res.eigvals.sum(), rel=1e-12)
-    assert res.tail_energy(5) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_eigvals_are_exact_zeros_past_the_retained_modes():
     rng = np.random.default_rng(8)
     u = rng.standard_normal((20, 3))
