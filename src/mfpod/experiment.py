@@ -77,12 +77,16 @@ _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
 # Reference eigenvalues at or below this fraction of the trace are roundoff.
 _REFERENCE_FLOOR = 1e-14
-# Snapshot entries (n x reference size) from which a forked producer solves
-# the reference's blocks: its first block arrives 15-30 ms after the fork,
+# Snapshot entries (n x reference size) from which a forked producer shares
+# the reference's block solves: its first block arrives 15-30 ms after the fork,
 # and at n = 4097 the fork broke even between 500 and 2,000 snapshots.
 _FORK_BREAK_EVEN = 4_000_000
-# Block slots of the shared ring between that producer and the span's growth.
+# Block slots of the shared ring between that producer and the span's growth;
+# the producer claims only blocks fewer than this many indices past the one
+# the growth takes next, so the blocks the parent solves shorten its lookahead.
 _RING_SLOTS = 4
+# The ring's header word: the next unclaimed block index.
+_COUNTER = struct.Struct("q")
 # fork by name, since Python 3.14 moves the Linux default off it: the producer
 # inherits the model, metric and ring with no pickling and no fresh import.
 _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
@@ -229,8 +233,9 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     k x k eigh of M, where k is the span dimension.  Each block's rank rule
     takes its scale from the largest snapshot norm seen so far, and only one
     block of snapshots is held at a time.  Where _forks allows, a forked
-    producer solves the blocks while this process grows their span
-    (_solve_forked); both routes give the same bytes."""
+    producer and this process take the blocks' solves from one ordered
+    queue while this process grows their span in order (_solve_forked); both
+    routes give the same bytes."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
     blocks = [thetas[start:start + _SPAN_BLOCK] for start in range(0, size, _SPAN_BLOCK)]
@@ -275,35 +280,54 @@ def _forks(entries: int) -> bool:
 
 
 def _solve_forked(blocks: list, model: AdvDiffConfig, metric: Metric, grow) -> None:
-    """grow(t) for each block's metric coordinates t in order, solved by a
-    forked daemon producer (_produce) into a ring of _RING_SLOTS block slots
-    of anonymous shared memory.  One pipe tells this process that the next
-    slot is full (its width) or that the producer raised (the exception,
-    raised here); the other gives a slot back once its block is copied out.
-    Closing the pipes stops the producer within one block, and it is joined
-    before the ring closes, whether the build returns or raises."""
+    """grow(t) for each block's metric coordinates t in order, with the blocks
+    solved by two workers pulling from one ordered queue: a forked daemon
+    producer (_produce) and this process.  Both claim block indices in order
+    from a counter in the header of a ring of _RING_SLOTS block slots of
+    anonymous shared memory, under a fork-context lock.  One pipe brings, in
+    block order, the width of each block the producer wrote to its slot, or
+    the exception that stopped it; the other moves the producer's bound on
+    each time this process takes its next block.  When that block is not
+    ready and this process holds no block ahead, it claims the next
+    unclaimed block and solves it itself.  An error is raised when its
+    block's turn comes, so the one raised is the serial loop's.  Closing the
+    pipes stops the producer within one block, and it is joined before the
+    ring closes, whether the build returns or raises."""
     n = metric.n
-    ring = mmap.mmap(-1, _RING_SLOTS * 8 * n * _SPAN_BLOCK)
+    ring = mmap.mmap(-1, _COUNTER.size + _RING_SLOTS * 8 * n * _SPAN_BLOCK)
+    lock = _FORK.Lock()  # unnamed under fork, so no resource_tracker starts
     full_r, full_w = _FORK.Pipe(duplex=False)
     free_r, free_w = _FORK.Pipe(duplex=False)
     producer = _FORK.Process(target=_produce, daemon=True,
-                             args=(blocks, model, metric, ring, full_w, free_r, full_r, free_w))
+                             args=(blocks, model, metric, ring, lock, full_w, free_r, full_r, free_w))
+    held = None  # (index, t or exception) of a block this process solved
     try:
         producer.start()
         full_w.close()  # each side keeps only its own ends, so each sees the other stop
         free_r.close()
         for b in range(len(blocks)):
-            try:
-                message = full_r.recv()
-            except EOFError:
-                raise RuntimeError("the reference's snapshot producer exited early") from None
-            if isinstance(message, BaseException):
-                raise message
-            t = _ring_slot(ring, b, n, message).copy()
-            if b + _RING_SLOTS < len(blocks):  # the slot's next block
+            if held is None and not full_r.poll():
+                c = _claim(ring, lock, len(blocks))
+                if c is not None:
+                    try:
+                        held = (c, _reference_block(blocks[c], model, metric))
+                    except Exception as exc:  # noqa: BLE001 - raised at block c's turn
+                        held = (c, exc)
+            if held is not None and held[0] == b:
+                t, held = held[1], None
+            else:  # the producer claimed block b, so its next message is b's
+                try:
+                    t = full_r.recv()
+                except EOFError:
+                    raise RuntimeError("the reference's snapshot producer exited early") from None
+                if not isinstance(t, BaseException):
+                    t = _ring_slot(ring, b, n, t).copy()
+            if b + _RING_SLOTS < len(blocks):  # the producer's bound admits block b + _RING_SLOTS
                 # a producer that stopped early says why on the other pipe
                 with contextlib.suppress(BrokenPipeError):
                     free_w.send_bytes(b"\0")
+            if isinstance(t, BaseException):
+                raise t
             grow(t)
     finally:
         for end in (full_r, full_w, free_r, free_w):
@@ -313,23 +337,42 @@ def _solve_forked(blocks: list, model: AdvDiffConfig, metric: Metric, grow) -> N
         ring.close()
 
 
+def _claim(ring: mmap.mmap, lock, stop: int) -> int | None:
+    """The next unclaimed block index from the ring's counter, now claimed,
+    or None if it is not below stop."""
+    with lock:
+        (b,) = _COUNTER.unpack_from(ring)
+        if b >= stop:
+            return None
+        _COUNTER.pack_into(ring, 0, b + 1)
+    return b
+
+
 def _ring_slot(ring: mmap.mmap, b: int, n: int, width: int) -> np.ndarray:
     """Block b's slot of the ring as an (n, width) array."""
-    offset = (b % _RING_SLOTS) * 8 * n * _SPAN_BLOCK
+    offset = _COUNTER.size + (b % _RING_SLOTS) * 8 * n * _SPAN_BLOCK
     return np.ndarray((n, width), buffer=ring, offset=offset)
 
 
-def _produce(blocks, model, metric, ring, full, free, *parent_ends) -> None:
-    """The forked producer: block b goes to slot b mod _RING_SLOTS once the
-    parent has given that slot back, and the parent hears its width, or the
-    exception that stopped the solves.  EOF from the parent ends it."""
+def _produce(blocks, model, metric, ring, lock, full, free, *parent_ends) -> None:
+    """The forked producer: it claims the next block index b while b is
+    fewer than _RING_SLOTS past the block the parent takes next, writes the
+    block to slot b mod _RING_SLOTS and sends its width, or the exception
+    that stopped the solves.  Each byte from the parent moves that bound on
+    by one block; EOF from the parent ends it."""
     for end in parent_ends:
         end.close()  # else the pipe from the parent never reaches EOF
+    bound = _RING_SLOTS
     try:
-        for b, thetas in enumerate(blocks):
-            if b >= _RING_SLOTS:
+        while True:
+            b = _claim(ring, lock, min(bound, len(blocks)))
+            if b is None:
+                if bound >= len(blocks):
+                    return
                 free.recv_bytes()
-            t = _reference_block(thetas, model, metric)
+                bound += 1
+                continue
+            t = _reference_block(blocks[b], model, metric)
             _ring_slot(ring, b, metric.n, t.shape[1])[...] = t
             full.send(t.shape[1])
     except (EOFError, BrokenPipeError):

@@ -5,9 +5,11 @@ import mmap
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 import weakref
 from functools import cached_property
+from multiprocessing import resource_tracker
 from types import SimpleNamespace
 from unittest import mock
 
@@ -271,16 +273,38 @@ def test_reference_built_beside_another_thread_stays_serial(forked):
     assert not worker.is_alive() and len(built) == 1 and forked == []
 
 
-def _failing_on_block(index):
-    """snapshot() that raises on the index-th span block of the reference."""
-    first = equispaced_parameters(10 * _SPAN_BLOCK, _SMALL.theta_range)[index * _SPAN_BLOCK]
+def _first_thetas(*indices):
+    """The first parameter of each given span block of a 10-block reference."""
+    thetas = equispaced_parameters(10 * _SPAN_BLOCK, _SMALL.theta_range)
+    return [thetas[index * _SPAN_BLOCK] for index in indices]
+
+
+def _failing_on_block(*indices):
+    """snapshot() that raises on the given span blocks of the reference."""
+    firsts = _first_thetas(*indices)
 
     def failing(thetas, fidelity, model):
-        if thetas[0] == first:
-            raise ValueError(f"no solve at theta={first!r}")
+        if thetas[0] in firsts:
+            raise ValueError(f"no solve at theta={thetas[0]!r}")
         return snapshot(thetas, fidelity, model)
 
     return failing
+
+
+def _slow_in_producer(solved, delay=0.1):
+    """experiment._reference_block that sleeps delay seconds in a forked
+    producer, and records in solved the first parameter of each block this
+    process solves."""
+    parent, solve = os.getpid(), experiment._reference_block
+
+    def slow(thetas, model, metric):
+        if os.getpid() == parent:
+            solved.append(thetas[0])
+        else:
+            time.sleep(delay)
+        return solve(thetas, model, metric)
+
+    return slow
 
 
 def test_forked_reference_raises_the_producers_error(forked):
@@ -313,6 +337,102 @@ def test_forked_reference_leaves_no_process_or_ring(forked):
         build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
     assert multiprocessing.active_children() == []
     assert len(forked) == 3 and all(ring.closed for ring in forked)
+
+
+def test_forked_reference_solves_a_stalled_producers_share(forked, monkeypatch):
+    # while the producer sleeps on a block, this process solves the next one,
+    # and it still grows every block in order
+    serial = _serial_reference(_SMALL, 10 * _SPAN_BLOCK)
+    solved = []
+    monkeypatch.setattr(experiment, "_reference_block", _slow_in_producer(solved))
+    got = build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    for a, b in [(got.weighted, serial.weighted), (got.eigvals, serial.eigvals),
+                 (np.float64(got.trace), np.float64(serial.trace))]:
+        assert a.tobytes() == b.tobytes()
+    assert 2 * len(solved) >= 10
+    assert multiprocessing.active_children() == [] and forked[0].closed
+
+
+def test_forked_reference_solves_each_block_once(forked, monkeypatch, tmp_path):
+    # both processes claim blocks from one counter; a pause between reading
+    # and writing it opens the window a lost update needs, and slow solves
+    # make both sides claim.  Appends under O_APPEND land whole, so the log
+    # lists every solve on either side.
+    log, solve, counter = tmp_path / "solved", experiment._reference_block, experiment._COUNTER
+
+    def slow_read(ring):
+        read = counter.unpack_from(ring)
+        time.sleep(0.001)
+        return read
+
+    def logged(thetas, model, metric):
+        with open(log, "a") as out:
+            out.write(f"{float(thetas[0]).hex()}\n")
+        time.sleep(0.002)
+        return solve(thetas, model, metric)
+
+    monkeypatch.setattr(experiment, "_reference_block", logged)
+    monkeypatch.setattr(experiment, "_COUNTER", SimpleNamespace(
+        size=counter.size, unpack_from=slow_read, pack_into=counter.pack_into))
+    builds, size = 20, 10 * _SPAN_BLOCK + 17
+    for _ in range(builds):
+        build_reference(_SMALL, size, 40)
+    firsts = equispaced_parameters(size, _SMALL.theta_range)[::_SPAN_BLOCK]
+    assert sorted(log.read_text().split()) == sorted([float(t).hex() for t in firsts] * builds)
+    assert len(forked) == builds
+
+
+def test_forked_reference_behind_a_slow_span_growth_has_the_serial_bytes(forked, monkeypatch):
+    # the producer runs ahead only as far as the ring holds blocks not yet copied out
+    serial = _serial_reference(_SMALL, 10 * _SPAN_BLOCK + 17)
+    extend = experiment._extend_span
+
+    def slow(*args):
+        time.sleep(0.02)
+        return extend(*args)
+
+    monkeypatch.setattr(experiment, "_extend_span", slow)
+    got = build_reference(_SMALL, 10 * _SPAN_BLOCK + 17, 40)
+    for a, b in [(got.weighted, serial.weighted), (got.eigvals, serial.eigvals),
+                 (np.float64(got.trace), np.float64(serial.trace))]:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_forked_reference_raises_the_error_of_a_block_solved_here(forked):
+    # a slow producer leaves at least one of two adjacent blocks to this
+    # process; whichever side meets which, the first failing block's error is
+    # raised, as in the serial loop
+    solved = []
+    with mock.patch.object(experiment, "snapshot", _failing_on_block(6, 7)):
+        with pytest.raises(ValueError) as serial:
+            _serial_reference(_SMALL, 10 * _SPAN_BLOCK)
+        with mock.patch.object(experiment, "_reference_block", _slow_in_producer(solved)), \
+                pytest.raises(ValueError) as got:
+            build_reference(_SMALL, 10 * _SPAN_BLOCK, 40)
+    assert type(got.value) is type(serial.value) and str(got.value) == str(serial.value)
+    assert set(_first_thetas(6, 7)) & set(solved)
+    assert multiprocessing.active_children() == []
+    assert len(forked) == 1 and forked[0].closed
+
+
+def test_forked_reference_memory_does_not_grow_with_size(forked):
+    # this process copies the producer's blocks out of the ring and solves
+    # others itself, one block ahead at most; tracemalloc sees neither the
+    # producer nor the ring.  The fork-context lock on the ring's counter is
+    # unnamed, so no resource_tracker process starts.
+    model = AdvDiffConfig(n_hf=4097, n_lf=33)
+    peaks = []
+    for size in (3 * _SPAN_BLOCK + 17, 40 * _SPAN_BLOCK):
+        tracemalloc.start()
+        try:
+            build_reference(model, size, 40)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.5 * min(peaks)
+    assert max(peaks) < 40 * model.n_hf * _SPAN_BLOCK * 8
+    assert len(forked) == 2
+    assert resource_tracker._resource_tracker._pid is None
 
 
 def _scores(ref, bases) -> np.ndarray:
