@@ -77,18 +77,26 @@ _VERSION = 1
 _PERCENTILES = (5, 25, 50, 75, 95)
 # Reference eigenvalues at or below this fraction of the trace are roundoff.
 _REFERENCE_FLOOR = 1e-14
-# Snapshot entries (n x reference size) from which a forked producer shares
-# the reference's block solves: its first block arrives 15-30 ms after the fork,
-# and at n = 4097 the fork broke even between 500 and 2,000 snapshots.
-_FORK_BREAK_EVEN = 4_000_000
-# Block slots of the shared ring between that producer and the span's growth;
-# the producer claims only blocks fewer than this many indices past the one
-# the growth takes next, so the blocks the parent solves shorten its lookahead.
+# Serial solve seconds (_solve_seconds) from which a forked producer shares a
+# stream's solves; see _forks.  Forked/serial time ratios on two cores, one
+# BLAS thread: reference blocks at n = 4097 read 1.01 at 20 ms priced and
+# 0.73 at 41 ms; verify reference items at n = 129 read 1.11 at 18 ms and
+# 0.80 at 36 ms; verify draws at n = 129 read 0.90 at 4 ms and 0.72 at 37 ms,
+# since the parent's eigensolves hide their solves.  The bench tests' verify
+# shapes (2.2 ms) stay below it, so they count every solve in this process.
+_FORK_BREAK_EVEN = 0.03
+# One core's prices of that work: a solver call (4 us of a per-parameter
+# solve's 7-8 us at n = 65-129) and a snapshot entry solved and transformed
+# (24-32 ns, the block solve's cost per entry from n = 65 to 4097).
+_CALL_S, _ENTRY_S = 4e-6, 25e-9
+# Item slots of the shared ring between that producer and the stream's consumer;
+# the producer claims only items fewer than this many indices past the one
+# the consumer takes next, so the items the parent solves shorten its lookahead.
 _RING_SLOTS = 4
-# The ring's header word: the next unclaimed block index.
+# The ring's header word: the next unclaimed item index.
 _COUNTER = struct.Struct("q")
 # fork by name, since Python 3.14 moves the Linux default off it: the producer
-# inherits the model, metric and ring with no pickling and no fresh import.
+# inherits the items, their solve and the ring with no pickling and no fresh import.
 _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
@@ -234,7 +242,7 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     takes its scale from the largest snapshot norm seen so far, and only one
     block of snapshots is held at a time.  Where _forks allows, a forked
     producer and this process take the blocks' solves from one ordered
-    queue while this process grows their span in order (_solve_forked); both
+    queue while this process grows their span in order (_solve_stream); both
     routes give the same bytes."""
     metric = fine_metric(model)
     thetas = equispaced_parameters(size, model.theta_range)
@@ -252,11 +260,11 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
         moment = np.pad(moment, (0, q.shape[1] - len(moment)))
         moment += coeff @ coeff.T
 
-    if _forks(metric.n * size):
-        _solve_forked(blocks, model, metric, grow)
-    else:
-        for block in blocks:
-            grow(_reference_block(block, model, metric))
+    stream = _solve_stream(blocks, lambda block: _reference_block(block, model, metric),
+                           metric.n * _SPAN_BLOCK, _solve_seconds(len(blocks), metric.n * size))
+    with contextlib.closing(stream):
+        for t in stream:
+            grow(t)
     trace = energy / size
     if not trace > 0.0:
         raise ValueError("reference snapshots carry no energy")
@@ -271,64 +279,89 @@ def _reference_block(thetas: np.ndarray, model: AdvDiffConfig, metric: Metric) -
     return metric.to_coords(snapshot(thetas, "high", model))
 
 
-def _forks(entries: int) -> bool:
-    """Whether a forked producer pays for a reference of this many snapshot
-    entries: the build is past break-even, fork exists, a second CPU is
-    usable, and no other Python thread runs, whose locks the fork would copy held."""
-    return (entries >= _FORK_BREAK_EVEN and _FORK is not None and threading.active_count() == 1
+def _solve_seconds(calls: int, entries: int) -> float:
+    """Serial seconds of model solves that make this many solver calls and
+    fill this many snapshot entries, at one core's prices: a per-parameter
+    solve costs a call and its n entries, a block solve only its entries."""
+    return calls * _CALL_S + entries * _ENTRY_S
+
+
+def _forks(seconds: float) -> bool:
+    """Whether a forked producer pays for a stream of this many seconds of
+    serial solves (_solve_seconds): the stream is past break-even, fork
+    exists, a second CPU is usable, and no other Python thread runs, whose
+    locks the fork would copy held.  It reads only its argument and the
+    process's start methods, CPUs and threads, never a clock."""
+    return (seconds >= _FORK_BREAK_EVEN and _FORK is not None and threading.active_count() == 1
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _solve_forked(blocks: list, model: AdvDiffConfig, metric: Metric, grow) -> None:
-    """grow(t) for each block's metric coordinates t in order, with the blocks
-    solved by two workers pulling from one ordered queue: a forked daemon
-    producer (_produce) and this process.  Both claim block indices in order
-    from a counter in the header of a ring of _RING_SLOTS block slots of
-    anonymous shared memory, under a fork-context lock.  One pipe brings, in
-    block order, the width of each block the producer wrote to its slot, or
-    the exception that stopped it; the other moves the producer's bound on
-    each time this process takes its next block.  When that block is not
-    ready and this process holds no block ahead, it claims the next
-    unclaimed block and solves it itself.  An error is raised when its
-    block's turn comes, so the one raised is the serial loop's.  Closing the
-    pipes stops the producer within one block, and it is joined before the
-    ring closes, whether the build returns or raises."""
-    n = metric.n
-    ring = mmap.mmap(-1, _COUNTER.size + _RING_SLOTS * 8 * n * _SPAN_BLOCK)
+def _solve_stream(items: list, solve, cells: int, seconds: float):
+    """Generator of solve(item) for each item in order, where each result is
+    a float array of at most ``cells`` entries and ``seconds`` prices the
+    serial solves (_solve_seconds).  Consume it under contextlib.closing or
+    a finally, so that an early stop ends its producer at once.
+
+    Where _forks(seconds) is false the items are solved here, one by one.
+    Otherwise two workers pull the items from one ordered queue: a forked
+    daemon producer (_produce) and this process.  Both claim item indices in
+    order from a counter in the header of a ring of _RING_SLOTS slots of
+    ``cells`` floats, anonymous shared memory, under a fork-context lock.
+    One pipe brings, in item order, the shape of each result the producer
+    wrote to its slot, or the exception that stopped it; the other moves
+    the producer's bound on each time this process takes its next item.
+    When that item is not ready and this process holds no item ahead, it
+    claims the next unclaimed item and solves it itself.  So solve must run
+    in either process, and it must call no BLAS: at the default BLAS thread
+    count a producer that does (a draw's eigh, say) competes with this
+    process's BLAS threads and was measured slower than the serial loop.
+    The producer runs solve and nothing else, on the CPUs this process is
+    not on (_produce).  Each result arrives as a C-ordered copy, and an
+    error is raised when its item's turn comes, so the one raised is the
+    serial loop's.  Closing the pipes stops the producer within one item,
+    and it is joined before the ring closes, whether the stream ends,
+    raises or is closed early."""
+    if not _forks(seconds):
+        for item in items:
+            yield solve(item)
+        return
+    ring = mmap.mmap(-1, _COUNTER.size + _RING_SLOTS * 8 * cells)
     lock = _FORK.Lock()  # unnamed under fork, so no resource_tracker starts
     full_r, full_w = _FORK.Pipe(duplex=False)
     free_r, free_w = _FORK.Pipe(duplex=False)
+    away = os.sched_getaffinity(0) - {_cpu_now()}  # the CPUs this process is not on
     producer = _FORK.Process(target=_produce, daemon=True,
-                             args=(blocks, model, metric, ring, lock, full_w, free_r, full_r, free_w))
-    held = None  # (index, t or exception) of a block this process solved
+                             args=(items, solve, cells, away, ring, lock, full_w, free_r,
+                                   full_r, free_w))
+    held = None  # (index, result or exception) of an item this process solved
     try:
         producer.start()
         full_w.close()  # each side keeps only its own ends, so each sees the other stop
         free_r.close()
-        for b in range(len(blocks)):
+        for b in range(len(items)):
             if held is None and not full_r.poll():
-                c = _claim(ring, lock, len(blocks))
+                c = _claim(ring, lock, len(items))
                 if c is not None:
                     try:
-                        held = (c, _reference_block(blocks[c], model, metric))
-                    except Exception as exc:  # noqa: BLE001 - raised at block c's turn
+                        held = (c, solve(items[c]))
+                    except Exception as exc:  # noqa: BLE001 - raised at item c's turn
                         held = (c, exc)
             if held is not None and held[0] == b:
                 t, held = held[1], None
-            else:  # the producer claimed block b, so its next message is b's
+            else:  # the producer claimed item b, so its next message is b's
                 try:
                     t = full_r.recv()
                 except EOFError:
-                    raise RuntimeError("the reference's snapshot producer exited early") from None
+                    raise RuntimeError("the forked solve producer exited early") from None
                 if not isinstance(t, BaseException):
-                    t = _ring_slot(ring, b, n, t).copy()
-            if b + _RING_SLOTS < len(blocks):  # the producer's bound admits block b + _RING_SLOTS
+                    t = _ring_slot(ring, b, t, cells).copy()
+            if b + _RING_SLOTS < len(items):  # the producer's bound admits item b + _RING_SLOTS
                 # a producer that stopped early says why on the other pipe
                 with contextlib.suppress(BrokenPipeError):
                     free_w.send_bytes(b"\0")
             if isinstance(t, BaseException):
                 raise t
-            grow(t)
+            yield t
     finally:
         for end in (full_r, full_w, free_r, free_w):
             end.close()
@@ -338,7 +371,7 @@ def _solve_forked(blocks: list, model: AdvDiffConfig, metric: Metric, grow) -> N
 
 
 def _claim(ring: mmap.mmap, lock, stop: int) -> int | None:
-    """The next unclaimed block index from the ring's counter, now claimed,
+    """The next unclaimed item index from the ring's counter, now claimed,
     or None if it is not below stop."""
     with lock:
         (b,) = _COUNTER.unpack_from(ring)
@@ -348,35 +381,53 @@ def _claim(ring: mmap.mmap, lock, stop: int) -> int | None:
     return b
 
 
-def _ring_slot(ring: mmap.mmap, b: int, n: int, width: int) -> np.ndarray:
-    """Block b's slot of the ring as an (n, width) array."""
-    offset = _COUNTER.size + (b % _RING_SLOTS) * 8 * n * _SPAN_BLOCK
-    return np.ndarray((n, width), buffer=ring, offset=offset)
+def _ring_slot(ring: mmap.mmap, b: int, shape: tuple, cells: int) -> np.ndarray:
+    """Item b's slot of a ring of ``cells``-float slots as a C-ordered array of that shape."""
+    return np.ndarray(shape, buffer=ring, offset=_COUNTER.size + (b % _RING_SLOTS) * 8 * cells)
 
 
-def _produce(blocks, model, metric, ring, lock, full, free, *parent_ends) -> None:
-    """The forked producer: it claims the next block index b while b is
-    fewer than _RING_SLOTS past the block the parent takes next, writes the
-    block to slot b mod _RING_SLOTS and sends its width, or the exception
-    that stopped the solves.  Each byte from the parent moves that bound on
-    by one block; EOF from the parent ends it."""
+def _cpu_now() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _produce(items, solve, cells, away, ring, lock, full, free, *parent_ends) -> None:
+    """The forked producer: it claims the next item index b while b is fewer
+    than _RING_SLOTS past the item the parent takes next, writes solve(item)
+    to slot b mod _RING_SLOTS and sends its shape, or the exception that
+    stopped the solves.  Each byte from the parent moves that bound on by
+    one item; EOF from the parent ends it.  It calls solve and nothing else
+    of the library.
+
+    It first binds itself to the CPUs in ``away``, those the parent was not
+    on at the fork: each byte that wakes it would otherwise tend to move it
+    onto the parent's CPU, and the two processes then took turns on one CPU
+    (a 30-repeat verify pass read 1.3x its serial time)."""
     for end in parent_ends:
         end.close()  # else the pipe from the parent never reaches EOF
+    if away:
+        os.sched_setaffinity(0, away)
     bound = _RING_SLOTS
     try:
         while True:
-            b = _claim(ring, lock, min(bound, len(blocks)))
+            b = _claim(ring, lock, min(bound, len(items)))
             if b is None:
-                if bound >= len(blocks):
+                if bound >= len(items):
                     return
                 free.recv_bytes()
                 bound += 1
                 continue
-            t = _reference_block(blocks[b], model, metric)
-            _ring_slot(ring, b, metric.n, t.shape[1])[...] = t
-            full.send(t.shape[1])
+            t = np.asarray(solve(items[b]), dtype=float)
+            if t.size > cells:
+                raise ValueError(f"item {b} has {t.size} entries, more than a slot's {cells}")
+            _ring_slot(ring, b, t.shape, cells)[...] = t
+            full.send(t.shape)
     except (EOFError, BrokenPipeError):
-        pass  # the parent stopped the build
+        pass  # the parent stopped the stream
     except Exception as exc:  # noqa: BLE001 - handed to the parent, which raises it
         with contextlib.suppress(BrokenPipeError):
             full.send(exc)

@@ -15,12 +15,14 @@ the operator matrix in metric coordinates.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import Basis, Metric, SnapshotSet, project
+from .experiment import _solve_seconds, _solve_stream
 from .mfpod import _DENSE_CAP, build_operator
 from .models import ModelPair, _child_seed, _draw, _solve_each
 
@@ -49,18 +51,23 @@ def subspace_alignment(v: Basis, vstar: Basis) -> float:
 
 
 # High-fidelity snapshots per chunk of the reference's second moment, so
-# that at most an n x _CHUNK block of snapshots is held at once.
-_CHUNK = 2500
+# that at most an n x _CHUNK block of snapshots is held at once, and per item
+# of its solve stream, which refills the chunks; _CHUNK is a multiple of _PIECE.
+_CHUNK, _PIECE = 2500, 250
 
 
 def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
     """Surrogate-truth second-moment matrix in metric coordinates.
 
     Averages t t^T over size independent high-fidelity snapshots t in
-    metric coordinates, accumulated over chunks of at most _CHUNK columns
-    solved one parameter at a time; the result is the declared truth that
-    study errors are measured against, so size should dwarf every study
-    sample count.
+    metric coordinates, accumulated over chunks of at most _CHUNK columns;
+    the result is the declared truth that study errors are measured
+    against, so size should dwarf every study sample count.  The snapshots
+    are solved one parameter at a time in items of _PIECE columns, each
+    mapped to metric coordinates, through _solve_stream: a large reference
+    shares those solves with a forked producer.  This process refills the
+    items into the chunks and forms every t t^T, the one BLAS call, so both
+    routes give the same bits.
     """
     if size < 1:
         raise ValueError("reference size must be positive")
@@ -68,10 +75,19 @@ def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
     if n > _DENSE_CAP:
         raise ValueError(f"dimension {n} exceeds the dense cap {_DENSE_CAP}")
     thetas = pair.sampler(size, seed)
+    starts = range(0, size, _PIECE)
+    stream = _solve_stream([thetas[start:start + _PIECE] for start in starts],
+                           lambda piece: pair.metric.to_coords(_solve_each(pair.high, piece, n)),
+                           n * _PIECE, _solve_seconds(size, n * size))
     second = np.zeros((n, n))
-    for start in range(0, size, _CHUNK):
-        t = pair.metric.to_coords(_solve_each(pair.high, thetas[start:start + _CHUNK], n))
-        second += t @ t.T
+    chunk = np.empty((n, min(size, _CHUNK)))
+    with contextlib.closing(stream):
+        for start, t in zip(starts, stream):
+            at, end = start % _CHUNK, start % _CHUNK + t.shape[1]
+            chunk[:, at:end] = t
+            if end == chunk.shape[1] or start + t.shape[1] == size:  # full, or the last
+                filled = chunk[:, :end]
+                second += filled @ filled.T
     second /= size
     return second
 
@@ -108,18 +124,41 @@ def _check_r(r: int, n: int) -> None:
 
 
 def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):
-    """Check a study's m_0 grid, repeats and q1, then return the grid and,
-    per grid point, a lazy stream of the assembled operators (in metric
-    coordinates) of its repeats' prefix-stable draws with m_1 = q1 * m_0."""
+    """Check a study's m_0 grid, repeats and q1, then return the grid and a
+    lazy stream that yields, per grid point, m_0 and a lazy stream of the
+    assembled operators (in metric coordinates) of its repeats'
+    prefix-stable draws with m_1 = q1 * m_0.  Consume the outer stream under
+    contextlib.closing, so that a study that stops early ends its producer.
+
+    The draws' model solves, each draw's high-fidelity then surrogate
+    columns side by side, go through _solve_stream, so a large study shares
+    them with a forked producer and no producer starts before the first
+    draw is asked for.  This process splits them, builds every
+    SnapshotSet and operator, and runs every eigensolve the studies make."""
     grid = _check_grid(q1, m0_grid, repeats)
 
-    def draws(m0):
-        for rep in range(repeats):
-            _, hf, lf = _draw(pair, m0, q1 * m0, _child_seed(seed, m0, rep))
-            sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
+    def columns(key):
+        m0, rep = key
+        _, hf, lf = _draw(pair, m0, q1 * m0, _child_seed(seed, m0, rep))
+        return np.hstack([hf, lf])
+
+    def operators(stream, m0):
+        for _ in range(repeats):
+            block = next(stream)
+            sets = SnapshotSet.two_level(block[:, :m0], block[:, m0:],
+                                         pair.costs.high, pair.costs.low)
             yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
 
-    return grid, ((m0, draws(m0)) for m0 in grid)
+    def points():
+        n, hf_columns = pair.metric.n, repeats * sum(grid)
+        stream = _solve_stream([(m0, rep) for m0 in grid for rep in range(repeats)], columns,
+                               n * (1 + q1) * grid[-1],
+                               _solve_seconds(hf_columns, n * (1 + q1) * hf_columns))
+        with contextlib.closing(stream):
+            for m0 in grid:
+                yield m0, operators(stream, m0)
+
+    return grid, points()
 
 
 def _descending_eigh(mat: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +203,9 @@ def convergence_study(
     """
     grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
     _check_reference(reference, pair.metric.n)
-    means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
-             for _, mats in points]
+    with contextlib.closing(points):
+        means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
+                 for _, mats in points]
     means_arr = np.array(means)
     ref_scale = float(np.sum(reference * reference))
     exact = bool(np.all(means_arr <= 1e-24 * max(ref_scale, 1e-300)))
@@ -236,30 +276,31 @@ def eigenvalue_sum_mse(
 
     mse, bound, align_msq, align_bound, ratio_medians = [], [], [], [], []
     symmetry_max = 0.0
-    for m0, mats in points:
-        dsum = np.empty(repeats)
-        asq = np.empty(repeats)
-        ratios = np.empty(repeats)
-        point_bound = (
-            float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
-        )
-        for rep, mat in enumerate(mats):
-            vals, vecs = _descending_eigh(mat, r)
-            dsum[rep] = vals.sum() - ref_sum
-            trace = np.trace(mat)
-            ratios[rep] = vals.sum() / trace if abs(trace) > 1e-300 else float("nan")
-            if not gap_degenerate:
-                v = Basis(vecs, euclid)
-                forward = float(euclid.norms_sq(vstar.vectors - project(v, vstar.vectors)).sum())
-                backward = float(euclid.norms_sq(v.vectors - project(vstar, v.vectors)).sum())
-                symmetry_max = max(symmetry_max, abs(forward - backward))
-                s = subspace_alignment(v, vstar)
-                asq[rep] = s * s
-        mse.append(float((dsum * dsum).mean()))
-        bound.append(r * gamma_hat / m0)
-        align_msq.append(float(asq.mean()) if not gap_degenerate else float("nan"))
-        align_bound.append(point_bound)
-        ratio_medians.append(float(np.median(ratios)))
+    with contextlib.closing(points):
+        for m0, mats in points:
+            dsum = np.empty(repeats)
+            asq = np.empty(repeats)
+            ratios = np.empty(repeats)
+            point_bound = (
+                float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
+            )
+            for rep, mat in enumerate(mats):
+                vals, vecs = _descending_eigh(mat, r)
+                dsum[rep] = vals.sum() - ref_sum
+                trace = np.trace(mat)
+                ratios[rep] = vals.sum() / trace if abs(trace) > 1e-300 else float("nan")
+                if not gap_degenerate:
+                    v = Basis(vecs, euclid)
+                    forward = euclid.norms_sq(vstar.vectors - project(v, vstar.vectors)).sum()
+                    backward = euclid.norms_sq(v.vectors - project(vstar, v.vectors)).sum()
+                    symmetry_max = max(symmetry_max, float(abs(forward - backward)))
+                    s = subspace_alignment(v, vstar)
+                    asq[rep] = s * s
+            mse.append(float((dsum * dsum).mean()))
+            bound.append(r * gamma_hat / m0)
+            align_msq.append(float(asq.mean()) if not gap_degenerate else float("nan"))
+            align_bound.append(point_bound)
+            ratio_medians.append(float(np.median(ratios)))
     return EigenSumStudy(
         r, grid, tuple(mse), tuple(bound), float(gamma_hat),
         tuple(align_msq), tuple(align_bound),

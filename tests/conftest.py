@@ -8,17 +8,40 @@ operator, the route the package replaced by restriction.  The column
 oracles compute residual energies, variance profiles and J_mf from the
 n-dimensional snapshot columns, the route the package replaced by the
 snapshot span.  The Gram-Schmidt oracle orthonormalizes column by column,
-the route the package replaced by one pivoted QR.
+the route the package replaced by one pivoted QR.  The ``forked`` fixture
+sends every solve stream through the forked producer.
 """
 
+import mmap
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse
 
+import mfpod.experiment as experiment
 from mfpod import AdaptiveStep, AdaptiveTrace, Basis, Metric, SnapshotSet, optimal_alpha
 from mfpod.adaptive import _RESIDUAL_TOL, _STAGNATION_TOL
 from mfpod.estimator import _profile
 from mfpod.mfpod import SnapshotSpan, _finalize_basis
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every solve stream (experiment._solve_stream) takes the forked
+    producer; returns the list of rings they map."""
+    monkeypatch.setattr(experiment, "_FORK_BREAK_EVEN", 0)
+    if not experiment._forks(0):
+        pytest.skip("the forked solve stream needs fork and two usable CPUs")
+    rings, mapped = [], mmap.mmap
+
+    def recorded(*args):
+        rings.append(mapped(*args))
+        return rings[-1]
+
+    monkeypatch.setattr(experiment, "mmap", SimpleNamespace(mmap=recorded))
+    return rings
 
 
 def random_spd_metric(rng: np.random.Generator, n: int) -> Metric:

@@ -1,8 +1,11 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import mfpod.experiment as experiment
 
 from mfpod import (
     AdvDiffConfig,
@@ -180,6 +183,22 @@ def test_verify_prints_the_named_study_fields(capsys, verify_studies, check):
             "gap_degenerate": study.gap_degenerate,
         }
     assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def test_forked_verify_writes_the_serial_bytes(capsys, forked, tmp_path):
+    out_file = tmp_path / "verify.json"  # one path, since stdout names it
+
+    def run():
+        code, out, err = _run(capsys, "verify", "--check", "both", "--m0-grid", "2,4,8",
+                              "--repeats", "30", "--n-hf", "129", "--n-lf", "17",
+                              "--reference-size", "3000", "--seed", "3", "--out", str(out_file))
+        assert code == 0, err
+        return out, out_file.read_bytes()
+
+    with mock.patch.object(experiment, "_FORK_BREAK_EVEN", float("inf")):
+        serial = run()
+    assert run() == serial
+    assert len(forked) == 3 and all(ring.closed for ring in forked)
 
 
 def test_verify_builds_its_reference_once(capsys, monkeypatch):

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import json
-import mmap
 import multiprocessing
 import os
 import threading
@@ -229,23 +228,6 @@ def test_reference_build_memory_does_not_grow_with_size(monkeypatch):
     assert max(peaks) < 40 * model.n_hf * _SPAN_BLOCK * 8
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """Every reference build takes the forked producer; returns the list of
-    rings they map."""
-    monkeypatch.setattr(experiment, "_FORK_BREAK_EVEN", 0)
-    if not experiment._forks(0):
-        pytest.skip("the forked reference build needs fork and two usable CPUs")
-    rings, mapped = [], mmap.mmap
-
-    def recorded(*args):
-        rings.append(mapped(*args))
-        return rings[-1]
-
-    monkeypatch.setattr(experiment, "mmap", SimpleNamespace(mmap=recorded))
-    return rings
-
-
 def _serial_reference(model, size):
     with mock.patch.object(experiment, "_FORK_BREAK_EVEN", float("inf")):
         return build_reference(model, size, 40)
@@ -433,6 +415,27 @@ def test_forked_reference_memory_does_not_grow_with_size(forked):
     assert max(peaks) < 40 * model.n_hf * _SPAN_BLOCK * 8
     assert len(forked) == 2
     assert resource_tracker._resource_tracker._pid is None
+
+
+def test_forked_producer_runs_off_the_parents_cpu(forked):
+    # items solved slowly here leave most to the producer, which reports the
+    # CPUs it may run on: all but the one this process was on at the fork
+    parent, cpus = os.getpid(), os.sched_getaffinity(0)
+    assert experiment._cpu_now() in cpus
+
+    def where(item):
+        if os.getpid() == parent:
+            time.sleep(0.02)
+        return np.array([os.getpid(), len(os.sched_getaffinity(0))], dtype=float)
+
+    stream = experiment._solve_stream(list(range(12)), where, 2, 1.0)
+    try:
+        rows = np.array(list(stream))
+    finally:
+        stream.close()
+    away = rows[rows[:, 0] != parent, 1]
+    assert len(away) > 0 and np.all(away == len(cpus) - 1)
+    assert multiprocessing.active_children() == [] and forked[0].closed
 
 
 def _scores(ref, bases) -> np.ndarray:

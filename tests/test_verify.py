@@ -1,3 +1,9 @@
+import contextlib
+import multiprocessing
+import os
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +16,7 @@ from mfpod import (
     Metric,
     ModelCosts,
     ModelPair,
+    SnapshotSet,
     convergence_study,
     eigenvalue_sum_mse,
     make_model_pair,
@@ -18,8 +25,10 @@ from mfpod import (
     sample_parameters,
     subspace_alignment,
 )
+import mfpod.experiment as experiment
 import mfpod.verify as verify
-from mfpod.models import _child_seed
+from mfpod.mfpod import build_operator
+from mfpod.models import _child_seed, _draw, _solve_each
 from mfpod.verify import _CHUNK, _descending_eigh, _grid_draws
 
 from conftest import random_spd_metric
@@ -109,6 +118,18 @@ def test_grid_draws_on_surrogate_blocks_match_the_per_theta_route():
     draws = operators(pair)
     assert [len(ops) for ops in draws] == [30, 30]
     assert draws == operators(columns)
+
+
+def test_grid_draws_have_the_bits_of_each_draw_built_alone():
+    # a draw's columns come back side by side and are split for its operator
+    pair = make_model_pair(_FORK_MODEL)
+    with contextlib.closing(_grid_draws(pair, 4, (2, 8), 30, 5, 1.0)[1]) as points:
+        for m0, ops in points:
+            for rep, op in enumerate(ops):
+                _, hf, lf = _draw(pair, m0, 4 * m0, _child_seed(5, m0, rep))
+                sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
+                alone = build_operator(sets, (1.0,), pair.metric).assemble_transformed()
+                assert np.array_equal(op, alone)
 
 
 def test_convergence_study_validation():
@@ -211,8 +232,7 @@ def _broken_references(n):
             "missized": (np.eye(n - 1), r"shape \(64, 64\), the metric needs \(65, 65\)")}
 
 
-@pytest.mark.parametrize("case", ["nan", "asymmetric", "missized"])
-def test_studies_reject_a_broken_reference_before_any_draw(case, monkeypatch):
+def _reject_broken_reference(case, monkeypatch):
     pair = _small_pair()
     reference, message = _broken_references(pair.metric.n)[case]
 
@@ -224,6 +244,17 @@ def test_studies_reject_a_broken_reference_before_any_draw(case, monkeypatch):
         convergence_study(pair, 4, (2, 4), 30, 0, reference=reference)
     with pytest.raises(ValueError, match=message):
         eigenvalue_sum_mse(pair, 3, (2, 4), 30, 0, gamma_hat=1.0, reference=reference)
+
+
+@pytest.mark.parametrize("case", ["nan", "asymmetric", "missized"])
+def test_studies_reject_a_broken_reference_before_any_draw(case, monkeypatch):
+    _reject_broken_reference(case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["nan", "asymmetric", "missized"])
+def test_forked_studies_reject_a_broken_reference_before_any_producer(forked, case, monkeypatch):
+    _reject_broken_reference(case, monkeypatch)
+    assert forked == [] and multiprocessing.active_children() == []
 
 
 def _full_descending(mat):
@@ -293,3 +324,167 @@ def test_eigenvalue_sum_solves_only_the_top_pairs_and_matches_full_solves(monkey
     np.testing.assert_allclose(study.mse, mse, rtol=1e-10)
     np.testing.assert_allclose(study.alignment_mean_sq, align, rtol=1e-10)
     np.testing.assert_allclose(study.energy_ratio_medians, ratios, rtol=1e-10)
+
+
+# The forked solve stream (experiment._solve_stream) against the serial loop,
+# at the verify benchmark's model, grid and timing repeats.
+_FORK_MODEL = AdvDiffConfig(n_hf=129, n_lf=17)
+_FORK_GRID = (2, 4, 8, 16, 32)
+
+
+def _serial(fn, *args, **kwargs):
+    with mock.patch.object(experiment, "_FORK_BREAK_EVEN", float("inf")):
+        return fn(*args, **kwargs)
+
+
+def test_reference_matrix_has_the_bits_of_whole_chunk_solves():
+    # the items refilled into chunks sum as chunks solved whole, the last one partial
+    pair, size = make_model_pair(_FORK_MODEL), 2 * _CHUNK + 17
+    n, thetas = pair.metric.n, pair.sampler(size, 9)
+    second = np.zeros((n, n))
+    for start in range(0, size, _CHUNK):
+        t = pair.metric.to_coords(_solve_each(pair.high, thetas[start:start + _CHUNK], n))
+        second += t @ t.T
+    assert np.array_equal(_serial(reference_matrix, pair, size, 9), second / size)
+
+
+@pytest.mark.parametrize("size", [400, 2 * _CHUNK + 17, 10_000])
+def test_forked_reference_matrix_has_the_serial_bits(forked, size):
+    # a partial last item in a full and in a partial last chunk, and more items than ring slots
+    pair = make_model_pair(_FORK_MODEL)
+    serial = _serial(reference_matrix, pair, size, 9)
+    assert np.array_equal(reference_matrix(pair, size, 9), serial)
+    assert len(forked) == 1 and forked[0].closed
+
+
+def test_bench_test_shapes_stay_serial_and_the_benchmark_shapes_fork(monkeypatch):
+    # bench/test_bench.py counts the solves of its shapes in this process
+    priced = []
+    monkeypatch.setattr(experiment, "_forks", lambda seconds: priced.append(seconds) or False)
+    for pair, size, grid in ((_small_pair(), 400, (2, 4)),
+                             (make_model_pair(_FORK_MODEL), 10_000, _FORK_GRID)):
+        reference = reference_matrix(pair, size, 3)
+        conv = convergence_study(pair, 4, grid, 30, 3, reference=reference)
+        eigenvalue_sum_mse(pair, 3, grid, 30, 3, gamma_hat=conv.gamma_hat, reference=reference)
+    assert len(priced) == 6
+    assert max(priced[:3]) < experiment._FORK_BREAK_EVEN <= min(priced[3:])
+
+
+def _studies(pair, reference, seed=7, repeats=30):
+    conv = convergence_study(pair, 4, _FORK_GRID, repeats, seed, reference=reference)
+    eig = eigenvalue_sum_mse(pair, 3, _FORK_GRID, repeats, seed, gamma_hat=conv.gamma_hat,
+                             reference=reference)
+    return repr((conv, eig))
+
+
+def test_forked_studies_have_the_serial_repr(forked):
+    pair = make_model_pair(_FORK_MODEL)
+    reference = _serial(reference_matrix, pair, 2000, 7)
+    assert _studies(pair, reference) == _serial(_studies, pair, reference)
+    assert len(forked) == 2 and all(ring.closed for ring in forked)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_draws(*indices, log=None, seed=3, repeats=30, grid=(2, 4)):
+    """verify._draw that raises at the given draw indices of a study's
+    (m0, repeat) order, and the list of those it raised at in this process;
+    a forked process appends a line to log for each of its raises."""
+    keys = [(m0, rep) for m0 in grid for rep in range(repeats)]
+    bad = {_child_seed(seed, *keys[i]) for i in indices}
+    draw, parent, raised = verify._draw, os.getpid(), []
+
+    def failing(pair, m0, m1, child_seed):
+        if child_seed in bad:
+            if os.getpid() == parent:
+                raised.append(child_seed)
+            elif log is not None:
+                with open(log, "a") as out:  # appends under O_APPEND land whole
+                    out.write(f"{child_seed}\n")
+            raise ValueError(f"no draw at seed {child_seed}")
+        return draw(pair, m0, m1, child_seed)
+
+    return failing, raised
+
+
+def _slow(fn, in_parent, delay):
+    """fn that first sleeps delay seconds in this process (in_parent) or in a forked one."""
+    parent = os.getpid()
+
+    def slow(*args, **kwargs):
+        if (os.getpid() == parent) == in_parent:
+            time.sleep(delay)
+        return fn(*args, **kwargs)
+
+    return slow
+
+
+def _assert_serial_error(pair):
+    """Run both studies on both routes and check that the forked ones raise
+    the serial error and leave no producer or open ring."""
+    reference = np.eye(pair.metric.n)
+    for study in (lambda: convergence_study(pair, 4, (2, 4), 30, 3, reference=reference),
+                  lambda: eigenvalue_sum_mse(pair, 3, (2, 4), 30, 3, gamma_hat=1.0,
+                                             reference=reference)):
+        with pytest.raises(ValueError) as serial:
+            _serial(study)
+        with pytest.raises(ValueError) as got:
+            study()
+        assert type(got.value) is type(serial.value) and str(got.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
+
+
+def test_forked_studies_raise_the_producers_draw_error(forked, monkeypatch, tmp_path):
+    # a slow consumer leaves the draws past its first ones to the producer
+    pair, log = _small_pair(), tmp_path / "raised"
+    failing, raised = _failing_draws(37, log=log)
+    monkeypatch.setattr(verify, "_draw", failing)
+    monkeypatch.setattr(verify, "build_operator", _slow(verify.build_operator, True, 0.005))
+    _assert_serial_error(pair)
+    in_producer = len(log.read_text().split()) if log.exists() else 0
+    assert len(raised) - 2 + in_producer == 2  # each forked study solved draw 37 once
+    assert in_producer >= 1
+    assert len(forked) == 2 and all(ring.closed for ring in forked)
+
+
+def test_forked_studies_raise_the_error_of_a_draw_solved_here(forked, monkeypatch):
+    # a slow producer leaves at least one of two adjacent draws to this
+    # process; whichever side meets which, the first failing draw's error is raised
+    pair = _small_pair()
+    failing, raised = _failing_draws(7, 8)
+    monkeypatch.setattr(verify, "_draw", _slow(failing, False, 0.05))
+    _assert_serial_error(pair)
+    assert len(raised) > 2  # beyond the serial studies' two
+    assert len(forked) == 2 and all(ring.closed for ring in forked)
+
+
+def test_forked_draws_closed_early_end_their_producer(forked):
+    # the point's draw stream outlives the closed outer stream, yet its producer is gone
+    _, points = _grid_draws(make_model_pair(_FORK_MODEL), 4, _FORK_GRID, 30, 7, 1.0)
+    _, ops = next(points)
+    next(ops)
+    assert len(multiprocessing.active_children()) == 1
+    points.close()
+    assert multiprocessing.active_children() == [] and forked[0].closed
+
+
+def test_forked_study_that_raises_midway_leaves_no_process_or_ring(forked, monkeypatch):
+    pair = make_model_pair(_FORK_MODEL)
+    reference = _serial(reference_matrix, pair, 400, 7)
+    build, built = verify.build_operator, []
+
+    def failing(*args):
+        built.append(None)
+        if len(built) == 7:
+            raise np.linalg.LinAlgError("no operator at draw 7")
+        return build(*args)
+
+    monkeypatch.setattr(verify, "build_operator", failing)
+    for study in (lambda: convergence_study(pair, 4, _FORK_GRID, 30, 7, reference=reference),
+                  lambda: eigenvalue_sum_mse(pair, 3, _FORK_GRID, 30, 7, gamma_hat=1.0,
+                                             reference=reference)):
+        built.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="draw 7"):
+            study()
+        assert multiprocessing.active_children() == []
+        assert forked and all(ring.closed for ring in forked)
+    assert len(forked) == 2
