@@ -27,8 +27,8 @@ __all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
 # Stop once the high-fidelity snapshots are captured to this fraction of
 # their combined norm.
 _RESIDUAL_TOL = 1e-10
-# Terminate with a diagnostic when a mode fails to decrease the
-# high-fidelity residual by more than this fraction of their norm.
+# Stop when a mode fails to decrease the high-fidelity residual by more
+# than this fraction of their norm.
 _STAGNATION_TOL = 1e-14
 
 
@@ -36,12 +36,10 @@ _STAGNATION_TOL = 1e-14
 class AdaptiveStep:
     """One extraction: the weight used, the eigenpair found, the residual left."""
 
-    index: int
     alpha: float
     raw_eigval: float
     corrected_eigval: float
     residual: float
-    corrected: bool
 
 
 @dataclass(frozen=True)
@@ -87,16 +85,12 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
     z, w = np.zeros((rank, 0)), np.eye(rank)
     steps = []
 
-    def finalize(termination, diagnostic=None):
+    def finalize(termination):
         basis = _finalize_basis(span, [s.raw_eigval for s in steps],
-                                [s.corrected_eigval for s in steps], z, kappa,
-                                diagnostic=diagnostic)
+                                [s.corrected_eigval for s in steps], z, kappa)
         return basis, AdaptiveTrace(tuple(steps), termination)
 
-    if norm0 == 0.0:
-        return finalize("residual", diagnostic="high-fidelity snapshots are all zero")
-
-    resid = norm0
+    resid = norm0  # zero-norm snapshots stop at the first residual check
     while True:
         if resid <= _RESIDUAL_TOL * norm0:
             return finalize("residual")
@@ -116,19 +110,13 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         j = int(np.abs(vals).argmax())
         lam = float(vals[j])
         if abs(lam) <= 1e-14 * max(float(np.abs(full).max()), 1e-300):
-            return finalize("exhausted",
-                            diagnostic="deflated operator has no remaining eigenvalues")
+            return finalize("exhausted")
         w = w @ vecs
         zj, w = w[:, j], np.delete(w, j, axis=1)
         (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
         new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
-        steps.append(AdaptiveStep(
-            index=len(steps) + 1, alpha=float(alpha), raw_eigval=lam,
-            corrected_eigval=float(lam_plus), residual=new_resid,
-            corrected=lam <= 0,
-        ))
+        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), new_resid))
         if resid - new_resid <= _STAGNATION_TOL * norm0:
-            return finalize("stagnation",
-                            diagnostic="mode failed to reduce the high-fidelity residual")
+            return finalize("stagnation")
         resid = new_resid

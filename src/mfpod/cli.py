@@ -28,7 +28,7 @@ from .experiment import (
     write_snapshots,
     write_study,
 )
-from .mfpod import select_dim
+from .mfpod import _DENSE_CAP, select_dim
 from .models import AdvDiffConfig, ModelCosts, _mass_metric, make_model_pair
 from .pod import pod
 from .verify import _check_grid, _check_r, convergence_study, eigenvalue_sum_mse, reference_matrix
@@ -225,8 +225,13 @@ def _cmd_study(args) -> dict:
 
 
 def _fields(result, *names) -> dict:
-    """The named fields of a verify study, each already a JSON-native value."""
-    return {name: getattr(result, name) for name in names}
+    """The named fields of a verify study as strict JSON values: a
+    non-finite float, which RFC 8259 cannot write, becomes None (null)."""
+    def strict(value):
+        if isinstance(value, tuple):
+            return [strict(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+    return {name: strict(getattr(result, name)) for name in names}
 
 
 def _cmd_verify(args) -> dict:
@@ -235,8 +240,12 @@ def _cmd_verify(args) -> dict:
         grid = _check_grid(args.q1, args.m0_grid.split(","), args.repeats)
         if args.check != "convergence":
             _check_r(args.r, pair.metric.n)
+        if pair.metric.n > _DENSE_CAP:
+            raise ValueError(f"dimension {pair.metric.n} exceeds the dense cap {_DENSE_CAP}")
         if not math.isfinite(args.alpha) or args.reference_size < 1:
             raise ValueError("--alpha must be finite and --reference-size positive")
+        if args.seed < 0:
+            raise ValueError("--seed must be nonnegative")
     except ValueError as exc:
         raise _CliError(f"bad flag value: {exc}") from None
     reference = reference_matrix(pair, args.reference_size, args.seed)

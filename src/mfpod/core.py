@@ -295,9 +295,6 @@ class Basis:
             raise ValueError(f"basis orthonormality defect {defect:.3e} exceeds {tol:.1e}")
         return self
 
-    def truncated(self, r: int) -> "Basis":
-        return Basis(self.vectors[:, : max(0, r)], self.metric)
-
 
 def project(basis: Basis, u) -> np.ndarray:
     """Orthogonal projection of u (vector or columns) onto span(basis)."""

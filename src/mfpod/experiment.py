@@ -121,6 +121,8 @@ class StudyConfig:
             raise ValueError("kappa must lie in (0, 1]")
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if self.reference_size < 1 or self.report_dims < 1:
             raise ValueError("reference_size and report_dims must be positive")
         _parse_split(self.split)

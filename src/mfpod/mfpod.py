@@ -306,7 +306,6 @@ class MfBasis:
     _span: SnapshotSpan
     kappa: float
     correction_count: int
-    diagnostic: str | None = None
 
     def __post_init__(self):
         raw = np.asarray(self.raw_eigvals, dtype=float)
@@ -372,28 +371,18 @@ def select_dim(eigvals, kappa: float) -> int:
     return int(np.searchsorted(cum, kappa * total) + 1)
 
 
-def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa,
-                    diagnostic: str | None = None) -> MfBasis:
-    """Order modes Q y by corrected value and truncate; kappa picks r on the MfBasis."""
+def _finalize_basis(span: SnapshotSpan, raw, plus, y, kappa) -> MfBasis:
+    """Order modes Q y by corrected value and truncate; kappa picks r on the MfBasis.
+
+    An empty or all-zero corrected spectrum keeps no mode.
+    """
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
     raw = np.asarray(raw, dtype=float)
     plus = np.asarray(plus, dtype=float)
-    correction_count = int((raw <= 0).sum())
-
-    def empty(msg):
-        return MfBasis(np.zeros(0), np.zeros(0), np.zeros((span.rank, 0)), span, kappa,
-                       correction_count, msg)
-
-    if len(plus) == 0:
-        return empty(diagnostic or "operator is numerically zero")
     order = np.lexsort((-raw, -plus))
-    raw, plus, y = raw[order], plus[order], y[:, order]
-    top = plus[0]
-    if top <= 0:
-        return empty(diagnostic or "all corrected eigenvalues are zero")
-    keep = plus > _PLUS_FLOOR * top
-    return MfBasis(raw[keep], plus[keep], y[:, keep], span, kappa, correction_count, diagnostic)
+    keep = order[plus[order] > _PLUS_FLOOR * plus.max(initial=0.0)]
+    return MfBasis(raw[keep], plus[keep], y[:, keep], span, kappa, int((raw <= 0).sum()))
 
 
 def _as_span(sets, metric: Metric) -> SnapshotSpan:

@@ -51,6 +51,11 @@ def random_spd_metric(rng: np.random.Generator, n: int) -> Metric:
     return Metric.from_weight((q * d) @ q.T)
 
 
+def leading(basis: Basis, r: int) -> Basis:
+    """The span of basis' first r vectors."""
+    return Basis(basis.vectors[:, :r], basis.metric)
+
+
 def banded_metric(rng: np.random.Generator, n: int, bandwidth: int) -> Metric:
     """Random diagonally dominant (so SPD) weight with the given bandwidth."""
     offs = [rng.uniform(-0.4, 0.4, n - d) / bandwidth for d in range(1, bandwidth + 1)]
@@ -173,14 +178,11 @@ def adaptive_oracle(sets, kappa: float, metric: Metric):
     z = np.zeros((rank, 0))
     steps, gaps, profiles = [], [], []
 
-    def finalize(termination, diagnostic=None):
+    def finalize(termination):
         basis = _finalize_basis(span, [s.raw_eigval for s in steps],
-                                [s.corrected_eigval for s in steps], z, kappa,
-                                diagnostic=diagnostic)
+                                [s.corrected_eigval for s in steps], z, kappa)
         return basis, AdaptiveTrace(tuple(steps), termination), gaps, profiles
 
-    if norm0 == 0.0:
-        return finalize("residual", diagnostic="high-fidelity snapshots are all zero")
     resid = norm0
     while True:
         if resid <= _RESIDUAL_TOL * norm0:
@@ -199,8 +201,7 @@ def adaptive_oracle(sets, kappa: float, metric: Metric):
         j = int(np.abs(vals).argmax())
         lam = float(vals[j])
         if abs(lam) <= 1e-14 * max(float(np.abs(full).max()), 1e-300):
-            return finalize("exhausted",
-                            diagnostic="deflated operator has no remaining eigenvalues")
+            return finalize("exhausted")
         gaps.append(abs(lam) - np.delete(np.abs(vals), j).max(initial=0.0))
         zj = vecs[:, j]
         if z.shape[1]:
@@ -209,12 +210,7 @@ def adaptive_oracle(sets, kappa: float, metric: Metric):
         (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
         new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
-        steps.append(AdaptiveStep(
-            index=len(steps) + 1, alpha=float(alpha), raw_eigval=lam,
-            corrected_eigval=float(lam_plus), residual=new_resid,
-            corrected=lam <= 0,
-        ))
+        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), new_resid))
         if resid - new_resid <= _STAGNATION_TOL * norm0:
-            return finalize("stagnation",
-                            diagnostic="mode failed to reduce the high-fidelity residual")
+            return finalize("stagnation")
         resid = new_resid

@@ -185,6 +185,26 @@ def test_verify_prints_the_named_study_fields(capsys, verify_studies, check):
     assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
+def test_literal_verify_writes_strict_json(capsys, tmp_path):
+    # the literal model's exact operator leaves no slope to fit and no
+    # spectral gap, so its slope and alignment values are not finite
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out_file = tmp_path / "verify.json"
+    code, out, err = _run(capsys, "verify", "--model", "literal", "--n-hf", "33", "--n-lf", "9",
+                          "--repeats", "30", "--reference-size", "200", "--m0-grid", "2,4",
+                          "--out", str(out_file))
+    assert code == 0, err
+    summary = json.loads(out, parse_constant=reject)
+    assert summary.pop("written") == [str(out_file)]
+    assert json.loads(out_file.read_text(), parse_constant=reject) == summary
+    assert summary["convergence"]["slope"] is None
+    eigsum = summary["eigsum"]
+    assert eigsum["alignment_mean_sq"] == eigsum["alignment_bound"] == [None, None]
+    assert np.isfinite(eigsum["mse"] + eigsum["bound"]).all()
+
+
 def test_forked_verify_writes_the_serial_bytes(capsys, forked, tmp_path):
     out_file = tmp_path / "verify.json"  # one path, since stdout names it
 
@@ -263,6 +283,10 @@ _SMALL_MODEL = ("--n-hf", "65", "--n-lf", "17")
     ("verify", "--alpha", "nan"),
     ("verify", "--alpha", "inf"),
     ("verify", "--reference-size", "0"),
+    ("study", "--budget", "5", "--seed", "-1"),
+    ("generate", "--budget", "5", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
+    ("verify", "--n-hf", "4097"),
 ])
 def test_malformed_flag_values_are_usage_errors_before_any_reference(capsys, monkeypatch,
                                                                      tmp_path, argv):

@@ -8,7 +8,7 @@ from mfpod import Basis, Metric, SnapshotSet, orthonormalize, pod, project, vali
 from mfpod.mfpod import _lift
 from mfpod.models import mass_matrix
 
-from conftest import banded_metric, mgs_orthonormalize, random_spd_metric
+from conftest import banded_metric, leading, mgs_orthonormalize, random_spd_metric
 
 
 def test_euclidean_inner_is_exact_dot():
@@ -165,7 +165,7 @@ def test_basis_defect_and_check():
     assert bad.orthonormality_defect() > 1.0
     with pytest.raises(ValueError):
         bad.check()
-    assert good.truncated(1).dim == 1
+    assert leading(good, 1).check().dim == 1
 
 
 def _sets(n=6, m0=2, m1=5):

@@ -27,6 +27,7 @@ from conftest import (
     column_energies,
     column_j_mf,
     column_profile,
+    leading,
     mc_projection_error,
     random_instance,
     random_spd_metric,
@@ -363,7 +364,7 @@ def test_span_route_matches_the_column_oracle_on_model_draws():
     q = SnapshotSpan.from_sets(dense, metric).basis
     inside = Basis(metric.from_coords(q @ np.linalg.qr(rng.standard_normal((q.shape[1], 3)))[0]),
                    metric)
-    outside = pod(pair.high(pair.sampler(12, 4)), metric).basis.truncated(5)
+    outside = leading(pod(pair.high(pair.sampler(12, 4)), metric).basis, 5)
     for sets in (dense, lifted):
         for basis in (Basis.empty(metric), inside, outside):
             _check_span_route(sets, basis, (0.9,))

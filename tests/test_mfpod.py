@@ -29,8 +29,8 @@ from mfpod import (
 import mfpod.mfpod as mfpod_module
 from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan, build_operator
 
-from conftest import (assemble_mf_matrix, dense_mf_oracle, random_instance, random_spd_metric,
-                      transformed_mf_matrix)
+from conftest import (assemble_mf_matrix, dense_mf_oracle, leading, random_instance,
+                      random_spd_metric, transformed_mf_matrix)
 
 
 def _alloc(sets, alpha):
@@ -262,7 +262,7 @@ def test_mf_basis_derives_its_vectors_dim_and_energy_from_its_coordinates(seed, 
             assert r >= 1 and mf.energy_fraction == float(cum[r - 1] / cum[-1])
 
 
-def test_zero_snapshots_give_empty_basis_with_diagnostic():
+def test_zero_snapshots_give_empty_basis():
     metric = Metric.euclidean(6)
     ids = (0, 1, 2, 3)
     sets = (
@@ -270,8 +270,9 @@ def test_zero_snapshots_give_empty_basis_with_diagnostic():
         SnapshotSet(1, np.zeros((6, 2)), np.zeros((6, 2)), ids, 0.5),
     )
     mf = mfpod_fixed(sets, (1.0,), kappa=0.9, metric=metric)
-    assert mf.mode_count == 0 and mf.selected_dim == 0
-    assert mf.diagnostic is not None
+    assert (mf.mode_count, mf.selected_dim, mf.correction_count) == (0, 0, 0)
+    mf, trace = mfpod_adaptive(sets, kappa=0.9, metric=metric)
+    assert (mf.mode_count, trace.termination) == (0, "residual")
 
 
 def test_correction_counters_on_negative_spectrum():
@@ -283,6 +284,40 @@ def test_correction_counters_on_negative_spectrum():
     assert (mf.raw_eigvals < 0).any()
     assert mf.correction_count >= 1
     assert (mf.corrected_eigvals >= 0).all()
+
+
+def _two_branch_kept(raw, plus):
+    """The column order _finalize_basis keeps, by the rule with its own
+    branches for an empty and for an all-zero corrected spectrum."""
+    if len(plus) == 0:
+        return []
+    order = np.lexsort((-raw, -plus))
+    top = plus[order[0]]
+    if top <= 0:
+        return []
+    return [int(j) for j in order if plus[j] > 1e-10 * top]
+
+
+_FINALIZE_SPAN = SnapshotSpan.from_sets(
+    random_instance(np.random.default_rng(11), 12, 3, 8, Metric.euclidean(12)),
+    Metric.euclidean(12))
+# ties, zeros and values on and beside the 1e-10 floor of a top value of 1
+_EIGVAL = st.sampled_from([0.0, 1e-10, 1e-10 * (1 + 2**-40), 0.5, 1.0]) | st.floats(0.0, 2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), k=st.integers(0, _FINALIZE_SPAN.rank))
+def test_finalize_keeps_what_the_two_branch_rule_keeps(data, k):
+    plus = np.array(data.draw(st.lists(_EIGVAL, min_size=k, max_size=k)))
+    raw = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | _EIGVAL,
+                                      min_size=k, max_size=k)))
+    y = np.eye(_FINALIZE_SPAN.rank)[:, :k]  # column j of y is the one-hot of input j
+    mf = mfpod_module._finalize_basis(_FINALIZE_SPAN, raw, plus, y, 0.9)
+    kept = _two_branch_kept(raw, plus)
+    assert [int(j) for j in mf._y.argmax(axis=0)] == kept
+    assert mf.raw_eigvals.tolist() == raw[kept].tolist()
+    assert mf.corrected_eigvals.tolist() == plus[kept].tolist()
+    assert (mf.mode_count, mf.correction_count) == (len(kept), int((raw <= 0).sum()))
 
 
 def test_one_span_orthonormalization_and_each_column_transformed_once(monkeypatch):
@@ -395,7 +430,7 @@ def test_pod_across_blocks_matches_dense_gramian():
     modes = lf @ w[:, :kept] / np.sqrt(m * vals[:kept])
     for r in range(1, kept):
         if vals[r - 1] - vals[r] > 1e-6 * vals[0]:
-            assert subspace_alignment(res.basis.truncated(r), Basis(modes[:, :r], metric)) < 1e-8
+            assert subspace_alignment(leading(res.basis, r), Basis(modes[:, :r], metric)) < 1e-8
 
 
 def test_mfpod_fixed_across_blocks_matches_dense_oracle():
@@ -506,7 +541,7 @@ def _worst_alignment(lam, a: Basis, b: Basis) -> float:
     worst = 0.0
     for r in range(1, a.dim + 1):
         if r == a.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
-            worst = max(worst, subspace_alignment(a.truncated(r), b.truncated(r)))
+            worst = max(worst, subspace_alignment(leading(a, r), leading(b, r)))
     return worst
 
 

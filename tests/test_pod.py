@@ -19,7 +19,7 @@ from mfpod import (
     subspace_alignment,
 )
 
-from conftest import mc_projection_error, random_spd_metric
+from conftest import leading, mc_projection_error, random_spd_metric
 
 
 def test_single_snapshot():
@@ -133,7 +133,7 @@ def _worst_alignment(a, b) -> float:
     lam, worst = a.eigvals, 0.0
     for r in range(1, a.basis.dim + 1):
         if r == a.basis.dim or lam[r - 1] - lam[r] > 1e-6 * lam[0]:
-            worst = max(worst, subspace_alignment(a.basis.truncated(r), b.basis.truncated(r)))
+            worst = max(worst, subspace_alignment(leading(a.basis, r), leading(b.basis, r)))
     return worst
 
 
