@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .core import Metric, SnapshotSet
+from .core import Metric, SnapshotSet, _UsageError
 from .experiment import (
     StudyConfig,
     _atomic_write,
@@ -21,7 +21,6 @@ from .experiment import (
     _dump_json,
     _fit_mfpod,
     _parse_weight_mode,
-    _WeightSamplesError,
     generate_snapshot_files,
     read_snapshots,
     run_study,
@@ -35,10 +34,6 @@ from .verify import _check_grid, _check_r, convergence_study, eigenvalue_sum_mse
 
 _SPLITS = {"even": "even_split", "hf-only": "hf_only", "lf-only": "lf_only"}
 _MODELS = {"literal": "literal", "boundary-layer": "boundary_layer"}
-
-
-class _CliError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,24 +57,21 @@ def _split_policy(text: str) -> str:
         return _SPLITS[text]
     if text.startswith("m0="):
         return "fixed_m0:" + text[3:]
-    raise _CliError(f"unknown split {text!r}; expected even, m0=K, hf-only, or lf-only")
+    raise _UsageError(f"unknown split {text!r}; expected even, m0=K, hf-only, or lf-only")
 
 
 def _weight_mode(alpha: str) -> str:
+    """The weight mode an --alpha names; its reader checks it (_parse_weight_mode)."""
     try:
-        mode = {"pilot": "pilot_alpha", "adaptive": "adaptive"}.get(alpha) or f"fixed:{float(alpha)}"
-        _parse_weight_mode(mode)
+        return {"pilot": "pilot_alpha", "adaptive": "adaptive"}.get(alpha) or f"fixed:{float(alpha)}"
     except ValueError:
-        raise _CliError(f"bad --alpha {alpha!r}; expected a finite number, 'pilot', or 'adaptive'") from None
-    return mode
+        raise _UsageError(
+            f"bad --alpha {alpha!r}; expected a finite number, 'pilot', or 'adaptive'") from None
 
 
 def _study_config(args, **fields) -> StudyConfig:
-    try:
-        return StudyConfig(budget=args.budget, split=_split_policy(args.split),
-                           master_seed=args.seed, model=_model_config(args), **fields)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    return StudyConfig(budget=args.budget, split=_split_policy(args.split),
+                       master_seed=args.seed, model=_model_config(args), **fields)
 
 
 def _model_config(args) -> AdvDiffConfig:
@@ -171,7 +163,7 @@ def _write_modes(outdir, vectors, **eigvals) -> list:
 def _cmd_pod(args) -> dict:
     snaps = read_snapshots(args.input)
     if snaps.shape[1] < 1:
-        raise _CliError("the snapshot file holds no snapshots")
+        raise _UsageError("the snapshot file holds no snapshots")
     metric = _metric_for(snaps.shape[0], args.metric)
     result = pod(snaps, metric)
     return {
@@ -183,16 +175,17 @@ def _cmd_pod(args) -> dict:
 
 
 def _cmd_mfpod(args) -> dict:
-    weight_mode = _weight_mode(args.alpha)  # validate before any file I/O
+    weight_mode = _weight_mode(args.alpha)
+    _parse_weight_mode(weight_mode)  # before any file I/O
     hf = read_snapshots(args.hf)
     lf = read_snapshots(args.lf)
     if hf.shape[0] != lf.shape[0]:
-        raise _CliError("snapshot files have different state dimensions")
+        raise _UsageError("snapshot files have different state dimensions")
     m0, m1 = hf.shape[1], lf.shape[1]
     if m0 < 1:
-        raise _CliError("the high-fidelity file holds no snapshots")
+        raise _UsageError("the high-fidelity file holds no snapshots")
     if m1 <= m0:
-        raise _CliError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
+        raise _UsageError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
     _check_weight_samples(weight_mode, m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
@@ -235,19 +228,19 @@ def _fields(result, *names) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    try:  # every flag before the reference build, the slow part
-        pair = make_model_pair(_model_config(args))
-        grid = _check_grid(args.q1, args.m0_grid.split(","), args.repeats)
-        if args.check != "convergence":
-            _check_r(args.r, pair.metric.n)
-        if pair.metric.n > _DENSE_CAP:
-            raise ValueError(f"dimension {pair.metric.n} exceeds the dense cap {_DENSE_CAP}")
-        if not math.isfinite(args.alpha) or args.reference_size < 1:
-            raise ValueError("--alpha must be finite and --reference-size positive")
-        if args.seed < 0:
-            raise ValueError("--seed must be nonnegative")
-    except ValueError as exc:
-        raise _CliError(f"bad flag value: {exc}") from None
+    model = _model_config(args)  # every flag before the model pair and its reference
+    grid = _check_grid(args.q1, args.m0_grid.split(","), args.repeats)
+    if args.check != "convergence":
+        _check_r(args.r, model.n_hf)
+    if model.n_hf > _DENSE_CAP:
+        raise _UsageError(f"--n-hf {model.n_hf} exceeds the dense cap {_DENSE_CAP}")
+    if model.n_lf == model.n_hf:  # validate_levels' cost order, which only the draws would meet
+        raise _UsageError("--n-lf must be below --n-hf, so that a surrogate solve costs less")
+    if not math.isfinite(args.alpha) or args.reference_size < 1:
+        raise _UsageError("--alpha must be finite and --reference-size positive")
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
+    pair = make_model_pair(model)
     reference = reference_matrix(pair, args.reference_size, args.seed)
     conv = convergence_study(pair, args.q1, grid, args.repeats, args.seed, alpha=args.alpha,
                              reference=reference)
@@ -277,16 +270,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not 0 < getattr(args, "kappa", 1.0) <= 1:  # before any command reads or writes a file
-            parser.error(f"argument --kappa: must lie in (0, 1], got {args.kappa}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if not 0 < getattr(args, "kappa", 1.0) <= 1:  # before any command reads or writes a file
+            raise _UsageError(f"argument --kappa: must lie in (0, 1], got {args.kappa}")
         _print(_COMMANDS[args.command](args))
-    except (_CliError, _WeightSamplesError) as exc:
+    except _UsageError as exc:
         _emit_error(str(exc), "usage")
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary: everything becomes an error report

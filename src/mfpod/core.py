@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+class _UsageError(ValueError):
+    """A value that cannot run, found from the inputs alone before any model
+    is built or solved; the CLI reports it as a usage error (exit 2)."""
+
+
 def _as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim == 1:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .adaptive import mfpod_adaptive
-from .core import Metric, SnapshotSet, _as_matrix
+from .core import Metric, SnapshotSet, _as_matrix, _UsageError
 from .estimator import optimal_alpha
 from .mfpod import (
     _SPAN_BLOCK,
@@ -116,15 +116,15 @@ class StudyConfig:
 
     def __post_init__(self):
         if not (self.budget > 0 and np.isfinite(self.budget)):
-            raise ValueError("budget must be positive and finite")
+            raise _UsageError("budget must be positive and finite")
         if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must lie in (0, 1]")
+            raise _UsageError("kappa must lie in (0, 1]")
         if self.repeats < 1:
-            raise ValueError("repeats must be positive")
+            raise _UsageError("repeats must be positive")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+            raise _UsageError("master_seed must be nonnegative")
         if self.reference_size < 1 or self.report_dims < 1:
-            raise ValueError("reference_size and report_dims must be positive")
+            raise _UsageError("reference_size and report_dims must be positive")
         _parse_split(self.split)
         _parse_weight_mode(self.weight_mode)
 
@@ -136,11 +136,11 @@ def _parse_split(split: str) -> tuple[str, int | None]:
         try:
             k = int(split.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad fixed_m0 split {split!r}, expected fixed_m0:<int>") from None
+            raise _UsageError(f"bad fixed_m0 split {split!r}, expected fixed_m0:<int>") from None
         if k < 1:
-            raise ValueError("fixed_m0 split needs a positive high-fidelity count")
+            raise _UsageError("fixed_m0 split needs a positive high-fidelity count")
         return "fixed_m0", k
-    raise ValueError(f"unknown split policy {split!r}")
+    raise _UsageError(f"unknown split policy {split!r}")
 
 
 def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
@@ -152,14 +152,9 @@ def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
         except ValueError:
             alpha = float("nan")
         if not np.isfinite(alpha):
-            raise ValueError(f"bad weight mode {mode!r}, expected fixed:<finite float>")
+            raise _UsageError(f"bad weight mode {mode!r}, expected fixed:<finite float>")
         return "fixed", alpha
-    raise ValueError(f"unknown weight mode {mode!r}")
-
-
-class _WeightSamplesError(ValueError):
-    """A fitted weight asked of one high-fidelity sample; the CLI reports it
-    as a usage error."""
+    raise _UsageError(f"unknown weight mode {mode!r}")
 
 
 def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
@@ -169,7 +164,7 @@ def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
     would be discarded without a trace."""
     kind, _ = _parse_weight_mode(weight_mode)
     if kind != "fixed" and m0 == 1 and m1 > 0:
-        raise _WeightSamplesError(
+        raise _UsageError(
             f"weight mode {weight_mode!r} fits its weight to the paired samples and needs "
             f"m_0 >= 2, got m_0={m0}; use a fixed weight or more high-fidelity samples")
 
@@ -178,8 +173,9 @@ def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int,
     """Sample counts (m_0, m_1) that the policy buys under the budget.
 
     Unspent remainder smaller than one sample of the relevant level is
-    forfeited; infeasible combinations (a multifidelity policy that cannot
-    afford m_1 > m_0 >= 1) are rejected.
+    forfeited; infeasible combinations (a multifidelity policy on a surrogate
+    no cheaper than high fidelity, or that cannot afford m_1 > m_0 >= 1) are
+    rejected.
     """
     if not (budget > 0 and np.isfinite(budget)):
         raise ValueError("budget must be positive and finite")
@@ -195,6 +191,9 @@ def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int,
         if m1 < 1:
             raise ValueError(f"budget {budget} does not cover one surrogate sample")
         return 0, m1
+    if costs.low >= costs.high:  # validate_levels' cost order, which every repeat would fail
+        raise ValueError(f"split {policy!r} needs a surrogate cheaper than high fidelity, "
+                         f"got costs {costs.high} and {costs.low}")
     if kind == "even_split":
         m0 = math.floor(budget / (2.0 * costs.high))
         m1 = ratio * m0
@@ -514,17 +513,17 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     """Run the configured study and aggregate its repeats.
 
     A precomputed ``reference`` (from build_reference on the same model)
-    can be shared across studies; otherwise one is built here.  A pilot or
-    adaptive weight on an allocation with m_0 = 1 is rejected (ValueError)
-    before any repeat runs.  A repeat that fails numerically (ValueError,
-    which includes LinAlgError, or ArithmeticError) is recorded and
-    skipped, but more than half failing aborts the study; any other
-    exception propagates.
+    can be shared across studies; otherwise one is built here.  The budget is
+    allocated, and a pilot or adaptive weight on an allocation with m_0 = 1
+    rejected (ValueError), before the model pair is built.  A repeat that
+    fails numerically (ValueError, which includes LinAlgError, or
+    ArithmeticError) is recorded and skipped, but more than half failing
+    aborts the study; any other exception propagates.
     """
     model = config.model
-    pair = make_model_pair(model)
-    m0, m1 = allocate_budget(config.budget, pair.costs, config.split)
+    m0, m1 = allocate_budget(config.budget, ModelCosts.from_config(model), config.split)
     _check_weight_samples(config.weight_mode, m0, m1)
+    pair = make_model_pair(model)
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))
     metric = reference.metric
@@ -656,8 +655,8 @@ def generate_snapshot_files(config: StudyConfig, outdir) -> list:
     the split, and manifest.json describing the draw; a split's other file goes.
     """
     model = config.model
+    m0, m1 = allocate_budget(config.budget, ModelCosts.from_config(model), config.split)
     pair = make_model_pair(model)
-    m0, m1 = allocate_budget(config.budget, pair.costs, config.split)
     thetas, hf, lf = _draw(pair, m0, m1, config.master_seed)
     os.makedirs(outdir, exist_ok=True)
     written = []

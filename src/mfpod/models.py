@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import Metric, _Lift
+from .core import Metric, _Lift, _UsageError
 from .mfpod import _lift
 
 __all__ = [
@@ -58,13 +58,13 @@ class AdvDiffConfig:
     def __post_init__(self):
         lo, hi = self.theta_range
         if not (0 < lo < hi and np.isfinite(hi)):
-            raise ValueError("theta_range must be 0 < lo < hi")
+            raise _UsageError("theta_range must be 0 < lo < hi")
         if self.n_lf < 3 or self.n_hf < self.n_lf:
-            raise ValueError("need 3 <= n_lf <= n_hf")
+            raise _UsageError("need 3 <= n_lf <= n_hf")
         if (self.n_hf - 1) % (self.n_lf - 1) != 0:
-            raise ValueError("(n_lf - 1) must divide (n_hf - 1) so the meshes nest")
+            raise _UsageError("(n_lf - 1) must divide (n_hf - 1) so the meshes nest")
         if self.advection_sign not in _SIGNS:
-            raise ValueError(f"advection_sign must be one of {sorted(_SIGNS)}")
+            raise _UsageError(f"advection_sign must be one of {sorted(_SIGNS)}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, Metric, SnapshotSet, project
+from .core import Basis, Metric, SnapshotSet, _UsageError, project
 from .experiment import _solve_seconds, _solve_stream
 from .mfpod import _DENSE_CAP, build_operator
 from .models import ModelPair, _child_seed, _draw, _solve_each
@@ -94,13 +94,16 @@ def reference_matrix(pair: ModelPair, size: int, seed: int) -> np.ndarray:
 
 def _check_grid(q1: int, m0_grid, repeats: int) -> tuple[int, ...]:
     """A study's m_0 grid as a tuple, after checking it, repeats and q1."""
-    grid = tuple(int(m) for m in m0_grid)
+    try:
+        grid = tuple(int(m) for m in m0_grid)
+    except ValueError:
+        raise _UsageError(f"m0_grid entries must be integers, got {m0_grid!r}") from None
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError("m0_grid must be strictly increasing with at least two points")
+        raise _UsageError("m0_grid must be strictly increasing with at least two points")
     if repeats < 30:
-        raise ValueError("need at least 30 repeats per grid point")
+        raise _UsageError("need at least 30 repeats per grid point")
     if q1 < 2:
-        raise ValueError("q1 must be at least 2 so that m_1 > m_0")
+        raise _UsageError("q1 must be at least 2 so that m_1 > m_0")
     return grid
 
 
@@ -118,9 +121,9 @@ def _check_reference(reference: np.ndarray, n: int) -> None:
 def _check_r(r: int, n: int) -> None:
     """Check an eigenvalue-sum dimension r against the ambient dimension n."""
     if r < 1:
-        raise ValueError("r must be at least 1")
+        raise _UsageError("r must be at least 1")
     if r >= n:
-        raise ValueError("r must be smaller than the ambient dimension")
+        raise _UsageError("r must be smaller than the ambient dimension")
 
 
 def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):

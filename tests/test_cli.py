@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mfpod.experiment as experiment
+import mfpod.models as models
 
 from mfpod import (
     AdvDiffConfig,
@@ -287,6 +293,7 @@ _SMALL_MODEL = ("--n-hf", "65", "--n-lf", "17")
     ("generate", "--budget", "5", "--seed", "-1"),
     ("verify", "--seed", "-1"),
     ("verify", "--n-hf", "4097"),
+    ("verify", "--n-lf", "65"),
 ])
 def test_malformed_flag_values_are_usage_errors_before_any_reference(capsys, monkeypatch,
                                                                      tmp_path, argv):
@@ -304,6 +311,98 @@ def test_malformed_flag_values_are_usage_errors_before_any_reference(capsys, mon
     assert code == 2, err
     assert json.loads(err.strip().splitlines()[-1])["kind"] == "usage"
     assert not (tmp_path / "o").exists()
+
+
+# Each subcommand's flags, as (values its checks pass, values they refuse); a
+# value names one token per flag of its key, and None leaves the flags at their
+# defaults.  A draw refuses at most one key, so that valid commands run too, and
+# stays small: n_hf <= 65 where it can run, a 40-snapshot reference, <= 30 repeats.
+_SHARED = {"--seed": ([None, "3"], ["-1"]), "--model": ([None, "literal"], [])}
+_DRAW = {**_SHARED,
+         "--n-hf --n-lf": (["17 5", "33 9", "65 17", "17 17", "33 33"], ["17 4", "17 33", "17 2"]),
+         "--budget": (["0.5", "3", "5", "12"], ["-1", "nan", "inf", "x"]),
+         "--split": ([None, "hf-only", "lf-only", "m0=1", "m0=3"], ["m0=0", "m0=abc", "odd"])}
+_GRAMMAR = {
+    "generate": _DRAW,
+    "study": {**_DRAW, "--alpha": ([None, "adaptive", "0.7"], ["inf", "nan", "sideways"]),
+              "--kappa": ([None, "1"], ["0", "2"]), "--repeats": (["1", "2"], ["0"]),
+              "--reference-size": (["40"], ["0"]), "--report-dims": ([None, "4"], ["0"])},
+    "verify": {**_SHARED,
+               "--n-hf --n-lf": (["17 5", "33 9", "65 17"], ["17 17", "33 33", "4097 33", "17 4"]),
+               "--check": ([None, "convergence", "eigsum"], []), "--q1": ([None, "3"], ["1"]),
+               "--m0-grid": (["2,4"], ["4,2", "2", "0,2", "2,a"]), "--repeats": (["30"], ["5"]),
+               "--alpha": ([None, "0.75"], ["nan", "inf"]), "--r": ([None, "2"], ["0", "65"]),
+               "--reference-size": (["40"], ["0"]), "--out": ([None, "OUT"], [])},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    grammar = _GRAMMAR[command]
+    refused = draw(st.sampled_from([None, *grammar]))
+    argv = [command]
+    for flags, (ok, bad) in grammar.items():
+        value = draw(st.sampled_from(bad if flags == refused and bad else ok))
+        if value is not None:
+            argv += [token for pair in zip(flags.split(), value.split()) for token in pair]
+    return argv
+
+
+def _counted(calls, name, function):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return counted
+
+
+def _allocation(calls, allocate):
+    def allocation(*args):
+        try:
+            return allocate(*args)
+        except ValueError:
+            calls["refused"] += 1
+            raise
+    return allocation
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_argv())
+@example(argv=["study", "--n-hf", "33", "--n-lf", "33", "--budget", "5", "--repeats", "2",
+               "--reference-size", "40"])
+@example(argv=["generate", "--n-hf", "33", "--n-lf", "33", "--budget", "5"])
+@example(argv=["verify", "--n-hf", "33", "--n-lf", "33", "--m0-grid", "2,4", "--repeats", "30",
+               "--reference-size", "40"])
+@example(argv=["study", "--n-hf", "65", "--n-lf", "17", "--budget", "3", "--alpha", "pilot",
+               "--repeats", "2", "--reference-size", "40"])
+def test_usage_and_allocation_errors_cost_no_solve_and_no_lift(argv):
+    # every model solve and lift growth in this process: the forked producer is off,
+    # the pair's lift is grown afresh, not read from the per-mesh cache, and
+    # models calls mfpod._lift by its own name
+    calls = dict.fromkeys(("solve", "block", "lift", "refused"), 0)
+    models._prolongation.cache_clear()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        out = os.path.join(tmp, "o")
+        argv = [os.path.join(out, "verify.json") if a == "OUT" else a for a in argv]
+        if argv[0] != "verify":
+            argv += ["--out", out]
+        for module, name, wrap in (
+                (models, "solve_adv_diff", _counted(calls, "solve", models.solve_adv_diff)),
+                (models, "_solve_block", _counted(calls, "block", models._solve_block)),
+                (models, "_lift", _counted(calls, "lift", models._lift)),
+                (experiment, "allocate_budget", _allocation(calls, experiment.allocate_budget)),
+                (experiment, "_FORK_BREAK_EVEN", float("inf"))):
+            stack.enter_context(mock.patch.object(module, name, wrap))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        wrote = os.path.exists(out)
+    costly = calls["solve"] + calls["block"] + calls["lift"]
+    assert code in (0, 1, 2), stderr.getvalue()
+    if code == 2:
+        assert costly == 0 and not wrote, (calls, stderr.getvalue())
+    if code == 1:  # in this grammar a runtime failure can only be the allocation's
+        assert calls["refused"] == 1 and costly == 0, (calls, stderr.getvalue())
 
 
 def test_runtime_errors_are_json(capsys, tmp_path):
