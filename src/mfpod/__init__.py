@@ -26,7 +26,6 @@ from .models import (
     AdvDiffConfig,
     ModelCosts,
     ModelPair,
-    equispaced_parameters,
     fine_metric,
     make_model_pair,
     mass_matrix,
@@ -70,7 +69,6 @@ __all__ = [
     "build_reference",
     "convergence_study",
     "eigenvalue_sum_mse",
-    "equispaced_parameters",
     "estimate_profile",
     "fine_metric",
     "generate_snapshot_files",

@@ -50,7 +50,6 @@ from .models import (
     ModelCosts,
     _child_seed,
     _draw,
-    equispaced_parameters,
     fine_metric,
     make_model_pair,
     snapshot,
@@ -230,9 +229,11 @@ class Reference:
 
 
 def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Reference:
-    """High-fidelity snapshots at equispaced parameters, kept as the eigen
-    factor of their second moment; ``eigvals`` holds the leading top_modes
-    eigenvalues, zero below the roundoff floor.
+    """High-fidelity snapshots at the nodes of the size-cell midpoint rule for
+    the uniform parameter law (_midpoints), kept as the eigen factor of their
+    second moment; ``eigvals`` holds the leading top_modes eigenvalues, zero
+    below the roundoff floor.  The rule weighs every node 1/size, and its
+    error in the second moment is O(1/size^2).
 
     The n x n second moment S = (1/size) sum_i t_i t_i^T is never formed.
     The snapshots are solved _SPAN_BLOCK parameters at a time, and each block
@@ -246,7 +247,7 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     queue while this process grows their span in order (_solve_stream); both
     routes give the same bytes."""
     metric = fine_metric(model)
-    thetas = equispaced_parameters(size, model.theta_range)
+    thetas = _midpoints(size, model.theta_range)
     blocks = [thetas[start:start + _SPAN_BLOCK] for start in range(0, size, _SPAN_BLOCK)]
     no_lift = np.zeros((metric.n, 0))
     q, moment, energy, scale = no_lift, np.zeros((0, 0)), 0.0, 0.0
@@ -274,6 +275,14 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     weighted = (q @ vecs) * np.sqrt(vals)
     eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
     return Reference(weighted, eigvals, trace, size, metric)
+
+
+def _midpoints(count: int, theta_range) -> np.ndarray:
+    """The centres of count equal cells of theta_range, in increasing order."""
+    if count < 1:
+        raise ValueError("reference size must be positive")
+    lo, hi = theta_range
+    return lo + (hi - lo) * (np.arange(count) + 0.5) / count
 
 
 def _reference_block(thetas: np.ndarray, model: AdvDiffConfig, metric: Metric) -> np.ndarray:

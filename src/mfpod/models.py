@@ -35,7 +35,6 @@ __all__ = [
     "ModelCosts",
     "ModelPair",
     "sample_parameters",
-    "equispaced_parameters",
     "solve_adv_diff",
     "mass_matrix",
     "fine_metric",
@@ -99,14 +98,6 @@ def sample_parameters(count: int, seed: int, theta_range=(1.0, 100.0)) -> np.nda
     if not np.isfinite(float(hi) - float(lo)):
         raise OverflowError("theta_range width exceeds the float range")
     return np.random.default_rng(seed).uniform(lo, hi, count)
-
-
-def equispaced_parameters(count: int, theta_range=(1.0, 100.0)) -> np.ndarray:
-    """Equispaced parameter sweep including both endpoints."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    lo, hi = theta_range
-    return np.linspace(lo, hi, count)
 
 
 def solve_adv_diff(theta: float | np.ndarray, n_dofs: int,

@@ -10,7 +10,6 @@ from mfpod import (
     AdvDiffConfig,
     Metric,
     ModelCosts,
-    equispaced_parameters,
     fine_metric,
     make_model_pair,
     mass_matrix,
@@ -103,11 +102,6 @@ def test_sample_parameters_error_types_match_generator_loop(count, seed, theta_r
 def test_sample_parameters_mean():
     draws = sample_parameters(100_000, 3, (1.0, 100.0))
     assert abs(draws.mean() - 50.5) < 0.3
-
-
-def test_equispaced_parameters():
-    pts = equispaced_parameters(5, (1.0, 100.0))
-    np.testing.assert_allclose(pts, [1.0, 25.75, 50.5, 75.25, 100.0])
 
 
 def test_boundary_values_exact():
