@@ -25,6 +25,7 @@ from mfpod import (
     mfpod_adaptive,
     mfpod_fixed,
     optimal_alpha,
+    pod,
     read_snapshots,
     reference_matrix,
 )
@@ -75,6 +76,28 @@ def test_generate_pod_mfpod_pipeline(capsys, tmp_path):
     rows = (mfout / "eigenvalues.csv").read_text().splitlines()[1:]
     assert len(rows) == summary["mode_count"]
     assert all(float(raw) <= float(cor) for _, raw, cor in (row.split(",") for row in rows))
+
+
+def test_pod_and_mfpod_eigenvalue_files_hold_each_value_as_its_repr(capsys, tmp_path):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    _run(capsys, "generate", "--budget", "5", "--seed", "1", "--n-hf", "129", "--n-lf", "33",
+         "--out", str(gen))
+    hf, lf = (str(gen / f"snapshots_{f}.mfp1") for f in ("high", "low"))
+    metric = Metric.from_weight(mass_matrix(129))
+    for argv, columns in ((("pod", "--input", hf), {"eigval": None}),
+                          (("mfpod", "--hf", hf, "--lf", lf, "--alpha", "0.7"),
+                           {"raw": None, "corrected": None})):
+        code, _, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        if argv[0] == "pod":
+            columns["eigval"] = pod(read_snapshots(hf), metric).eigvals
+        else:
+            sets = SnapshotSet.two_level(read_snapshots(hf), read_snapshots(lf), 1.0, 33.0 / 4097.0)
+            mf = mfpod_fixed(sets, (0.7,), 0.9999, metric)
+            columns.update(raw=mf.raw_eigvals, corrected=mf.corrected_eigvals)
+        want = "".join(",".join([str(i)] + [repr(float(v)) for v in row]) + "\n"
+                       for i, row in enumerate(zip(*columns.values())))
+        assert (out / "eigenvalues.csv").read_text() == ",".join(["index", *columns]) + "\n" + want
 
 
 @pytest.mark.parametrize("alpha", ["pilot", "adaptive", "0.7"])

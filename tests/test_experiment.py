@@ -769,6 +769,48 @@ def test_write_study_layout(tmp_path):
     assert header == "repeat,r1,r2,r3,r4"
 
 
+def _csv_rows(path) -> list[list[str]]:
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    return [line.split(",") for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("split, weight_mode, pipeline", [
+    ("even_split", "pilot_alpha", "mfpod"), ("even_split", "adaptive", "mfpod"),
+    ("hf_only", "pilot_alpha", "pod_hf"), ("lf_only", "pilot_alpha", "pod_lf")])
+def test_write_study_files_hold_the_report_s_values_cell_by_cell(tmp_path, split, weight_mode,
+                                                                 pipeline):
+    config = StudyConfig(budget=5.0, split=split, weight_mode=weight_mode, repeats=2,
+                         master_seed=5, model=_SMALL, reference_size=40, report_dims=4)
+    report = run_study(config)
+    assert report.pipeline == pipeline and len(report.repeats) == 2
+    write_study(report, tmp_path)
+    payload = report.to_payload()
+    assert (tmp_path / "report.json").read_text() == json.dumps(payload, sort_keys=True,
+                                                                indent=2) + "\n"
+    curves = {"captured_energy.csv": "captured_energy", "eigenvalues.csv": "eigvals"}
+    if pipeline == "mfpod":
+        curves["raw_eigenvalues.csv"] = "raw_eigvals"
+    else:
+        assert not (tmp_path / "raw_eigenvalues.csv").exists()
+    for name, key in curves.items():
+        rows = _csv_rows(tmp_path / name)
+        assert rows[0] == ["repeat", "r1", "r2", "r3", "r4"]
+        assert rows[1:] == [[str(rec["repeat"])] + [repr(float(v)) for v in rec[key]]
+                            for rec in report.repeats]
+    rows = _csv_rows(tmp_path / "repeats.csv")
+    assert rows[0] == ["repeat", "seed", "m0", "m1", "mode_count", "selected_r", "alphas"]
+    assert rows[1:] == [
+        [str(rec[c]) for c in ("repeat", "seed", "m0", "m1", "mode_count", "selected_r")]
+        + [";".join(repr(float(a)) for a in rec["alphas"])] for rec in report.repeats]
+    if weight_mode == "adaptive":
+        assert any(";" in row[-1] for row in rows[1:])
+    rows = _csv_rows(tmp_path / "timings.csv")
+    assert rows[0] == ["repeat", "seconds"]
+    assert rows[1:] == [[str(i), f"{t:.6f}"] for i, t in enumerate(report.timings)]
+    assert all(len(s.split(".")[1]) == 6 for _, s in rows[1:])
+
+
 def test_generate_snapshot_files(tmp_path):
     config = StudyConfig(budget=5.0, split="even_split", master_seed=9, model=_SMALL)
     written = generate_snapshot_files(config, tmp_path)
