@@ -18,8 +18,10 @@ from .experiment import (
     StudyConfig,
     _atomic_write,
     _check_weight_samples,
+    _csv,
     _dump_json,
     _fit_mfpod,
+    _jsonable,
     _parse_weight_mode,
     generate_snapshot_files,
     read_snapshots,
@@ -153,10 +155,8 @@ def _write_modes(outdir, vectors, **eigvals) -> list:
     modes_path = os.path.join(outdir, "modes.mfp1")
     write_snapshots(modes_path, vectors)
     eig_path = os.path.join(outdir, "eigenvalues.csv")
-    rows = [",".join(["index", *eigvals])] + [
-        ",".join([str(i)] + [repr(float(v)) for v in row])
-        for i, row in enumerate(zip(*eigvals.values()))]
-    _atomic_write(eig_path, "".join(row + "\n" for row in rows).encode())
+    rows = ([i, *row] for i, row in enumerate(zip(*eigvals.values())))
+    _atomic_write(eig_path, _csv(["index", *eigvals], rows).encode())
     return [modes_path, eig_path]
 
 
@@ -218,13 +218,8 @@ def _cmd_study(args) -> dict:
 
 
 def _fields(result, *names) -> dict:
-    """The named fields of a verify study as strict JSON values: a
-    non-finite float, which RFC 8259 cannot write, becomes None (null)."""
-    def strict(value):
-        if isinstance(value, tuple):
-            return [strict(v) for v in value]
-        return None if isinstance(value, float) and not math.isfinite(value) else value
-    return {name: strict(getattr(result, name)) for name in names}
+    """The named fields of a verify study as strict JSON values (_jsonable)."""
+    return {name: _jsonable(getattr(result, name)) for name in names}
 
 
 def _cmd_verify(args) -> dict:

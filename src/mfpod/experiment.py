@@ -251,22 +251,17 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     blocks = [thetas[start:start + _SPAN_BLOCK] for start in range(0, size, _SPAN_BLOCK)]
     no_lift = np.zeros((metric.n, 0))
     q, moment, energy, scale = no_lift, np.zeros((0, 0)), 0.0, 0.0
-
-    def grow(t):
-        nonlocal q, moment, energy, scale
-        norms_sq = np.einsum("ij,ij->j", t, t)
-        energy += float(norms_sq.sum())
-        scale = max(scale, float(np.sqrt(norms_sq.max())))
-        q, coeff = _extend_span(no_lift, q, t, scale)
-        # earlier snapshots lie in span(Q) up to the rank rule
-        moment = np.pad(moment, (0, q.shape[1] - len(moment)))
-        moment += coeff @ coeff.T
-
     stream = _solve_stream(blocks, lambda block: _reference_block(block, model, metric),
                            metric.n * _SPAN_BLOCK, _solve_seconds(len(blocks), metric.n * size))
     with contextlib.closing(stream):
         for t in stream:
-            grow(t)
+            norms_sq = np.einsum("ij,ij->j", t, t)
+            energy += float(norms_sq.sum())
+            scale = max(scale, float(np.sqrt(norms_sq.max())))
+            q, coeff = _extend_span(no_lift, q, t, scale)
+            # earlier snapshots lie in span(Q) up to the rank rule
+            moment = np.pad(moment, (0, q.shape[1] - len(moment)))
+            moment += coeff @ coeff.T
     trace = energy / size
     if not trace > 0.0:
         raise ValueError("reference snapshots carry no energy")
@@ -499,14 +494,16 @@ class StudyReport:
 
 
 def _jsonable(obj):
+    """obj in strict JSON values: str keys, lists for tuples and arrays, native
+    scalars, and None (null) for a non-finite float, which RFC 8259 cannot write."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -713,30 +710,24 @@ def write_study(report: StudyReport, outdir) -> list:
         written.append(path)
 
     emit("report.json", _dump_json(report.to_payload()))
-    dims = report.config.report_dims
-    header = "repeat," + ",".join(f"r{j}" for j in range(1, dims + 1))
-    emit("captured_energy.csv", _csv(header, report.repeats, "captured_energy"))
-    emit("eigenvalues.csv", _csv(header, report.repeats, "eigvals"))
-    if report.pipeline == "mfpod":
-        emit("raw_eigenvalues.csv", _csv(header, report.repeats, "raw_eigvals"))
-    else:  # an earlier study's file would sit beside this report
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(outdir, "raw_eigenvalues.csv"))
-    scalar_cols = ["seed", "m0", "m1", "mode_count", "selected_r"]
-    lines = ["repeat," + ",".join(scalar_cols + ["alphas"])]
-    for rec in report.repeats:
-        cells = [str(rec[c]) for c in ["repeat"] + scalar_cols]
-        cells.append(";".join(repr(float(a)) for a in rec["alphas"]))
-        lines.append(",".join(cells))
-    emit("repeats.csv", "\n".join(lines) + "\n")
-    emit("timings.csv", "\n".join(
-        ["repeat,seconds"] + [f"{i},{t:.6f}" for i, t in enumerate(report.timings)]
-    ) + "\n")
+    header = ["repeat"] + [f"r{j}" for j in range(1, report.config.report_dims + 1)]
+    for name, key in (("captured_energy.csv", "captured_energy"), ("eigenvalues.csv", "eigvals"),
+                      ("raw_eigenvalues.csv", "raw_eigvals")):
+        if key != "raw_eigvals" or report.pipeline == "mfpod":
+            emit(name, _csv(header, ([rec["repeat"], *rec[key]] for rec in report.repeats)))
+        else:  # an earlier study's file would sit beside this report
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, name))
+    scalars = ["repeat", "seed", "m0", "m1", "mode_count", "selected_r"]
+    emit("repeats.csv", _csv(scalars + ["alphas"], (
+        [rec[c] for c in scalars] + [";".join(repr(float(a)) for a in rec["alphas"])]
+        for rec in report.repeats)))
+    emit("timings.csv", _csv(["repeat", "seconds"],
+                             ([i, f"{t:.6f}"] for i, t in enumerate(report.timings))))
     return written
 
 
-def _csv(header: str, records: list, key: str) -> str:
-    lines = [header]
-    for rec in records:
-        lines.append(",".join([str(rec["repeat"])] + [repr(float(v)) for v in rec[key]]))
-    return "\n".join(lines) + "\n"
+def _csv(header: list, rows) -> str:
+    """CSV text of a header and rows of cells: a float cell as its repr, any other by str."""
+    return "".join(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                            for v in row) + "\n" for row in [header, *rows])

@@ -308,12 +308,8 @@ class MfBasis:
     correction_count: int
 
     def __post_init__(self):
-        raw = np.asarray(self.raw_eigvals, dtype=float)
-        plus = np.asarray(self.corrected_eigvals, dtype=float)
-        y = _as_matrix(self._y)
-        object.__setattr__(self, "raw_eigvals", raw)
-        object.__setattr__(self, "corrected_eigvals", plus)
-        object.__setattr__(self, "_y", y)
+        # float arrays from _finalize_basis, the one constructor
+        raw, plus, y = self.raw_eigvals, self.corrected_eigvals, self._y
         if not (len(raw) == len(plus) == y.shape[1]) or len(y) != self._span.rank:
             raise ValueError("eigenvalue arrays and span coordinates disagree in shape")
         if (plus < 0).any():

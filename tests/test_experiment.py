@@ -811,6 +811,50 @@ def test_write_study_files_hold_the_report_s_values_cell_by_cell(tmp_path, split
     assert all(len(s.split(".")[1]) == 6 for _, s in rows[1:])
 
 
+_JSON_LEAVES = (
+    st.integers(-2**70, 2**70) | st.booleans() | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+    | st.lists(st.floats(), max_size=3).map(np.array)
+    | st.lists(st.integers(-9, 9), max_size=3).map(np.array)
+    | st.lists(st.booleans(), max_size=3).map(np.array))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12)
+
+
+def _assert_sanitized(obj, out):
+    if isinstance(obj, dict):
+        assert type(out) is dict and list(out) == list(obj)
+        for key, value in obj.items():
+            _assert_sanitized(value, out[key])
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        assert type(out) is list and len(out) == len(obj)
+        for a, b in zip(obj, out):
+            _assert_sanitized(a, b)
+    elif isinstance(obj, (bool, np.bool_)):
+        assert out is bool(obj)
+    elif isinstance(obj, (float, np.floating)):
+        if np.isfinite(obj):  # the same bits, sign of zero included
+            assert type(out) is float and np.float64(out).tobytes() == np.float64(obj).tobytes()
+        else:
+            assert out is None
+    else:
+        assert type(out) is int and out == obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(obj=_JSON_TREES)
+def test_jsonable_writes_strict_json_that_keeps_bools_and_float_bits(obj):
+    out = experiment._jsonable(obj)
+    text = json.dumps(out, allow_nan=False)  # a numpy value or a NaN would raise here
+    assert json.loads(text) == out
+    _assert_sanitized(obj, out)
+
+
 def test_generate_snapshot_files(tmp_path):
     config = StudyConfig(budget=5.0, split="even_split", master_seed=9, model=_SMALL)
     written = generate_snapshot_files(config, tmp_path)
