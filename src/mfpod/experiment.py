@@ -222,6 +222,7 @@ class Reference:
     trace: float
     size: int
     metric: Metric
+    model: AdvDiffConfig  # the model whose high-fidelity snapshots these are
 
     def energy_curve(self, dims: int) -> list[float]:
         """Best possible captured energy per dimension, from the spectrum."""
@@ -269,7 +270,7 @@ def build_reference(model: AdvDiffConfig, size: int, top_modes: int = 40) -> Ref
     vals, vecs = vals[::-1], vecs[:, ::-1]
     weighted = (q @ vecs) * np.sqrt(vals)
     eigvals = np.array(_pad(vals, max(1, min(top_modes, metric.n, size))))
-    return Reference(weighted, eigvals, trace, size, metric)
+    return Reference(weighted, eigvals, trace, size, metric, model)
 
 
 def _midpoints(count: int, theta_range) -> np.ndarray:
@@ -518,23 +519,23 @@ def _percentile_rows(matrix: np.ndarray) -> dict:
 def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyReport:
     """Run the configured study and aggregate its repeats.
 
-    A precomputed ``reference`` (from build_reference on the same model)
-    can be shared across studies; otherwise one is built here.  The budget is
-    allocated, and a pilot or adaptive weight on an allocation with m_0 = 1
-    rejected (ValueError), before the model pair is built.  A repeat that
-    fails numerically (ValueError, which includes LinAlgError, or
-    ArithmeticError) is recorded and skipped, but more than half failing
-    aborts the study; any other exception propagates.
+    A precomputed ``reference`` can be shared across studies; otherwise one
+    is built here.  The budget is allocated, a pilot or adaptive weight on an
+    allocation with m_0 = 1 rejected, and a shared reference checked
+    (_check_reference), each raising ValueError, before the model pair is
+    built.  A repeat that fails numerically (ValueError, which includes
+    LinAlgError, or ArithmeticError) is recorded and skipped, but more than
+    half failing aborts the study; any other exception propagates.
     """
     model = config.model
     m0, m1 = allocate_budget(config.budget, ModelCosts.from_config(model), config.split)
     _check_weight_samples(config.weight_mode, m0, m1)
+    if reference is not None:
+        _check_reference(reference, config)
     pair = make_model_pair(model)
     if reference is None:
         reference = build_reference(model, config.reference_size, max(config.report_dims, 40))
     metric = reference.metric
-    if metric.n != model.n_hf:
-        raise ValueError(f"reference has dimension {metric.n} but the model has n_hf={model.n_hf}")
     pipeline = "pod_hf" if m1 == 0 else "pod_lf" if m0 == 0 else "mfpod"
     # a repeat that reads the surrogate starts its span from the pair's Q_L: one Q_L^T weighted
     lift = pair.lift.basis if pair.lift is not None and m1 else np.zeros((metric.n, 0))
@@ -571,6 +572,26 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         aggregates=aggregates, reference=reference_info, failures=failures,
         timings=timings,
     )
+
+
+def _check_reference(reference: Reference, config: StudyConfig) -> None:
+    """Reject a reference of another high-fidelity model, or one whose top_modes
+    cut its spectrum below report_dims; its surrogate mesh may differ."""
+    model, built = config.model, reference.model
+    if built.n_hf != model.n_hf:
+        raise ValueError(f"reference has dimension {reference.metric.n} but the model has "
+                         f"n_hf={model.n_hf}")
+    ours, theirs = ({"theta_range": tuple(c.theta_range), "bc": tuple(c.bc),
+                     "advection_sign": c.advection_sign} for c in (model, built))
+    for name in ours:
+        if ours[name] != theirs[name]:
+            raise ValueError(f"reference was built for {name}={theirs[name]!r} but the model "
+                             f"has {ours[name]!r}")
+    # past min(n, size) the spectrum is exactly zero, so fewer eigenvalues miss nothing
+    kept, wanted = len(reference.eigvals), min(config.report_dims, built.n_hf, reference.size)
+    if kept < wanted:
+        raise ValueError(f"reference keeps {kept} eigenvalues, fewer than report_dims="
+                         f"{config.report_dims}; build it with top_modes >= {wanted}")
 
 
 def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,

@@ -855,6 +855,34 @@ def test_jsonable_writes_strict_json_that_keeps_bools_and_float_bits(obj):
     _assert_sanitized(obj, out)
 
 
+@pytest.mark.parametrize("changes, top_modes, match", [
+    ({"advection_sign": "literal"}, 40, "advection_sign"),
+    ({"theta_range": (1.0, 50.0)}, 40, "theta_range"),
+    ({"bc": (0.0, 1.0)}, 40, "bc"),
+    ({}, 3, "keeps 3 eigenvalues"),
+], ids=["advection_sign", "theta_range", "bc", "top_modes"])
+def test_run_study_rejects_a_reference_built_for_another_study(monkeypatch, changes, top_modes,
+                                                               match):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a model pair was built for a mismatched reference")
+
+    reference = build_reference(dataclasses.replace(_SMALL, **changes), 40, top_modes)
+    monkeypatch.setattr(experiment, "make_model_pair", unreachable)
+    config = StudyConfig(budget=5.0, split="even_split", repeats=2, master_seed=3,
+                         model=_SMALL, reference_size=40, report_dims=4)
+    with pytest.raises(ValueError, match=match):
+        run_study(config, reference)
+
+
+def test_run_study_accepts_a_reference_of_another_surrogate_or_all_its_eigenvalues():
+    config = StudyConfig(budget=5.0, split="even_split", repeats=2, master_seed=3,
+                         model=_SMALL, reference_size=3, report_dims=4)
+    # another surrogate mesh, a list theta_range, and three snapshots with three eigenvalues
+    shared = build_reference(dataclasses.replace(_SMALL, n_lf=17, theta_range=[1.0, 100.0]), 3, 40)
+    assert len(shared.eigvals) == 3
+    assert run_study(config, shared).to_payload() == run_study(config).to_payload()
+
+
 def test_generate_snapshot_files(tmp_path):
     config = StudyConfig(budget=5.0, split="even_split", master_seed=9, model=_SMALL)
     written = generate_snapshot_files(config, tmp_path)
