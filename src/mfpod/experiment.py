@@ -168,25 +168,35 @@ def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
             f"m_0 >= 2, got m_0={m0}; use a fixed weight or more high-fidelity samples")
 
 
+def _whole(share: float, cost: float) -> int:
+    """floor(share / cost), the samples of one cost a budget share buys; a
+    quotient within 1e-12 relative of a whole number is that number, so
+    roundoff in the costs never forfeits the last sample of an exact multiple."""
+    quotient = share / cost
+    whole = round(quotient)
+    return whole if abs(quotient - whole) <= 1e-12 * quotient else math.floor(quotient)
+
+
 def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int, int]:
     """Sample counts (m_0, m_1) that the policy buys under the budget.
 
-    Unspent remainder smaller than one sample of the relevant level is
-    forfeited; infeasible combinations (a multifidelity policy on a surrogate
-    no cheaper than high fidelity, or that cannot afford m_1 > m_0 >= 1) are
-    rejected.
+    Each count is the floor of a share over a cost (_whole), so hf_only,
+    lf_only and fixed_m0 leave unspent less than one sample of the level
+    they buy last; the even split buys m_0 = floor(B / 2 w_0) and
+    m_1 = floor(w_0 / w_1) m_0.  Infeasible combinations (a multifidelity
+    policy on a surrogate no cheaper than high fidelity, or that cannot
+    afford m_1 > m_0 >= 1) are rejected.
     """
     if not (budget > 0 and np.isfinite(budget)):
         raise ValueError("budget must be positive and finite")
     kind, k = _parse_split(policy)
-    ratio = math.floor(costs.high / costs.low)
     if kind == "hf_only":
-        m0 = math.floor(budget / costs.high)
+        m0 = _whole(budget, costs.high)
         if m0 < 1:
             raise ValueError(f"budget {budget} does not cover one high-fidelity sample")
         return m0, 0
     if kind == "lf_only":
-        m1 = math.floor(ratio * budget)
+        m1 = _whole(budget, costs.low)
         if m1 < 1:
             raise ValueError(f"budget {budget} does not cover one surrogate sample")
         return 0, m1
@@ -194,11 +204,11 @@ def allocate_budget(budget: float, costs: ModelCosts, policy: str) -> tuple[int,
         raise ValueError(f"split {policy!r} needs a surrogate cheaper than high fidelity, "
                          f"got costs {costs.high} and {costs.low}")
     if kind == "even_split":
-        m0 = math.floor(budget / (2.0 * costs.high))
-        m1 = ratio * m0
+        m0 = _whole(budget / 2.0, costs.high)
+        m1 = _whole(costs.high, costs.low) * m0
     else:  # fixed_m0
         m0 = k
-        m1 = math.floor((budget - k * costs.high) / costs.low)
+        m1 = _whole(budget - k * costs.high, costs.low)
     if m0 < 1 or m1 <= m0:
         raise ValueError(
             f"budget {budget} with split {policy!r} yields m_0={m0}, m_1={m1}; "

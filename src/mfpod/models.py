@@ -19,6 +19,7 @@ multifidelity estimator has to tolerate.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -64,6 +65,9 @@ class AdvDiffConfig:
             raise _UsageError("(n_lf - 1) must divide (n_hf - 1) so the meshes nest")
         if self.advection_sign not in _SIGNS:
             raise _UsageError(f"advection_sign must be one of {sorted(_SIGNS)}")
+        if len(self.bc) != 2 or not all(isinstance(b, numbers.Real) and np.isfinite(b)
+                                        for b in self.bc):
+            raise _UsageError(f"bc must be two finite numbers, got {self.bc!r}")
 
 
 @dataclass(frozen=True)

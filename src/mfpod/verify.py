@@ -16,6 +16,7 @@ the operator matrix in metric coordinates.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,42 +127,28 @@ def _check_r(r: int, n: int) -> None:
         raise _UsageError("r must be smaller than the ambient dimension")
 
 
-def _grid_draws(pair: ModelPair, q1: int, m0_grid, repeats: int, seed: int, alpha: float):
-    """Check a study's m_0 grid, repeats and q1, then return the grid and a
-    lazy stream that yields, per grid point, m_0 and a lazy stream of the
-    assembled operators (in metric coordinates) of its repeats'
-    prefix-stable draws with m_1 = q1 * m_0.  Consume the outer stream under
-    contextlib.closing, so that a study that stops early ends its producer.
+def _grid_draws(pair: ModelPair, q1: int, grid: tuple[int, ...], repeats: int, seed: int,
+                alpha: float):
+    """Generator of the assembled operators (in metric coordinates) of a
+    checked grid's prefix-stable draws with m_1 = q1 * m_0, repeats per grid
+    point in grid order.  Consume it under contextlib.closing, so that a
+    study that stops early ends its producer.
 
     The draws' model solves, each draw's high-fidelity then surrogate
     columns side by side, go through _solve_stream, so a large study shares
     them with a forked producer and no producer starts before the first
     draw is asked for.  This process splits them, builds every
     SnapshotSet and operator, and runs every eigensolve the studies make."""
-    grid = _check_grid(q1, m0_grid, repeats)
-
-    def columns(key):
-        m0, rep = key
-        _, hf, lf = _draw(pair, m0, q1 * m0, _child_seed(seed, m0, rep))
-        return np.hstack([hf, lf])
-
-    def operators(stream, m0):
-        for _ in range(repeats):
-            block = next(stream)
+    keys = [(m0, rep) for m0 in grid for rep in range(repeats)]
+    n, hf_columns = pair.metric.n, repeats * sum(grid)
+    stream = _solve_stream(
+        keys, lambda key: np.hstack(_draw(pair, key[0], q1 * key[0], _child_seed(seed, *key))[1:]),
+        n * (1 + q1) * grid[-1], _solve_seconds(hf_columns, n * (1 + q1) * hf_columns))
+    with contextlib.closing(stream):
+        for (m0, _), block in zip(keys, stream):
             sets = SnapshotSet.two_level(block[:, :m0], block[:, m0:],
                                          pair.costs.high, pair.costs.low)
             yield build_operator(sets, (alpha,), pair.metric).assemble_transformed()
-
-    def points():
-        n, hf_columns = pair.metric.n, repeats * sum(grid)
-        stream = _solve_stream([(m0, rep) for m0 in grid for rep in range(repeats)], columns,
-                               n * (1 + q1) * grid[-1],
-                               _solve_seconds(hf_columns, n * (1 + q1) * hf_columns))
-        with contextlib.closing(stream):
-            for m0 in grid:
-                yield m0, operators(stream, m0)
-
-    return grid, points()
 
 
 def _descending_eigh(mat: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +191,11 @@ def convergence_study(
     Degenerate models whose estimate is exact at every draw are reported
     with ``exact=True`` and an undefined slope.
     """
-    grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
+    grid = _check_grid(q1, m0_grid, repeats)
     _check_reference(reference, pair.metric.n)
-    with contextlib.closing(points):
-        means = [float(np.mean([np.sum((mat - reference) ** 2) for mat in mats]))
-                 for _, mats in points]
+    with contextlib.closing(_grid_draws(pair, q1, grid, repeats, seed, alpha)) as draws:
+        means = [float(np.mean([np.sum((mat - reference) ** 2)
+                                for mat in itertools.islice(draws, repeats)])) for _ in grid]
     means_arr = np.array(means)
     ref_scale = float(np.sum(reference * reference))
     exact = bool(np.all(means_arr <= 1e-24 * max(ref_scale, 1e-300)))
@@ -265,7 +252,7 @@ def eigenvalue_sum_mse(
     reference_matrix truth and ``gamma_hat`` the rate constant of a
     convergence study against it.
     """
-    grid, points = _grid_draws(pair, q1, m0_grid, repeats, seed, alpha)
+    grid = _check_grid(q1, m0_grid, repeats)
     _check_reference(reference, pair.metric.n)
     _check_r(r, len(reference))
     # lambda_{r+1} for the gap; traces off the diagonal, so no draw needs its full spectrum
@@ -277,17 +264,14 @@ def eigenvalue_sum_mse(
     euclid = Metric.euclidean(pair.metric.n)
     vstar = Basis(ref_vecs[:, :r], euclid)
 
-    mse, bound, align_msq, align_bound, ratio_medians = [], [], [], [], []
+    mse, align_msq, ratio_medians = [], [], []
     symmetry_max = 0.0
-    with contextlib.closing(points):
-        for m0, mats in points:
+    with contextlib.closing(_grid_draws(pair, q1, grid, repeats, seed, alpha)) as draws:
+        for _ in grid:
             dsum = np.empty(repeats)
             asq = np.empty(repeats)
             ratios = np.empty(repeats)
-            point_bound = (
-                float("inf") if gap_degenerate else 2.0 * r * gamma_hat / (m0 * gap * gap)
-            )
-            for rep, mat in enumerate(mats):
+            for rep, mat in enumerate(itertools.islice(draws, repeats)):
                 vals, vecs = _descending_eigh(mat, r)
                 dsum[rep] = vals.sum() - ref_sum
                 trace = np.trace(mat)
@@ -300,13 +284,12 @@ def eigenvalue_sum_mse(
                     s = subspace_alignment(v, vstar)
                     asq[rep] = s * s
             mse.append(float((dsum * dsum).mean()))
-            bound.append(r * gamma_hat / m0)
             align_msq.append(float(asq.mean()) if not gap_degenerate else float("nan"))
-            align_bound.append(point_bound)
             ratio_medians.append(float(np.median(ratios)))
     return EigenSumStudy(
-        r, grid, tuple(mse), tuple(bound), float(gamma_hat),
-        tuple(align_msq), tuple(align_bound),
+        r, grid, tuple(mse), tuple(r * gamma_hat / m0 for m0 in grid), float(gamma_hat),
+        tuple(align_msq), tuple(float("inf") if gap_degenerate
+                                else 2.0 * r * gamma_hat / (m0 * gap * gap) for m0 in grid),
         float(symmetry_max), gap, gap_degenerate,
         tuple(ratio_medians), ref_sum / ref_trace if ref_trace else float("nan"),
         repeats,

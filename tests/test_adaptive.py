@@ -311,3 +311,22 @@ def test_each_step_solves_one_shrinking_restriction(monkeypatch, case):
     assert solves >= 2
     assert shapes == [(k - j, k - j) for j in range(solves)]
     assert len(grams) == 1
+
+
+def test_a_surrogate_direction_the_high_fidelity_lacks_stagnates_after_one_mode():
+    # the surrogate repeats the high-fidelity columns, so the pilot weight is 1,
+    # and adds strong columns along e_3, which no high-fidelity column holds:
+    # the first mode is e_3, and it leaves the high-fidelity residual as it was
+    n, metric = 8, Metric.euclidean(8)
+    eye = np.eye(n)
+    hf = eye[:, :3] * [1.0, 2.0, 3.0]
+    lf = np.hstack([hf, 10.0 * eye[:, [3, 3, 3]]])
+    sets = SnapshotSet.two_level(hf, lf, 1.0, 0.25)
+    mf, trace = mfpod_adaptive(sets, 0.9999, metric)
+    assert trace.termination == "stagnation"
+    assert trace.alphas == (1.0,) and mf.mode_count == 1
+    assert trace.steps[0].residual == pytest.approx(np.linalg.norm(hf), rel=1e-14)
+    np.testing.assert_allclose(np.abs(mf.vectors[:, 0]), eye[:, 3], atol=1e-14)
+    # the fixed-weight fit at the same weight keeps the three high-fidelity directions too
+    fixed = mfpod_fixed(sets, (1.0,), 0.9999, metric)
+    assert fixed.mode_count == fixed.selected_dim == 4

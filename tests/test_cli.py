@@ -550,3 +550,44 @@ def test_mfpod_rejects_inconsistent_files(capsys, tmp_path):
                           "--out", str(tmp_path / "o"))
     assert code == 2
     assert "surrogate" in json.loads(err.strip().splitlines()[-1])["error"]
+
+
+def test_mfpod_rejects_files_of_different_state_dimensions(capsys, tmp_path):
+    from mfpod import write_snapshots
+
+    rng = np.random.default_rng(0)
+    hf, lf = tmp_path / "hf.mfp1", tmp_path / "lf.mfp1"
+    write_snapshots(hf, rng.standard_normal((10, 3)))
+    write_snapshots(lf, rng.standard_normal((12, 6)))
+    code, out, err = _run(capsys, "mfpod", "--hf", str(hf), "--lf", str(lf), "--alpha", "0.5",
+                          "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload == {"error": "snapshot files have different state dimensions", "kind": "usage"}
+    assert not (tmp_path / "o").exists()
+
+
+def test_euclidean_metric_flag_fits_pod_and_mfpod_in_the_euclidean_metric(capsys, tmp_path):
+    gen = tmp_path / "gen"
+    _run(capsys, "generate", "--budget", "5", "--seed", "1", "--n-hf", "129", "--n-lf", "33",
+         "--out", str(gen))
+    hf, lf = (str(gen / f"snapshots_{f}.mfp1") for f in ("high", "low"))
+    euclid = Metric.euclidean(129)
+    want_pod = pod(read_snapshots(hf), euclid)
+    mass_pod = pod(read_snapshots(hf), Metric.from_weight(mass_matrix(129)))
+    assert not np.allclose(want_pod.eigvals[:3], mass_pod.eigvals[:3])  # the flag matters
+    sets = SnapshotSet.two_level(read_snapshots(hf), read_snapshots(lf), 1.0, 33.0 / 4097.0)
+    want_mf, fit = experiment._fit_mfpod(sets, "pilot_alpha", 0.9999, euclid)
+    for argv, vectors, eigvals, summary in (
+            (("pod", "--input", hf), want_pod.basis.vectors, [want_pod.eigvals],
+             {"mode_count": want_pod.basis.dim}),
+            (("mfpod", "--hf", hf, "--lf", lf), want_mf.vectors,
+             [want_mf.raw_eigvals, want_mf.corrected_eigvals],
+             {**fit, "mode_count": want_mf.mode_count, "selected_r": want_mf.selected_dim})):
+        out = tmp_path / argv[0]
+        code, printed, err = _run(capsys, *argv, "--metric", "euclidean", "--out", str(out))
+        assert code == 0, err
+        assert read_snapshots(out / "modes.mfp1").tobytes() == vectors.tobytes()
+        rows = [row.split(",")[1:] for row in (out / "eigenvalues.csv").read_text().splitlines()[1:]]
+        assert np.array(rows, dtype=float).T.tobytes() == np.array(eigvals).tobytes()
+        assert summary.items() <= json.loads(printed).items()

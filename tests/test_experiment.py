@@ -102,6 +102,35 @@ def test_allocation_cost_accounting_invariant():
             assert m0 * costs.high + m1 * costs.low <= budget + costs.low + 1e-9
 
 
+# (n_hf, n_lf): the n_lf ladder under 4097 nodes, and meshes whose cost
+# ratio w_0 / w_1 is a whole number its floating-point quotient falls short of
+_MESHES = [(4097, n_lf) for n_lf in (3, 5, 9, 17, 33, 65, 129, 257, 513, 1025, 2049)]
+_MESHES += [(17, 3), (279, 3)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mesh=st.sampled_from(_MESHES), budget=st.floats(1.0, 500.0), count=st.integers(1, 5000),
+       k=st.integers(1, 3))
+def test_allocation_leaves_less_than_one_sample_unspent(mesh, budget, count, k):
+    costs = ModelCosts.from_config(AdvDiffConfig(n_hf=mesh[0], n_lf=mesh[1]))
+    feasible = budget > k * costs.high + (k + 1) * costs.low  # m_1 > m_0 = k fits
+    m1 = allocate_budget(budget, costs, f"fixed_m0:{k}")[1] if feasible else 0
+    for bought, share, cost in [(allocate_budget(budget, costs, "hf_only")[0], budget, costs.high),
+                                (allocate_budget(budget, costs, "lf_only")[1], budget, costs.low),
+                                (m1, budget - k * costs.high, costs.low)]:
+        if bought:
+            assert bought * cost <= share * (1 + 1e-12)
+            assert share - bought * cost < cost
+    # an exact multiple of a level's cost buys the multiple
+    assert allocate_budget(count * costs.high, costs, "hf_only") == (count, 0)
+    assert allocate_budget(count * costs.low, costs, "lf_only") == (0, count)
+    if count > k:
+        assert allocate_budget(k * costs.high + count * costs.low, costs,
+                               f"fixed_m0:{k}") == (k, count)
+    if mesh[0] // mesh[1] > 1:  # the even split's m_1 = floor(w_0 / w_1) m_0, here at m_0 = 1
+        assert allocate_budget(2.0, costs, "even_split") == (1, mesh[0] // mesh[1])
+
+
 def _reference_snapshots(size):
     thetas = experiment._midpoints(size, _SMALL.theta_range)
     return np.column_stack([snapshot(t, "high", _SMALL) for t in thetas])
@@ -434,6 +463,27 @@ def test_forked_producer_runs_off_the_parents_cpu(forked):
         stream.close()
     away = rows[rows[:, 0] != parent, 1]
     assert len(away) > 0 and np.all(away == len(cpus) - 1)
+    assert multiprocessing.active_children() == [] and forked[0].closed
+
+
+def test_forked_producer_that_exits_without_a_word_is_an_error(forked):
+    # a producer that dies inside a solve sends neither a shape nor an
+    # exception; the EOF on its pipe is all this process learns.  Items solved
+    # slowly here leave the producer time to claim one.
+    parent = os.getpid()
+
+    def dying(item):
+        if os.getpid() != parent:
+            os._exit(0)
+        time.sleep(0.05)
+        return np.array([float(item)])
+
+    stream = experiment._solve_stream(list(range(12)), dying, 1, 1.0)
+    try:
+        with pytest.raises(RuntimeError, match="the forked solve producer exited early"):
+            list(stream)
+    finally:
+        stream.close()
     assert multiprocessing.active_children() == [] and forked[0].closed
 
 

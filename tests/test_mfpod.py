@@ -255,6 +255,8 @@ def test_mf_basis_derives_its_vectors_dim_and_energy_from_its_coordinates(seed, 
         assert mf.full_basis.orthonormality_defect() <= 1e-9
         r = select_dim(mf.corrected_eigvals, kappa)
         assert mf.selected_dim == r
+        assert mf.basis.dim == r and mf.basis.metric is metric
+        assert mf.basis.vectors.tobytes() == mf.full_basis.vectors[:, :r].tobytes()
         if zero:
             assert (mf.mode_count, r, mf.energy_fraction) == (0, 0, 0.0)
         else:

@@ -19,6 +19,7 @@ from mfpod import (
     solve_adv_diff,
 )
 import mfpod.models as models
+from mfpod.core import _UsageError
 
 
 def _analytic_boundary_layer(x, theta):
@@ -35,6 +36,15 @@ def test_config_validation():
         AdvDiffConfig(advection_sign="upwind")
     cfg = AdvDiffConfig()
     assert cfg.n_hf == 4097 and cfg.n_lf == 33 and cfg.theta_range == (1.0, 100.0)
+
+
+@pytest.mark.parametrize("bc", [(float("nan"), 0.0), (1.0, float("inf")), (1.0,), (1.0, 0.0, 0.0),
+                                ("1", 0.0)])
+def test_boundary_values_must_be_two_finite_numbers(bc):
+    # a NaN boundary value once ran to "reference snapshots carry no energy"
+    with pytest.raises(_UsageError, match="bc must be two finite numbers"):
+        AdvDiffConfig(n_hf=129, n_lf=33, bc=bc)
+    assert AdvDiffConfig(bc=(1e306, -1e306)).bc == (1e306, -1e306)
 
 
 def test_default_costs():

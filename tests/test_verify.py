@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import multiprocessing
 import os
 import time
@@ -113,23 +114,23 @@ def test_grid_draws_on_surrogate_blocks_match_the_per_theta_route():
     columns = ModelPair(high=pair.high, low=per_theta, metric=pair.metric,
                         sampler=pair.sampler, costs=pair.costs)
     def operators(p):
-        return [[op.tobytes() for op in ops] for _, ops in _grid_draws(p, 4, (2, 4), 30, 6, 1.0)[1]]
+        return [op.tobytes() for op in _grid_draws(p, 4, (2, 4), 30, 6, 1.0)]
 
     draws = operators(pair)
-    assert [len(ops) for ops in draws] == [30, 30]
+    assert len(draws) == 2 * 30
     assert draws == operators(columns)
 
 
 def test_grid_draws_have_the_bits_of_each_draw_built_alone():
     # a draw's columns come back side by side and are split for its operator
     pair = make_model_pair(_FORK_MODEL)
-    with contextlib.closing(_grid_draws(pair, 4, (2, 8), 30, 5, 1.0)[1]) as points:
-        for m0, ops in points:
-            for rep, op in enumerate(ops):
-                _, hf, lf = _draw(pair, m0, 4 * m0, _child_seed(5, m0, rep))
-                sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
-                alone = build_operator(sets, (1.0,), pair.metric).assemble_transformed()
-                assert np.array_equal(op, alone)
+    keys = [(m0, rep) for m0 in (2, 8) for rep in range(30)]
+    with contextlib.closing(_grid_draws(pair, 4, (2, 8), 30, 5, 1.0)) as draws:
+        for (m0, rep), op in zip(keys, draws, strict=True):
+            _, hf, lf = _draw(pair, m0, 4 * m0, _child_seed(5, m0, rep))
+            sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low)
+            alone = build_operator(sets, (1.0,), pair.metric).assemble_transformed()
+            assert np.array_equal(op, alone)
 
 
 def test_convergence_study_validation():
@@ -311,9 +312,10 @@ def test_eigenvalue_sum_solves_only_the_top_pairs_and_matches_full_solves(monkey
     ref_vals, ref_vecs = _full_descending(reference)
     vstar = ref_vecs[:, :r]
     mse, align, ratios = [], [], []
-    for _, mats in _grid_draws(pair, 4, grid, repeats, seed, 1.0)[1]:
+    draws = _grid_draws(pair, 4, grid, repeats, seed, 1.0)
+    for _ in grid:
         dsum, asq, ratio = [], [], []
-        for mat in mats:
+        for mat in itertools.islice(draws, repeats):
             vals, vecs = _full_descending(mat)
             dsum.append(vals[:r].sum() - ref_vals[:r].sum())
             asq.append((r - np.sum((vecs[:, :r].T @ vstar) ** 2)) ** 2)
@@ -458,12 +460,10 @@ def test_forked_studies_raise_the_error_of_a_draw_solved_here(forked, monkeypatc
 
 
 def test_forked_draws_closed_early_end_their_producer(forked):
-    # the point's draw stream outlives the closed outer stream, yet its producer is gone
-    _, points = _grid_draws(make_model_pair(_FORK_MODEL), 4, _FORK_GRID, 30, 7, 1.0)
-    _, ops = next(points)
-    next(ops)
+    draws = _grid_draws(make_model_pair(_FORK_MODEL), 4, _FORK_GRID, 30, 7, 1.0)
+    next(draws)
     assert len(multiprocessing.active_children()) == 1
-    points.close()
+    draws.close()
     assert multiprocessing.active_children() == [] and forked[0].closed
 
 
