@@ -6,8 +6,8 @@ expected projection error.  See the README for the CLI and study tools.
 """
 
 from .adaptive import AdaptiveStep, AdaptiveTrace, mfpod_adaptive
-from .core import Basis, Metric, SnapshotSet, orthonormalize, project, validate_levels
-from .estimator import Allocation, VarianceProfile, mf_mse, min_mse, optimal_alpha, usefulness
+from .core import Basis, Metric, SnapshotSet, orthonormalize, project
+from .estimator import Allocation, VarianceProfile, optimal_alpha
 from .experiment import (
     MfpFileError,
     Reference,
@@ -21,19 +21,8 @@ from .experiment import (
     write_snapshots,
     write_study,
 )
-from .mfpod import MfBasis, estimate_profile, j_mf, jmf_plus, mfpod_fixed, select_dim
-from .models import (
-    AdvDiffConfig,
-    ModelCosts,
-    ModelPair,
-    fine_metric,
-    make_model_pair,
-    mass_matrix,
-    prolong,
-    sample_parameters,
-    snapshot,
-    solve_adv_diff,
-)
+from .mfpod import MfBasis, SnapshotSpan, estimate_profile, j_mf, mfpod_fixed, select_dim
+from .models import AdvDiffConfig, ModelCosts, ModelPair, make_model_pair, sample_parameters, snapshot
 from .pod import PodResult, pod
 from .verify import (
     ConvergenceStudyResult,
@@ -62,6 +51,7 @@ __all__ = [
     "PodResult",
     "Reference",
     "SnapshotSet",
+    "SnapshotSpan",
     "StudyConfig",
     "StudyReport",
     "VarianceProfile",
@@ -70,31 +60,22 @@ __all__ = [
     "convergence_study",
     "eigenvalue_sum_mse",
     "estimate_profile",
-    "fine_metric",
     "generate_snapshot_files",
     "j_mf",
-    "jmf_plus",
     "make_model_pair",
-    "mass_matrix",
-    "mf_mse",
     "mfpod_adaptive",
     "mfpod_fixed",
-    "min_mse",
     "optimal_alpha",
     "orthonormalize",
     "pod",
     "project",
-    "prolong",
     "read_snapshots",
     "reference_matrix",
     "run_study",
     "sample_parameters",
     "select_dim",
     "snapshot",
-    "solve_adv_diff",
     "subspace_alignment",
-    "usefulness",
-    "validate_levels",
     "write_snapshots",
     "write_study",
 ]

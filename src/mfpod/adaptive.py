@@ -27,9 +27,6 @@ __all__ = ["AdaptiveStep", "AdaptiveTrace", "mfpod_adaptive"]
 # Stop once the high-fidelity snapshots are captured to this fraction of
 # their combined norm.
 _RESIDUAL_TOL = 1e-10
-# Stop when a mode fails to decrease the high-fidelity residual by more
-# than this fraction of their norm.
-_STAGNATION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,5 @@ def mfpod_adaptive(sets, kappa: float, metric: Metric) -> tuple[MfBasis, Adaptiv
         zj, w = w[:, j], np.delete(w, j, axis=1)
         (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
-        new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
-        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), new_resid))
-        if resid - new_resid <= _STAGNATION_TOL * norm0:
-            return finalize("stagnation")
-        resid = new_resid
+        resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
+        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), resid))

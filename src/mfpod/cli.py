@@ -175,8 +175,7 @@ def _cmd_pod(args) -> dict:
 
 
 def _cmd_mfpod(args) -> dict:
-    weight_mode = _weight_mode(args.alpha)
-    _parse_weight_mode(weight_mode)  # before any file I/O
+    weight = _parse_weight_mode(_weight_mode(args.alpha))  # before any file I/O
     hf = read_snapshots(args.hf)
     lf = read_snapshots(args.lf)
     if hf.shape[0] != lf.shape[0]:
@@ -186,10 +185,10 @@ def _cmd_mfpod(args) -> dict:
         raise _UsageError("the high-fidelity file holds no snapshots")
     if m1 <= m0:
         raise _UsageError(f"need more surrogate than high-fidelity snapshots (got {m0}, {m1})")
-    _check_weight_samples(weight_mode, m0, m1)
+    _check_weight_samples(weight[0], m0, m1)
     metric = _metric_for(hf.shape[0], args.metric)
     sets = SnapshotSet.two_level(hf, lf, ModelCosts().high, ModelCosts().low)
-    mf, summary = _fit_mfpod(sets, weight_mode, args.kappa, metric)
+    mf, summary = _fit_mfpod(sets, weight, args.kappa, metric)
     summary.update({
         "written": _write_modes(args.out, mf.vectors, raw=mf.raw_eigvals,
                                 corrected=mf.corrected_eigvals),

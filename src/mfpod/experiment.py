@@ -114,6 +114,10 @@ class StudyConfig:
     report_dims: int = 30
 
     def __post_init__(self):
+        for name in ("repeats", "master_seed", "reference_size", "report_dims"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise _UsageError(f"{name} must be an integer, got {value!r}")
         if not (self.budget > 0 and np.isfinite(self.budget)):
             raise _UsageError("budget must be positive and finite")
         if not 0 < self.kappa <= 1:
@@ -156,15 +160,15 @@ def _parse_weight_mode(mode: str) -> tuple[str, float | None]:
     raise _UsageError(f"unknown weight mode {mode!r}")
 
 
-def _check_weight_samples(weight_mode: str, m0: int, m1: int) -> None:
-    """Reject a fitted weight (pilot or adaptive) on a multifidelity
-    allocation with one high-fidelity sample: its variance profile is all
-    zeros, so the fitted weight would be 0 and every surrogate snapshot
-    would be discarded without a trace."""
-    kind, _ = _parse_weight_mode(weight_mode)
+def _check_weight_samples(kind: str, m0: int, m1: int) -> None:
+    """Reject a fitted weight (the pilot_alpha or adaptive kind that
+    _parse_weight_mode returns) on a multifidelity allocation with one
+    high-fidelity sample: its variance profile is all zeros, so the fitted
+    weight would be 0 and every surrogate snapshot would be discarded
+    without a trace."""
     if kind != "fixed" and m0 == 1 and m1 > 0:
         raise _UsageError(
-            f"weight mode {weight_mode!r} fits its weight to the paired samples and needs "
+            f"weight mode {kind!r} fits its weight to the paired samples and needs "
             f"m_0 >= 2, got m_0={m0}; use a fixed weight or more high-fidelity samples")
 
 
@@ -462,11 +466,12 @@ def _percent_curve(energies: np.ndarray, trace: float, dims: int) -> list[float]
     return [100.0 * float(cum[min(r, len(cum) - 1)] / trace) for r in range(1, dims + 1)]
 
 
-def _fit_mfpod(sets, weight_mode: str, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
-    """Multifidelity basis under a StudyConfig weight mode, with the weights
-    used and, for the adaptive mode, why its mode search stopped.  Either
-    mode fits on the one span built here, and the pilot weight is read off it."""
-    kind, alpha = _parse_weight_mode(weight_mode)
+def _fit_mfpod(sets, weight: tuple, kappa: float, metric: Metric) -> tuple[MfBasis, dict]:
+    """Multifidelity basis under a parsed weight mode (_parse_weight_mode),
+    with the weights used and, for the adaptive mode, why its mode search
+    stopped.  Either mode fits on the one span built here, and the pilot
+    weight is read off it."""
+    kind, alpha = weight
     span = SnapshotSpan.from_sets(sets, metric)
     if kind == "adaptive":
         mf, trace = mfpod_adaptive(span, kappa, metric)
@@ -539,7 +544,8 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
     """
     model = config.model
     m0, m1 = allocate_budget(config.budget, ModelCosts.from_config(model), config.split)
-    _check_weight_samples(config.weight_mode, m0, m1)
+    weight = _parse_weight_mode(config.weight_mode)
+    _check_weight_samples(weight[0], m0, m1)
     if reference is not None:
         _check_reference(reference, config)
     pair = make_model_pair(model)
@@ -557,7 +563,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         started = time.perf_counter()
         try:
             records.append(_run_repeat(rep, seed, pair, metric, m0, m1, pipeline,
-                                       config, reference, head))
+                                       config, reference, head, weight))
         except (ValueError, ArithmeticError) as exc:  # a numerical failure sinks one repeat only
             failures.append({"repeat": rep, "error": f"{type(exc).__name__}: {exc}"})
         timings.append(time.perf_counter() - started)
@@ -573,7 +579,7 @@ def run_study(config: StudyConfig, reference: Reference | None = None) -> StudyR
         aggregates[key] = {"min": int(values.min()), "median": float(np.median(values)),
                            "max": int(values.max())}
     reference_info = {
-        "size": reference.size,
+        "size": int(reference.size),  # reference_size may be a numpy integer
         "eigvals": reference.eigvals.tolist(),
         "energy_curve": reference.energy_curve(config.report_dims),
     }
@@ -605,14 +611,15 @@ def _check_reference(reference: Reference, config: StudyConfig) -> None:
 
 
 def _run_repeat(rep, seed, pair, metric, m0, m1, pipeline, config, reference,
-                head) -> dict:
-    """One repeat's record; ``head`` is Q_L^T reference.weighted for its span's lift part Q_L."""
+                head, weight) -> dict:
+    """One repeat's record; ``head`` is Q_L^T reference.weighted for its span's
+    lift part Q_L, and ``weight`` the parsed config.weight_mode."""
     dims = config.report_dims
     record = {"repeat": rep, "seed": seed, "m0": m0, "m1": m1}
     _, hf, lf = _draw(pair, m0, m1, seed, lifted=True)  # lf in the coarse space of pair.lift
     if pipeline == "mfpod":
         sets = SnapshotSet.two_level(hf, lf, pair.costs.high, pair.costs.low, pair.lift)
-        mf, weights = _fit_mfpod(sets, config.weight_mode, config.kappa, metric)
+        mf, weights = _fit_mfpod(sets, weight, config.kappa, metric)
         record.update(weights, correction_count=mf.correction_count,
                       energy_fraction=mf.energy_fraction, raw_eigvals=_pad(mf.raw_eigvals, dims))
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "MfBasis",
     "SnapshotSpan",
     "mfpod_fixed",
-    "jmf_plus",
     "select_dim",
     "j_mf",
     "estimate_profile",
@@ -412,20 +411,6 @@ def mfpod_fixed(sets, alphas, kappa: float, metric: Metric) -> MfBasis:
     pairs = lowrank_eig(span.operator(alphas))
     return _finalize_basis(span, pairs.values, span.repair(pairs.values, pairs.vectors),
                            pairs.vectors, kappa)
-
-
-def jmf_plus(mf: MfBasis, candidate: Basis) -> float:
-    """Adjusted multifidelity error estimate of a candidate subspace.
-
-    sum_j lambda_j^+ (1 - ||proj_V v_j||^2) over the retained modes;
-    nonnegative by construction, and equal to the corrected tail energy
-    when the candidate is the leading block of the modes themselves.
-    """
-    if candidate.metric is not mf.metric:
-        raise ValueError("the basis and the span must share one metric")
-    coeff = mf.metric.to_coords(candidate.vectors).T @ mf.coords
-    captured = np.einsum("ij,ij->j", coeff, coeff)
-    return float(np.sum(mf.corrected_eigvals * np.maximum(0.0, 1.0 - captured)))
 
 
 def j_mf(basis: Basis, sets, alloc: Allocation) -> float:

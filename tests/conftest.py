@@ -22,7 +22,7 @@ import scipy.sparse
 
 import mfpod.experiment as experiment
 from mfpod import AdaptiveStep, AdaptiveTrace, Basis, Metric, SnapshotSet, optimal_alpha
-from mfpod.adaptive import _RESIDUAL_TOL, _STAGNATION_TOL
+from mfpod.adaptive import _RESIDUAL_TOL
 from mfpod.estimator import _profile
 from mfpod.mfpod import SnapshotSpan, _finalize_basis
 
@@ -209,8 +209,5 @@ def adaptive_oracle(sets, kappa: float, metric: Metric):
             zj = zj / np.linalg.norm(zj)
         (lam_plus,) = span.repair([lam], zj[:, None])
         z = np.hstack([z, zj[:, None]])
-        new_resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
-        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), new_resid))
-        if resid - new_resid <= _STAGNATION_TOL * norm0:
-            return finalize("stagnation")
-        resid = new_resid
+        resid = float(np.linalg.norm(p0 - z @ (z.T @ p0)))
+        steps.append(AdaptiveStep(float(alpha), lam, float(lam_plus), resid))

@@ -138,7 +138,7 @@ def test_trace_residuals_strictly_decreasing():
     mf, trace = mfpod_adaptive(sets, kappa=0.99, metric=metric)
     res = np.array([s.residual for s in trace.steps])
     assert (np.diff(res) < 0).all()
-    assert trace.termination in ("residual", "rank", "exhausted", "stagnation")
+    assert trace.termination in ("residual", "rank", "exhausted")
 
 
 def test_final_span_contains_hf_snapshots():
@@ -313,20 +313,23 @@ def test_each_step_solves_one_shrinking_restriction(monkeypatch, case):
     assert len(grams) == 1
 
 
-def test_a_surrogate_direction_the_high_fidelity_lacks_stagnates_after_one_mode():
+def test_a_surrogate_direction_the_high_fidelity_lacks_does_not_end_the_fit():
     # the surrogate repeats the high-fidelity columns, so the pilot weight is 1,
     # and adds strong columns along e_3, which no high-fidelity column holds:
-    # the first mode is e_3, and it leaves the high-fidelity residual as it was
+    # the first mode is e_3, which leaves the high-fidelity residual as it was,
+    # and the fit goes on to capture every high-fidelity snapshot
     n, metric = 8, Metric.euclidean(8)
     eye = np.eye(n)
     hf = eye[:, :3] * [1.0, 2.0, 3.0]
     lf = np.hstack([hf, 10.0 * eye[:, [3, 3, 3]]])
     sets = SnapshotSet.two_level(hf, lf, 1.0, 0.25)
     mf, trace = mfpod_adaptive(sets, 0.9999, metric)
-    assert trace.termination == "stagnation"
-    assert trace.alphas == (1.0,) and mf.mode_count == 1
+    assert trace.termination == "residual"
+    assert trace.alphas == (1.0,) * 4 and mf.mode_count == mf.selected_dim == 4
     assert trace.steps[0].residual == pytest.approx(np.linalg.norm(hf), rel=1e-14)
     np.testing.assert_allclose(np.abs(mf.vectors[:, 0]), eye[:, 3], atol=1e-14)
-    # the fixed-weight fit at the same weight keeps the three high-fidelity directions too
+    np.testing.assert_allclose(mf.vectors @ (mf.vectors.T @ hf), hf, atol=1e-14)
+    # the fixed-weight fit at the same weight keeps the same four directions
     fixed = mfpod_fixed(sets, (1.0,), 0.9999, metric)
     assert fixed.mode_count == fixed.selected_dim == 4
+    np.testing.assert_allclose(mf.corrected_eigvals, fixed.corrected_eigvals, rtol=1e-14)

@@ -21,7 +21,6 @@ from mfpod import (
     convergence_study,
     eigenvalue_sum_mse,
     make_model_pair,
-    mass_matrix,
     mfpod_adaptive,
     mfpod_fixed,
     optimal_alpha,
@@ -30,6 +29,7 @@ from mfpod import (
     reference_matrix,
 )
 from mfpod.cli import main
+from mfpod.models import mass_matrix
 from mfpod.mfpod import SnapshotSpan
 
 from conftest import column_profile
@@ -577,7 +577,7 @@ def test_euclidean_metric_flag_fits_pod_and_mfpod_in_the_euclidean_metric(capsys
     mass_pod = pod(read_snapshots(hf), Metric.from_weight(mass_matrix(129)))
     assert not np.allclose(want_pod.eigvals[:3], mass_pod.eigvals[:3])  # the flag matters
     sets = SnapshotSet.two_level(read_snapshots(hf), read_snapshots(lf), 1.0, 33.0 / 4097.0)
-    want_mf, fit = experiment._fit_mfpod(sets, "pilot_alpha", 0.9999, euclid)
+    want_mf, fit = experiment._fit_mfpod(sets, ("pilot_alpha", None), 0.9999, euclid)
     for argv, vectors, eigvals, summary in (
             (("pod", "--input", hf), want_pod.basis.vectors, [want_pod.eigvals],
              {"mode_count": want_pod.basis.dim}),

@@ -4,7 +4,8 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfpod import Basis, Metric, SnapshotSet, orthonormalize, pod, project, validate_levels
+from mfpod import Basis, Metric, SnapshotSet, orthonormalize, pod, project
+from mfpod.core import validate_levels
 from mfpod.mfpod import _lift
 from mfpod.models import mass_matrix
 

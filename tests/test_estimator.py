@@ -12,14 +12,12 @@ from mfpod import (
     estimate_profile,
     j_mf,
     make_model_pair,
-    mf_mse,
-    min_mse,
     optimal_alpha,
     orthonormalize,
     pod,
-    usefulness,
 )
 from mfpod.core import SnapshotSet
+from mfpod.estimator import mf_mse, min_mse, usefulness
 from mfpod.mfpod import SnapshotSpan, _lift
 
 from conftest import (

@@ -30,15 +30,12 @@ from mfpod import (
     StudyConfig,
     allocate_budget,
     build_reference,
-    fine_metric,
     generate_snapshot_files,
     make_model_pair,
-    mass_matrix,
     mfpod_adaptive,
     mfpod_fixed,
     orthonormalize,
     pod,
-    prolong,
     read_snapshots,
     run_study,
     sample_parameters,
@@ -48,6 +45,7 @@ from mfpod import (
     write_study,
 )
 from mfpod.mfpod import _SPAN_BLOCK, MfBasis, SnapshotSpan
+from mfpod.models import fine_metric, mass_matrix, prolong
 
 from conftest import banded_metric, random_instance
 
@@ -633,6 +631,27 @@ def test_study_config_rejects_non_finite_fixed_weight(mode):
         StudyConfig(budget=5.0, weight_mode=mode)
 
 
+@pytest.mark.parametrize("name, value", [("master_seed", 1.5), ("repeats", 2.5), ("repeats", True),
+                                         ("reference_size", 100.0), ("report_dims", 2.5),
+                                         ("report_dims", "3")])
+def test_study_config_rejects_a_count_that_is_no_integer(monkeypatch, name, value):
+    # a float count used to pass and fail only after the reference's solves,
+    # and repeats=True ran one repeat
+    monkeypatch.setattr(experiment, "make_model_pair", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(experiment._UsageError, match=f"{name} must be an integer"):
+        run_study(StudyConfig(budget=5.0, model=_SMALL, **{name: value}))
+
+
+def test_study_config_takes_numpy_integer_counts(tmp_path):
+    counts = {"repeats": 2, "master_seed": 3, "reference_size": 40, "report_dims": 4}
+    for kind in (int, np.int64):
+        config = StudyConfig(budget=5.0, split="hf_only", model=_SMALL,
+                             **{name: kind(value) for name, value in counts.items()})
+        write_study(run_study(config), tmp_path / kind.__name__)
+    assert (tmp_path / "int64" / "report.json").read_bytes() == \
+        (tmp_path / "int" / "report.json").read_bytes()
+
+
 def test_run_study_hf_only_cost_accounting():
     config = StudyConfig(budget=5.0, split="hf_only", repeats=1, master_seed=0,
                          model=_SMALL, reference_size=60, report_dims=6)
@@ -983,7 +1002,8 @@ def test_lifted_surrogate_matches_its_prolonged_columns(model, seed, m0, extra, 
     lifted = SnapshotSet.two_level(hf, coarse, 1.0, 0.1, pair.lift)
     dense = SnapshotSet.two_level(hf, lf, 1.0, 0.1)
     for mode in ("pilot_alpha", f"fixed:{alpha!r}", "adaptive"):
-        got, want = (experiment._fit_mfpod(s, mode, 0.9999, metric)[0] for s in (lifted, dense))
+        weight = experiment._parse_weight_mode(mode)
+        got, want = (experiment._fit_mfpod(s, weight, 0.9999, metric)[0] for s in (lifted, dense))
         _agree((got.mode_count, got.selected_dim, got.corrected_eigvals),
                (want.mode_count, want.selected_dim, want.corrected_eigvals),
                want.corrected_eigvals[0])

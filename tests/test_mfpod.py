@@ -13,9 +13,7 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
-    fine_metric,
     j_mf,
-    jmf_plus,
     make_model_pair,
     mfpod_adaptive,
     mfpod_fixed,
@@ -28,6 +26,7 @@ from mfpod import (
 )
 import mfpod.mfpod as mfpod_module
 from mfpod.mfpod import _SPAN_BLOCK, SnapshotSpan, build_operator
+from mfpod.models import fine_metric
 
 from conftest import (assemble_mf_matrix, dense_mf_oracle, leading, random_instance,
                       random_spd_metric, transformed_mf_matrix)
@@ -182,26 +181,6 @@ def test_spectral_identity_and_minimizer():
         assert j_top <= lhs + 1e-10 * scale
 
 
-def test_jmf_plus_tail_and_bruteforce():
-    rng = np.random.default_rng(9)
-    metric = random_spd_metric(rng, 30)
-    sets = random_instance(rng, 30, 3, 8, metric)
-    mf = mfpod_fixed(sets, (0.9,), kappa=0.99, metric=metric)
-    full = Basis(mf.vectors, metric)
-    assert jmf_plus(mf, full) == pytest.approx(0.0, abs=1e-10 * mf.corrected_eigvals[0])
-    r = 3
-    top = Basis(mf.vectors[:, :r], metric)
-    assert jmf_plus(mf, top) == pytest.approx(mf.corrected_eigvals[r:].sum(),
-                                              rel=1e-10, abs=1e-12)
-    cand = orthonormalize(rng.standard_normal((30, 5)), metric)
-    brute = sum(
-        lam * (1.0 - sum(metric.inner(mf.vectors[:, j], cand.vectors[:, k]) ** 2
-                         for k in range(cand.dim)))
-        for j, lam in enumerate(mf.corrected_eigvals)
-    )
-    assert jmf_plus(mf, cand) == pytest.approx(brute, rel=1e-9)
-
-
 def test_mfpod_fixed_refuses_a_span_in_another_metric():
     rng = np.random.default_rng(10)
     metric = random_spd_metric(rng, 12)
@@ -209,30 +188,6 @@ def test_mfpod_fixed_refuses_a_span_in_another_metric():
     with pytest.raises(ValueError, match="share one metric"):
         mfpod_fixed(span, (0.9,), 0.99, Metric.euclidean(12))
     assert mfpod_fixed(span, (0.9,), 0.99, metric).metric is metric
-
-
-def test_jmf_plus_refuses_a_candidate_in_another_metric():
-    pair = make_model_pair(AdvDiffConfig(n_hf=129, n_lf=17))
-    thetas = pair.sampler(12, 0)
-    sets = SnapshotSet.two_level(pair.high(thetas[:4]), pair.low(thetas), 1.0, 0.1)
-    mf = mfpod_fixed(sets, (0.9,), 0.99, pair.metric)
-    rng = np.random.default_rng(11)
-    with pytest.raises(ValueError, match="share one metric"):
-        jmf_plus(mf, orthonormalize(rng.standard_normal((129, 2)), Metric.euclidean(129)))
-
-
-def test_jmf_plus_of_an_empty_candidate_or_basis():
-    rng = np.random.default_rng(12)
-    for metric in (Metric.euclidean(12), random_spd_metric(rng, 12)):
-        sets = random_instance(rng, 12, 3, 8, metric)
-        mf = mfpod_fixed(sets, (0.9,), 0.99, metric)
-        assert mf.mode_count > 0
-        assert jmf_plus(mf, Basis.empty(metric)) == float(mf.corrected_eigvals.sum())
-        zero = tuple(dataclasses.replace(s, shared=0 * s.shared, extra=0 * s.extra) for s in sets)
-        empty = mfpod_fixed(zero, (0.9,), 0.99, metric)
-        assert empty.mode_count == 0
-        for cand in (mf.full_basis, Basis.empty(metric)):
-            assert jmf_plus(empty, cand) == 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

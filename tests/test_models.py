@@ -10,16 +10,13 @@ from mfpod import (
     AdvDiffConfig,
     Metric,
     ModelCosts,
-    fine_metric,
     make_model_pair,
-    mass_matrix,
-    prolong,
     sample_parameters,
     snapshot,
-    solve_adv_diff,
 )
 import mfpod.models as models
 from mfpod.core import _UsageError
+from mfpod.models import fine_metric, mass_matrix, prolong, solve_adv_diff
 
 
 def _analytic_boundary_layer(x, theta):

@@ -22,6 +22,53 @@ def test_exported_names_resolve_and_appear_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _surface_names() -> set:
+    """Every name, attribute and imported name in the CLI, the acceptance
+    tests, bench/ and the README's python blocks, and each dotted part of the
+    strings in the benchmark's HOOKS table."""
+    paths = [_ROOT / "src" / "mfpod" / "cli.py", _ROOT / "tests" / "test_acceptance.py",
+             *sorted((_ROOT / "bench").glob("*.py"))]
+    blocks = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.DOTALL)
+    names = set()
+    for tree in [ast.parse(path.read_text()) for path in paths] + [ast.parse(b) for b in blocks]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+            if isinstance(node, ast.Assign) and "HOOKS" in {getattr(t, "id", None) for t in node.targets}:
+                names.update(part for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                             and isinstance(c.value, str) for part in c.value.split("."))
+    return names
+
+
+def _types_reached(name: str) -> set:
+    """Names in the return annotation and raise statements of the function
+    that mfpod exports as ``name``, or in the field annotations of its class."""
+    module = importlib.import_module(getattr(mfpod, name).__module__)
+    node = next(n for n in ast.parse(Path(module.__file__).read_text()).body
+                if getattr(n, "name", None) == name)
+    if isinstance(node, ast.ClassDef):
+        parts = [n.annotation for n in node.body if isinstance(n, ast.AnnAssign)]
+    else:
+        parts = [node.returns] + [n.exc for n in ast.walk(node) if isinstance(n, ast.Raise)]
+    return {n.id for part in parts if part is not None for n in ast.walk(part) if isinstance(n, ast.Name)}
+
+
+def test_every_exported_name_is_reached_by_a_user():
+    # a name is public if the CLI, the acceptance tests, the benchmark or the
+    # README's example uses it, or if it is a type that a public call returns
+    # or raises or a public dataclass holds; everything else stays in its module
+    exported = set(mfpod.__all__)
+    public = _surface_names() & exported
+    todo = list(public)
+    while todo:
+        reached = _types_reached(todo.pop()) & exported - public
+        public |= reached
+        todo += reached
+    unreached = sorted(exported - public)
+    assert not unreached, f"exported, but no user reaches: {', '.join(unreached)}"
+
+
 def _tracer_only_imports():
     """(owner module, name) of every import in src/mfpod marked as kept for
     the tracer, and the marked lines that are no import."""

@@ -10,7 +10,6 @@ from mfpod import (
     Basis,
     Metric,
     SnapshotSet,
-    fine_metric,
     j_mf,
     pod,
     sample_parameters,
@@ -18,6 +17,7 @@ from mfpod import (
     snapshot,
     subspace_alignment,
 )
+from mfpod.models import fine_metric
 
 from conftest import leading, mc_projection_error, random_spd_metric
 
